@@ -29,8 +29,9 @@ from .complexity import (
     default_alphabet,
     survey,
     variational_upper_bound,
+    walk_sequences,
 )
-from .qsim import Circuit, QuantumState, apply_gate_block, inner_product
+from .qsim import Circuit, QuantumState, inner_product
 
 GAP_ATOL = 1e-10
 
@@ -145,23 +146,18 @@ def estimate_pair(kind: ComplexityKind, a: QuantumState, b: QuantumState,
     search if no witness has been found yet; results merged soundly."""
     query = ComplexityQuery(kind, a, b, delta, config.alphabet,
                             config.max_len, config.seed)
-    extras: list[ComplexityEstimate] = []
+    ests: list[ComplexityEstimate] = []
     if config.enumerate_lower:
-        base = brute_force_estimate(query, config.node_budget)
-    else:
-        base = constructive_estimate(query, [])
+        ests.append(brute_force_estimate(query, config.node_budget))
     if candidates:
-        extras.append(constructive_estimate(query, candidates))
-    have_upper = base.upper_bound is not None or any(
-        e.upper_bound is not None for e in extras
-    )
-    if config.use_variational and not have_upper:
-        var_query = ComplexityQuery(kind, a, b, delta, config.alphabet,
-                                    config.variational_blocks, config.seed)
-        extras.append(variational_upper_bound(
-            var_query, config.restarts, config.variational_blocks, config.sweeps
+        ests.append(constructive_estimate(query, candidates))
+    if config.use_variational and all(e.upper_bound is None for e in ests):
+        ests.append(variational_upper_bound(
+            query, config.restarts, config.variational_blocks, config.sweeps
         ))
-    return combine_estimates(base, *extras)
+    if not ests:  # no search configured: an empty candidate list knows nothing
+        return constructive_estimate(query, [])
+    return combine_estimates(*ests)
 
 
 @dataclass(frozen=True)
@@ -288,22 +284,6 @@ class GapReport:
     truncated: bool
 
 
-def _all_sequences(gates, inverse, max_len):
-    """All gate-index sequences of length <= max_len, adjacent inverses pruned."""
-    frontier: list[tuple[int, ...]] = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt = []
-        for seq in frontier:
-            for gi in range(len(gates)):
-                if seq and inverse[seq[-1]] == gi:
-                    continue
-                child = seq + (gi,)
-                yield child
-                nxt.append(child)
-        frontier = nxt
-
-
 def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
                     phase_points: int = 8,
                     alphabet: GateAlphabet | None = None,
@@ -325,7 +305,6 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
         raise ValueError("exhaustive gap check is limited to 6 qubits")
     alphabet = alphabet or default_alphabet()
     gates = alphabet.instantiate(n)
-    inv = alphabet.inverse_indices(gates)
 
     k = len(d.components)
     sqrtw = np.array([abs(w) for w, _ in d.components])
@@ -346,15 +325,13 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     count = 0
     truncated = False
 
-    for seq in _all_sequences(gates, inv, circuit_budget):
+    for block, _, _ in walk_sequences(base, n, gates,
+                                      alphabet.inverse_indices(gates),
+                                      circuit_budget):
         if max_circuits is not None and count >= max_circuits:
             truncated = True
             break
         count += 1
-        block = base
-        for gi in seq:
-            block = apply_gate_block(block, n, gates[gi].targets,
-                                     gates[gi].matrix)
         amp_w = block * sqrtw  # columns scaled by sqrt(p_i)
         p_theta = np.abs(amp_w @ phase_mat) ** 2           # (dim, T)
         p_diag = (np.abs(block) ** 2) @ probs              # (dim,)
@@ -398,12 +375,6 @@ def _require_orthogonal(states: list[QuantumState], atol: float = 1e-8):
             raise ValueError(
                 f"states {i} and {j} are not orthogonal (|overlap| = {ov:.3e})"
             )
-
-
-def _size(res, channel_index: int, threshold: float) -> int:
-    """Enumerated minimal fused size, or cap+1 when nothing met the threshold."""
-    lower, _, _, _ = res.bounds(channel_index, threshold)
-    return lower
 
 
 @dataclass(frozen=True)
@@ -453,27 +424,19 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
         for t in grid
     ]
     states = [a.amplitudes, b.amplitudes] + merged
-    channels = [
-        Channel(ComplexityKind.DISTINGUISHABILITY, 0, 1),
-        Channel(ComplexityKind.INTERFERENCE, 0, 1),
-    ]
-    channels += [Channel(ComplexityKind.DISTINGUISHABILITY, 0, 2 + t)
-                 for t in range(phase_points)]
-    channels += [Channel(ComplexityKind.INTERFERENCE, 0, 2 + t)
-                 for t in range(phase_points)]
+    kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
+    channels = [Channel(kD, 0, 1), Channel(kI, 0, 1)]
+    channels += [Channel(kD, 0, 2 + t) for t in range(phase_points)]
+    channels += [Channel(kI, 0, 2 + t) for t in range(phase_points)]
     res = survey(states, a.n_qubits, channels, alphabet, max_len)
 
-    kD = ComplexityKind.DISTINGUISHABILITY
-    kI = ComplexityKind.INTERFERENCE
     d_delta_lhs = 1.0 - epsilon / p
     i_delta_lhs = epsilon / math.sqrt(p)
-    d_lhs = _size(res, 0, kD.threshold(d_delta_lhs))
-    i_lhs = _size(res, 1, kI.threshold(i_delta_lhs))
-    d_rhs = _size(res, 2, kD.threshold(1.0 - epsilon))  # theta = 0 entry
-    i_rhs_min = min(
-        _size(res, 2 + phase_points + t, kI.threshold(epsilon))
-        for t in range(phase_points)
-    )
+    d_lhs = res.size(0, d_delta_lhs)
+    i_lhs = res.size(1, i_delta_lhs)
+    d_rhs = res.size(2, 1.0 - epsilon)  # theta = 0 entry
+    i_rhs_min = min(res.size(2 + phase_points + t, epsilon)
+                    for t in range(phase_points))
     return MergeBoundReport(
         p=p, epsilon=epsilon, d_lhs=d_lhs, d_rhs=d_rhs, i_lhs=i_lhs,
         i_rhs_min=i_rhs_min, d_delta_lhs=d_delta_lhs, i_delta_lhs=i_delta_lhs,
@@ -539,17 +502,15 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
 
     res = survey(states, a.n_qubits, channels, alphabet, max_len)
 
-    thr_i_eps = kI.threshold(epsilon)
-    b1 = min(_size(res, off_bc + t, thr_i_eps) for t in range(phase_points)) \
-        - _size(res, off_d_bc, kD.threshold(1.0 - epsilon))
-    b2 = min(_size(res, off_ab + t, thr_i_eps) for t in range(phase_points)) \
-        - _size(res, off_d_ab, kD.threshold(1.0 - epsilon))
+    b1 = min(res.size(off_bc + t, epsilon) for t in range(phase_points)) \
+        - res.size(off_d_bc, 1.0 - epsilon)
+    b2 = min(res.size(off_ab + t, epsilon) for t in range(phase_points)) \
+        - res.size(off_d_ab, 1.0 - epsilon)
 
-    thr_i = kI.threshold(rt2 * epsilon)
-    thr_d = kD.threshold(1.0 - 2.0 * epsilon)
-    m_ab = _size(res, 0, thr_i) - _size(res, 1, thr_d)
-    m_bc = _size(res, 2, thr_i) - _size(res, 3, thr_d)
-    m_ca = _size(res, 4, thr_i) - _size(res, 5, thr_d)
+    d_i, d_d = rt2 * epsilon, 1.0 - 2.0 * epsilon
+    m_ab = res.size(0, d_i) - res.size(1, d_d)
+    m_bc = res.size(2, d_i) - res.size(3, d_d)
+    m_ca = res.size(4, d_i) - res.size(5, d_d)
 
     return ThreeBranchReport(
         b1=b1, b2=b2, margin_ab=m_ab, margin_bc=m_bc, margin_ca=m_ca,
@@ -617,8 +578,7 @@ def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
         _, rev_upper, _, _ = res.bounds(len(pairs),
                                         ComplexityKind.RELATIVE.threshold(delta))
         for pi, (i, j) in enumerate(pairs):
-            lower, _, _, _ = res.bounds(
-                pi, ComplexityKind.INTERFERENCE.threshold(delta))
+            lower = res.size(pi, delta)
             if rev_upper is None:
                 status = "inconclusive"
             elif lower <= rev_upper + preparation_cost:

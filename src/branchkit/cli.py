@@ -65,9 +65,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--node-budget", type=int, default=None,
                    help="cap on enumeration nodes; exceeding it flags the "
                         "result as truncated")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker fan-out (results are thread-count independent; "
-                        "the current implementation runs serially)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any result is budget-truncated")
 
@@ -207,35 +204,24 @@ def cmd_qec(args) -> int:
     if args.code_file:
         with open(args.code_file) as fh:
             spec = ser.code_spec_from_json(json.load(fh))
-        report = beny_oreshkov_residuals(spec)
-        floor = code_complexity_floor(report)
-        doc = {
-            "schema_version": ser.SCHEMA_VERSION,
-            "code": "file",
-            "n_qubits": spec.n_qubits,
-            "residuals": ser.residual_report_to_json(report),
-            "floor": ser.floor_to_json(floor),
-        }
-        _emit(args, ser.dumps(doc))
-        return 0
-    if args.code == "repetition":
-        n = args.m1
-        words = (QuantumState.basis(n, 0), QuantumState.basis(n, 2**n - 1))
-    elif args.code == "parity":
-        pc = fx.parity_codewords(args.m1, args.m2)
-        words = (pc.state0, pc.state1)
-        n = args.m1 * args.m2
     else:
-        raise ValueError("qec needs --code or --code-file")
-    errors = _expand_errors(args.errors.split(","), n)
-    report = beny_oreshkov_residuals(CodeSpec(words, errors))
-    floor = code_complexity_floor(report)
+        if args.code == "repetition":
+            n = args.m1
+            words = (QuantumState.basis(n, 0), QuantumState.basis(n, 2**n - 1))
+        elif args.code == "parity":
+            pc = fx.parity_codewords(args.m1, args.m2)
+            words = (pc.state0, pc.state1)
+            n = args.m1 * args.m2
+        else:
+            raise ValueError("qec needs --code or --code-file")
+        spec = CodeSpec(words, _expand_errors(args.errors.split(","), n))
+    report = beny_oreshkov_residuals(spec)
     doc = {
         "schema_version": ser.SCHEMA_VERSION,
-        "code": args.code,
-        "n_qubits": n,
+        "code": "file" if args.code_file else args.code,
+        "n_qubits": spec.n_qubits,
         "residuals": ser.residual_report_to_json(report),
-        "floor": ser.floor_to_json(floor),
+        "floor": ser.floor_to_json(code_complexity_floor(report)),
     }
     _emit(args, ser.dumps(doc))
     return 0
@@ -308,7 +294,6 @@ def cmd_props(args) -> int:
                                 max_len=args.budget,
                                 triples=args.triples, epsilon=args.epsilon)
     counts = report.violation_counts()
-    pair_rep = report.pair_reports[0]
     doc = {
         "schema_version": ser.SCHEMA_VERSION,
         "n": args.n,
@@ -320,7 +305,7 @@ def cmd_props(args) -> int:
         "properties": {
             name: {"checked": st.checked, "violations": st.violations,
                    "vacuous": st.vacuous, "examples": st.examples}
-            for name, st in pair_rep.properties.items()
+            for name, st in report.pair_report.properties.items()
         },
     }
     _emit(args, ser.dumps(doc))

@@ -18,8 +18,9 @@ derivative-free variational search over general 2-qubit blocks.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .qsim import (
     QuantumState,
     apply_circuit,
     apply_gate_block,
-    inner_product,
 )
 
 WITNESS_ATOL = 1e-9
@@ -51,6 +51,15 @@ class ComplexityKind(enum.Enum):
     def default_delta(self) -> float:
         # interference queries probe tiny leakage, distinguishability near-certainty
         return 0.1 if self is ComplexityKind.INTERFERENCE else 0.9
+
+    def objective(self, g: np.ndarray, a: int = 0, b: int = 1) -> float:
+        """The objective between states a and b, read off the overlap matrix
+        g[r, c] = <s_r|U|s_c> of one circuit U."""
+        if self is ComplexityKind.RELATIVE:
+            return abs(g[b, a])
+        if self is ComplexityKind.DISTINGUISHABILITY:
+            return abs(g[a, a] - g[b, b])
+        return abs(g[a, b]) + abs(g[b, a])
 
 
 @dataclass(frozen=True)
@@ -87,17 +96,12 @@ class GateAlphabet:
         return inv
 
 
-_DEFAULT_ALPHABET: GateAlphabet | None = None
-
-
+@functools.cache
 def default_alphabet() -> GateAlphabet:
     """{X, Y, Z, H, S, S†, T, T†} on every qubit plus CNOT on every ordered pair."""
-    global _DEFAULT_ALPHABET
-    if _DEFAULT_ALPHABET is None:
-        one = tuple((label, GATES_1Q[label]) for label in
-                    ("X", "Y", "Z", "H", "S", "SDG", "T", "TDG"))
-        _DEFAULT_ALPHABET = GateAlphabet("default", one, (("CNOT", CNOT),))
-    return _DEFAULT_ALPHABET
+    one = tuple((label, GATES_1Q[label]) for label in
+                ("X", "Y", "Z", "H", "S", "SDG", "T", "TDG"))
+    return GateAlphabet("default", one, (("CNOT", CNOT),))
 
 
 def fused_cost(gates: tuple[GateOp, ...] | list[GateOp]) -> int:
@@ -121,13 +125,9 @@ def objective_value(kind: ComplexityKind, u: Circuit, a: QuantumState,
     """Evaluate the kind's objective for circuit u on the state pair (a, b)."""
     if a.n_qubits != b.n_qubits or u.n_qubits != a.n_qubits:
         raise ValueError("objective_value requires matching qubit counts")
-    ua = apply_circuit(a, u)
-    ub = apply_circuit(b, u)
-    if kind is ComplexityKind.RELATIVE:
-        return float(abs(inner_product(b, ua)))
-    if kind is ComplexityKind.DISTINGUISHABILITY:
-        return float(abs(inner_product(a, ua) - inner_product(b, ub)))
-    return float(abs(inner_product(a, ub)) + abs(inner_product(b, ua)))
+    kets = [apply_circuit(a, u).amplitudes, apply_circuit(b, u).amplitudes]
+    g = np.array([[np.vdot(s.amplitudes, k) for k in kets] for s in (a, b)])
+    return float(kind.objective(g))
 
 
 @dataclass(frozen=True)
@@ -227,17 +227,42 @@ class SurveyResult:
             return 0, None, None, None
         return self.max_len + 1, None, None, None
 
+    def size(self, channel_index: int, delta: float) -> int:
+        """Enumerated minimal fused size of one channel at accuracy delta (the
+        channel's kind sets the threshold), or cap+1 when nothing met it."""
+        kind = self.channels[channel_index].kind
+        return self.bounds(channel_index, kind.threshold(delta))[0]
 
-def _channel_values(g: np.ndarray, channels: list[Channel]) -> list[float]:
-    out = []
-    for ch in channels:
-        if ch.kind is ComplexityKind.RELATIVE:
-            out.append(abs(g[ch.b, ch.a]))
-        elif ch.kind is ComplexityKind.DISTINGUISHABILITY:
-            out.append(abs(g[ch.a, ch.a] - g[ch.b, ch.b]))
-        else:
-            out.append(abs(g[ch.a, ch.b]) + abs(g[ch.b, ch.a]))
-    return out
+
+def walk_sequences(block: np.ndarray, n_qubits: int, gates: list[GateOp],
+                   inverse: list[int | None], max_len: int):
+    """Depth-first walk over every gate sequence of length <= max_len, never
+    placing a gate right after its inverse. Yields (block, seq, cost) per
+    node, the empty sequence first: `block` with the sequence applied to
+    every column, the gate-index tuple, and its fused cost. Each node costs
+    one gate application on its parent's block."""
+    mats = [g.matrix for g in gates]
+    targs = [g.targets for g in gates]
+    supports = [frozenset(t) for t in targs]
+
+    def children(block, seq, cost, support):
+        skip = inverse[seq[-1]] if seq else None
+        for gi in range(len(gates)):
+            if gi == skip:
+                continue
+            child = apply_gate_block(block, n_qubits, targs[gi], mats[gi])
+            if seq and len(support | supports[gi]) <= 2:
+                ccost, csup = cost, support | supports[gi]
+            else:
+                ccost, csup = cost + 1, supports[gi]
+            cseq = seq + (gi,)
+            yield child, cseq, ccost
+            if len(cseq) < max_len:
+                yield from children(child, cseq, ccost, csup)
+
+    yield block, (), 0
+    if max_len > 0:
+        yield from children(block, (), 0, frozenset())
 
 
 def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
@@ -248,42 +273,20 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     each fused cost. One walk serves any number of thresholds afterwards."""
     alphabet = alphabet or default_alphabet()
     gates = alphabet.instantiate(n_qubits)
-    inv = alphabet.inverse_indices(gates)
     result = SurveyResult(n_qubits, channels, gates, max_len)
-
     block0 = np.column_stack(states)  # (2**n, k)
     bras = block0.conj().T  # fixed <s_i| rows
-    g0 = bras @ block0
-    result.record(_channel_values(g0, channels), 0, ())
-    result.nodes = 1
-
-    mats = [g.matrix for g in gates]
-    targs = [g.targets for g in gates]
-
-    def walk(block: np.ndarray, seq: tuple[int, ...], cost: int,
-             support: frozenset[int], last: int | None) -> bool:
-        for gi in range(len(gates)):
-            if last is not None and inv[last] == gi:
-                continue
-            if node_budget is not None and result.nodes >= node_budget:
-                result.truncated = True
-                return False
-            child = apply_gate_block(block, n_qubits, targs[gi], mats[gi])
-            s = frozenset(targs[gi])
-            if seq and len(support | s) <= 2:
-                ccost, csup = cost, support | s
-            else:
-                ccost, csup = cost + 1, s
-            cseq = seq + (gi,)
-            result.record(_channel_values(bras @ child, channels), ccost, cseq)
-            result.nodes += 1
-            if len(cseq) < max_len:
-                if not walk(child, cseq, ccost, csup, gi):
-                    return False
-        return True
-
-    if max_len > 0:
-        walk(block0, (), 0, frozenset(), None)
+    for block, seq, cost in walk_sequences(block0, n_qubits, gates,
+                                           alphabet.inverse_indices(gates),
+                                           max_len):
+        # the empty sequence is always recorded, whatever the budget
+        if seq and node_budget is not None and result.nodes >= node_budget:
+            result.truncated = True
+            break
+        g = bras @ block
+        result.record([ch.kind.objective(g, ch.a, ch.b) for ch in channels],
+                      cost, seq)
+        result.nodes += 1
     return result
 
 
@@ -320,38 +323,23 @@ def combine_estimates(primary: ComplexityEstimate,
     length; a witness from a stronger method (general 2-qubit blocks, or a
     structural circuit longer than the cap) can legitimately undercut that
     scoped claim, in which case the combined lower bound clips to the witness
-    cost so the pair stays sound.
+    cost so the pair stays sound. The cheapest witness wins, the earliest on
+    ties.
     """
-    best = primary
-    methods = [primary.method]
-    for est in others:
-        if est is None:
-            continue
-        methods.append(est.method)
-        if est.upper_bound is not None and (
-            best.upper_bound is None or est.upper_bound < best.upper_bound
-        ):
-            best = ComplexityEstimate(
-                kind=primary.kind, delta=primary.delta,
-                lower_bound=min(primary.lower_bound, est.upper_bound),
-                lower_bound_scope=primary.lower_bound_scope,
-                upper_bound=est.upper_bound, witness=est.witness,
-                achieved_value=est.achieved_value, method="+".join(methods),
-                seed=primary.seed, truncated=primary.truncated,
-            )
-    if best is primary and len(methods) > 1:
-        best = ComplexityEstimate(
-            kind=primary.kind, delta=primary.delta,
-            lower_bound=primary.lower_bound,
-            lower_bound_scope=primary.lower_bound_scope,
-            upper_bound=primary.upper_bound, witness=primary.witness,
-            achieved_value=primary.achieved_value, method="+".join(methods),
-            seed=primary.seed, truncated=primary.truncated,
-        )
-    return best
+    ests = (primary, *others)
+    best = min((e for e in ests if e.upper_bound is not None),
+               key=lambda e: e.upper_bound, default=primary)
+    lower = primary.lower_bound
+    if best.upper_bound is not None:
+        lower = min(lower, best.upper_bound)
+    return replace(primary, lower_bound=lower, upper_bound=best.upper_bound,
+                   witness=best.witness, achieved_value=best.achieved_value,
+                   method="+".join(e.method for e in ests))
 
 
-def _verify_witness(q: ComplexityQuery, witness: Circuit, claimed: float | None):
+def _verify_witness(q: ComplexityQuery, witness: Circuit,
+                    claimed: float | None) -> float:
+    """Re-evaluate a witness from scratch; returns its objective value."""
     val = objective_value(q.kind, witness, q.a, q.b)
     if val < q.threshold - WITNESS_ATOL:
         raise AssertionError(
@@ -359,6 +347,18 @@ def _verify_witness(q: ComplexityQuery, witness: Circuit, claimed: float | None)
         )
     if claimed is not None and abs(val - claimed) > 1e-8:
         raise AssertionError("witness objective drifted between search and re-check")
+    return val
+
+
+def _witness_only(q: ComplexityQuery, method: str, upper: int | None = None,
+                  witness: Circuit | None = None,
+                  achieved: float | None = None) -> ComplexityEstimate:
+    """An estimate that certifies nothing from below: only a witness, if any."""
+    return ComplexityEstimate(
+        kind=q.kind, delta=q.delta, lower_bound=0, lower_bound_scope="none",
+        upper_bound=upper, witness=witness, achieved_value=achieved,
+        method=method, seed=q.seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +373,9 @@ def constructive_estimate(q: ComplexityQuery,
     for cand in ranked:
         val = objective_value(q.kind, cand, q.a, q.b)
         if val >= q.threshold - _THRESHOLD_SLACK:
-            return ComplexityEstimate(
-                kind=q.kind, delta=q.delta, lower_bound=0,
-                lower_bound_scope="none", upper_bound=fused_cost(cand.gates),
-                witness=cand, achieved_value=float(val), method="constructive",
-                seed=q.seed,
-            )
-    return ComplexityEstimate(
-        kind=q.kind, delta=q.delta, lower_bound=0, lower_bound_scope="none",
-        upper_bound=None, witness=None, achieved_value=None,
-        method="constructive", seed=q.seed,
-    )
+            return _witness_only(q, "constructive", fused_cost(cand.gates),
+                                 cand, val)
+    return _witness_only(q, "constructive")
 
 
 def pair_blocks(indices: list[int], n_qubits: int, matrix: np.ndarray,
@@ -405,15 +397,10 @@ def pair_blocks(indices: list[int], n_qubits: int, matrix: np.ndarray,
 # Variational witness search
 # ---------------------------------------------------------------------------
 
-_PAULI_2Q: list[np.ndarray] = []
-
-
-def _two_qubit_generators() -> list[np.ndarray]:
-    global _PAULI_2Q
-    if not _PAULI_2Q:
-        labels = [p + q for p in "IXYZ" for q in "IXYZ"][1:]  # skip II
-        _PAULI_2Q = [np.kron(PAULI[l[0]], PAULI[l[1]]) for l in labels]
-    return _PAULI_2Q
+@functools.cache
+def _two_qubit_generators() -> tuple[np.ndarray, ...]:
+    labels = [p + q for p in "IXYZ" for q in "IXYZ"][1:]  # skip II
+    return tuple(np.kron(PAULI[l[0]], PAULI[l[1]]) for l in labels)
 
 
 def _block_unitary(theta: np.ndarray) -> np.ndarray:
@@ -454,19 +441,15 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
     if not schedule:
         raise ValueError("variational search needs at least 2 qubits")
     rng = np.random.default_rng(q.seed)
-    a, b = q.a.amplitudes, q.b.amplitudes
+    block0 = np.column_stack([q.a.amplitudes, q.b.amplitudes])
+    bras = block0.conj().T
 
     def objective(theta: np.ndarray, pairs: list[tuple[int, int]]) -> float:
-        ua, ub = a, b
+        block = block0
         for i, pair in enumerate(pairs):
-            u = _block_unitary(theta[15 * i:15 * (i + 1)])
-            ua = apply_gate_block(ua, n, pair, u)
-            ub = apply_gate_block(ub, n, pair, u)
-        if q.kind is ComplexityKind.RELATIVE:
-            return float(abs(np.vdot(b, ua)))
-        if q.kind is ComplexityKind.DISTINGUISHABILITY:
-            return float(abs(np.vdot(a, ua) - np.vdot(b, ub)))
-        return float(abs(np.vdot(a, ub)) + abs(np.vdot(b, ua)))
+            block = apply_gate_block(block, n, pair,
+                                     _block_unitary(theta[15 * i:15 * (i + 1)]))
+        return float(q.kind.objective(bras @ block))
 
     for m in range(max_blocks + 1):
         pairs = [schedule[i % len(schedule)] for i in range(m)]
@@ -506,15 +489,6 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
                 for i in range(m)
             )
             witness = Circuit(n, gates)
-            _verify_witness(q, witness, None)
-            return ComplexityEstimate(
-                kind=q.kind, delta=q.delta, lower_bound=0,
-                lower_bound_scope="none", upper_bound=m, witness=witness,
-                achieved_value=float(objective_value(q.kind, witness, q.a, q.b)),
-                method="variational", seed=q.seed,
-            )
-    return ComplexityEstimate(
-        kind=q.kind, delta=q.delta, lower_bound=0, lower_bound_scope="none",
-        upper_bound=None, witness=None, achieved_value=None,
-        method="variational", seed=q.seed,
-    )
+            return _witness_only(q, "variational", m, witness,
+                                 _verify_witness(q, witness, None))
+    return _witness_only(q, "variational")

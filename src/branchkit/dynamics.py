@@ -34,7 +34,6 @@ RATE_FUNCTIONS = {
 class FlowParams:
     k: float = 1.0
     rate: float = 1.0
-    switchback_c: float = 0.0  # informational offset, carried into metadata
     dt: float = 1e-3
     t_end: float = 10.0
     rate_function: str = "saturating"
@@ -119,7 +118,7 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
             ci = rk4(ci) if ci > 0 else 0.0
             cd = rk4(cd) if cd > 0 else 0.0
     meta = {"k": p.k, "rate": p.rate, "dt": p.dt,
-            "rate_function": p.rate_function, "switchback_c": p.switchback_c}
+            "rate_function": p.rate_function}
     return Trajectory(tuple(samples), "flow", meta)
 
 

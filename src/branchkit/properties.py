@@ -120,27 +120,23 @@ def run_pair_properties(n: int, instances: int, seed: int,
         ]
         res = survey(cols, n, channels, alphabet, max_len)
 
-        def size(ch: int, kind: ComplexityKind, delta: float) -> int:
-            lower, _, _, _ = res.bounds(ch, kind.threshold(delta))
-            return lower
-
         for d in deltas:
             # symmetry and phase invariance, all three kinds
             trips = [(K_R, 0, 1, 6), (K_D, 2, 3, 7), (K_I, 4, 5, 8)]
             for kind, fwd, rev, phased in trips:
-                s_fwd, s_rev = size(fwd, kind, d), size(rev, kind, d)
+                s_fwd, s_rev = res.size(fwd, d), res.size(rev, d)
                 stats["symmetry"].note(
                     s_fwd == s_rev,
                     detail=f"inst={inst} {kind.value} d={d}: {s_fwd} != {s_rev}")
-                s_ph = size(phased, kind, d)
+                s_ph = res.size(phased, d)
                 stats["phase_invariance"].note(
                     s_fwd == s_ph,
                     detail=f"inst={inst} {kind.value} d={d}: {s_fwd} != {s_ph}")
 
             # interference sandwich: R(d/2) <= I at accuracy d/2 <= R(d)
-            s_r_half = size(0, K_R, d / 2)
-            s_i_half = size(4, K_I, d / 2)
-            s_r_full = size(0, K_R, d)
+            s_r_half = res.size(0, d / 2)
+            s_i_half = res.size(4, d / 2)
+            s_r_full = res.size(0, d)
             low_ok = s_r_half <= s_i_half
             up_ok = s_i_half <= s_r_full
             stats["ci_sandwich"].note(
@@ -151,8 +147,8 @@ def run_pair_properties(n: int, instances: int, seed: int,
                        f"I={s_i_half} R({d})={s_r_full}")
 
             # product-state ceiling: D(a,b) <= min(R(0->a), R(0->b))
-            s_d = size(2, K_D, d)
-            s_ra, s_rb = size(10, K_R, d), size(11, K_R, d)
+            s_d = res.size(2, d)
+            s_ra, s_rb = res.size(10, d), res.size(11, d)
             ceiling = min(s_ra, s_rb)
             stats["cd_ceiling"].note(
                 s_d <= ceiling,
@@ -160,7 +156,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
                 detail=f"inst={inst} d={d}: D={s_d} > min(R)={ceiling}")
 
             # conjugate-basis: I((a+b)/rt2,(a-b)/rt2) <= D(a,b)
-            s_i_pm = size(9, K_I, d)
+            s_i_pm = res.size(9, d)
             stats["conjugate_basis"].note(
                 s_i_pm <= s_d,
                 vacuous=(s_i_pm >= cap and s_d >= cap),
@@ -168,7 +164,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
 
         # monotonicity over the delta grid, all three kinds
         for kind, ch in ((K_R, 0), (K_D, 2), (K_I, 4)):
-            sizes = [size(ch, kind, d) for d in sorted(deltas)]
+            sizes = [res.size(ch, d) for d in sorted(deltas)]
             stats["monotonicity"].note(
                 all(x <= y for x, y in zip(sizes, sizes[1:])),
                 detail=f"inst={inst} {kind.value}: sizes {sizes}")
@@ -234,15 +230,13 @@ def run_triple_properties(n: int, triples: int, seed: int,
 
 @dataclass
 class FullSuiteReport:
-    pair_reports: list[PropertySuiteReport]
+    pair_report: PropertySuiteReport
     triple_report: TripleSuiteReport
     irreversibility: PropertyStats
 
     def violation_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rep in self.pair_reports:
-            for name, st in rep.properties.items():
-                counts[name] = counts.get(name, 0) + st.violations
+        counts = {name: st.violations
+                  for name, st in self.pair_report.properties.items()}
         counts["merge_bounds"] = self.triple_report.merge.violations
         counts["three_branch"] = self.triple_report.three_branch.violations
         counts["irreversibility"] = self.irreversibility.violations
@@ -274,4 +268,4 @@ def run_property_suite(n: int, instances: int, seed: int,
         status = rep.status_at(0.9)
         irr.note(status == "ok", vacuous=status == "inconclusive",
                  detail=f"cat n={m}: status {status}")
-    return FullSuiteReport([pair_rep], triple_rep, irr)
+    return FullSuiteReport(pair_rep, triple_rep, irr)

@@ -176,6 +176,17 @@ class TestExtendedCommands:
         assert code == 3
         assert json.loads(out)["truncated"] is True
 
+    def test_witness_only_method_names_searches_that_ran(self, capsys):
+        # without enumeration only the candidate search runs, and the ghz
+        # candidates already witness the query, so no variational search
+        code, out, _ = run_cli(
+            ["estimate", "--kind", "interference", "--example", "ghz",
+             "--n", "2", "--delta", "0.9", "--method", "variational"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"] == "constructive"
+        assert (doc["lower_bound_scope"], doc["upper_bound"]) == ("none", 1)
+
     def test_qec_from_code_file(self, capsys, tmp_path):
         from branchkit.codes import CodeSpec
         spec = CodeSpec((QuantumState.basis(3, 0), QuantumState.basis(3, 7)),

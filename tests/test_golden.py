@@ -1,0 +1,40 @@
+"""Byte-exact stdout of every CLI example in the README.
+
+Each golden file under tests/golden/ holds the stdout of one command line;
+the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from branchkit.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+README_EXAMPLES = {
+    "verdict": "verdict --example ghz --n 4 --seed 1 --threshold 1",
+    "estimate": "estimate --kind interference --example ghz --n 2 --delta 0.9",
+    "qec": "qec --code repetition --m1 3 --errors identity,single-x",
+    "surface": "surface --long-cycle 100 --short-cycle 3 --p 1e-3 --c-const 1",
+    "flow": "flow --k 1 --rate 1 --ci0 5 --cd0 1 --t-end 10",
+    "evolve_track": "evolve --mode track --example ghz --n 4 --seed 1 "
+                    "--t-grid 0,1,2",
+    "evolve_freeze": "evolve --mode freeze --n 4 --seed 3 --t-grid 0,1,2,5",
+    "evolve_eth": "evolve --mode eth --sizes 6,8,10",
+    "props": "props --n 3 --instances 100 --seed 7",
+    "gap": "gap --example ghz --n 3 --budget 2 --phases 8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_stdout(name, capsys):
+    code = main(README_EXAMPLES[name].split())
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    digest = GOLDEN / f"{name}.sha256"
+    if digest.exists():
+        sha, size = digest.read_text().split()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
+    else:
+        assert out == (GOLDEN / f"{name}.out").read_bytes()
