@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .complexity import (
     ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
-    GateAlphabet,
     brute_force_estimate,
     combine_estimates,
     constructive_estimate,
@@ -115,6 +114,12 @@ def validate_decomposition(d: BranchDecomposition) -> ValidationReport:
     return ValidationReport(ok=not issues, violations=tuple(issues))
 
 
+def _require_valid(d: BranchDecomposition):
+    report = validate_decomposition(d)
+    if not report.ok:
+        raise ValueError(f"decomposition does not validate: {report.worst.detail}")
+
+
 # ---------------------------------------------------------------------------
 # Pairwise assessment
 # ---------------------------------------------------------------------------
@@ -130,7 +135,6 @@ class EstimatorConfig:
 
     max_len: int = 2
     node_budget: int | None = None
-    alphabet: GateAlphabet = field(default_factory=default_alphabet)
     enumerate_lower: bool = True
     use_variational: bool = True
     variational_blocks: int = 4
@@ -144,8 +148,7 @@ def estimate_pair(kind: ComplexityKind, a: QuantumState, b: QuantumState,
                   candidates: list[Circuit] | None = None) -> ComplexityEstimate:
     """Pipeline: enumeration, then structural candidates, then variational
     search if no witness has been found yet; results merged soundly."""
-    query = ComplexityQuery(kind, a, b, delta, config.alphabet,
-                            config.max_len, config.seed)
+    query = ComplexityQuery(kind, a, b, delta, config.max_len, config.seed)
     ests: list[ComplexityEstimate] = []
     if config.enumerate_lower:
         ests.append(brute_force_estimate(query, config.node_budget))
@@ -196,16 +199,15 @@ def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
 
 
 def resolve_lambda(robustness_lambda: float | None = None,
-                   noise_rate: float | None = None,
-                   kappa: float = 1.0) -> float:
-    """Robustness exponent: lambda = kappa * ln(1/p) for noise rate p, or an
+                   noise_rate: float | None = None) -> float:
+    """Robustness exponent: lambda = ln(1/p) for noise rate p, or an
     explicit value; defaults to 1 when neither is given."""
     if robustness_lambda is not None:
         return float(robustness_lambda)
     if noise_rate is not None:
         if not 0.0 < noise_rate < 1.0:
             raise ValueError("noise rate must lie in (0, 1)")
-        return kappa * math.log(1.0 / noise_rate)
+        return math.log(1.0 / noise_rate)
     return 1.0
 
 
@@ -213,7 +215,7 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
                     config: EstimatorConfig | None = None,
                     good_threshold: int = 2,
                     robustness_lambda: float | None = None,
-                    noise_rate: float | None = None, kappa: float = 1.0,
+                    noise_rate: float | None = None,
                     candidates: dict[ComplexityKind, list[Circuit]] | None = None,
                     ) -> BranchVerdict:
     """Render the pairwise interference-vs-distinguishability verdict.
@@ -226,12 +228,9 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
     """
     if not 0.0 < epsilon <= 0.25:
         raise ValueError("epsilon must lie in (0, 0.25]")
-    report = validate_decomposition(d)
-    if not report.ok:
-        worst = report.worst
-        raise ValueError(f"decomposition does not validate: {worst.detail}")
+    _require_valid(d)
     config = config or EstimatorConfig()
-    lam = resolve_lambda(robustness_lambda, noise_rate, kappa)
+    lam = resolve_lambda(robustness_lambda, noise_rate)
     candidates = candidates or {}
 
     pairs = []
@@ -286,7 +285,6 @@ class GapReport:
 
 def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
                     phase_points: int = 8,
-                    alphabet: GateAlphabet | None = None,
                     max_circuits: int | None = None) -> GapReport:
     """Exhaustively compare outcome probabilities of the pure parent (at every
     relative phase on a grid) against the dephased mixture of components.
@@ -297,13 +295,11 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     bug). With exactly two components the gap equals its single pair term
     identically, and the worst equality residual is reported.
     """
-    report = validate_decomposition(d)
-    if not report.ok:
-        raise ValueError(f"decomposition does not validate: {report.worst.detail}")
+    _require_valid(d)
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")
-    alphabet = alphabet or default_alphabet()
+    alphabet = default_alphabet()
     gates = alphabet.instantiate(n)
 
     k = len(d.components)
@@ -394,8 +390,7 @@ class MergeBoundReport:
 
 def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
                       p: float, epsilon: float = 0.1, max_len: int = 3,
-                      phase_points: int = 8,
-                      alphabet: GateAlphabet | None = None) -> MergeBoundReport:
+                      phase_points: int = 8) -> MergeBoundReport:
     """Distinguishing/interfering against a merged component bounds the
     single-component quantities at shifted accuracies:
 
@@ -428,7 +423,7 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
     channels = [Channel(kD, 0, 1), Channel(kI, 0, 1)]
     channels += [Channel(kD, 0, 2 + t) for t in range(phase_points)]
     channels += [Channel(kI, 0, 2 + t) for t in range(phase_points)]
-    res = survey(states, a.n_qubits, channels, alphabet, max_len)
+    res = survey(states, a.n_qubits, channels, max_len)
 
     d_delta_lhs = 1.0 - epsilon / p
     i_delta_lhs = epsilon / math.sqrt(p)
@@ -466,7 +461,6 @@ class ThreeBranchReport:
 def three_branch_compatibility(a: QuantumState, b: QuantumState,
                                c: QuantumState, epsilon: float = 0.1,
                                max_len: int = 3, phase_points: int = 8,
-                               alphabet: GateAlphabet | None = None,
                                ) -> ThreeBranchReport:
     """Compatibility of the two bipartite splittings of an equal-weight
     three-component state: the branchiness of [a | b+c] and [a+b | c] lower
@@ -500,7 +494,7 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     off_d_ab = len(channels)
     channels.append(Channel(kD, 3 + phase_points, 2))  # ((a+b)/sqrt2, c)
 
-    res = survey(states, a.n_qubits, channels, alphabet, max_len)
+    res = survey(states, a.n_qubits, channels, max_len)
 
     b1 = min(res.size(off_bc + t, epsilon) for t in range(phase_points)) \
         - res.size(off_d_bc, 1.0 - epsilon)
@@ -549,9 +543,7 @@ class IrreversibilityReport:
 def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
                           preparation_cost: int = 0,
                           deltas: tuple[float, ...] = (0.1, 0.5, 0.9),
-                          max_len: int = 3,
-                          alphabet: GateAlphabet | None = None,
-                          ) -> IrreversibilityReport:
+                          max_len: int = 3) -> IrreversibilityReport:
     """Compare, per component pair and accuracy, the certified interference
     cost against the witnessed cost of mapping the parent back to psi0 plus
     psi0's preparation cost. Each comparison is reported rather than
@@ -559,9 +551,7 @@ def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
     empty circuit while swapping two orthogonal components cannot, so the
     comparison carries information only near accuracy 1.
     """
-    report = validate_decomposition(d)
-    if not report.ok:
-        raise ValueError(f"decomposition does not validate: {report.worst.detail}")
+    _require_valid(d)
     if psi0.n_qubits != d.parent.n_qubits:
         raise ValueError("psi0 must match the decomposition width")
 
@@ -571,7 +561,7 @@ def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
     pairs = list(itertools.combinations(range(len(d.components)), 2))
     channels = [Channel(ComplexityKind.INTERFERENCE, i, j) for i, j in pairs]
     channels.append(Channel(ComplexityKind.RELATIVE, ip, i0))  # parent -> psi0
-    res = survey(states, psi0.n_qubits, channels, alphabet, max_len)
+    res = survey(states, psi0.n_qubits, channels, max_len)
 
     entries = []
     for delta in deltas:

@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
-gap. Everything stochastic takes an explicit --seed; identical command lines
-produce byte-identical output. Exit codes: 0 success, 2 validation failure
-(structured JSON on stderr), 3 budget truncation under --strict, 64 usage.
+gap; each takes --output. estimate, verdict and evolve also take --budget,
+--node-budget and --strict; props and gap take --budget only. Everything
+stochastic takes an explicit --seed; identical command lines produce
+byte-identical output. Exit codes: 0 success, 2 validation failure
+(structured JSON on stderr), 3 budget truncation under --strict (estimate,
+verdict, evolve --mode track), 64 usage.
 """
 from __future__ import annotations
 
@@ -57,16 +60,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
+def _add_budget(p: argparse.ArgumentParser, truncating: bool = True):
+    """--budget, plus --node-budget and --strict for commands whose
+    enumeration can be truncated."""
     p.add_argument("--budget", type=int, default=2,
                    help="max enumeration sequence length")
-    p.add_argument("--node-budget", type=int, default=None,
-                   help="cap on enumeration nodes; exceeding it flags the "
-                        "result as truncated")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when any result is budget-truncated")
+    if truncating:
+        p.add_argument("--node-budget", type=int, default=None,
+                       help="cap on enumeration nodes; exceeding it flags "
+                            "the result as truncated")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 when any result is budget-truncated")
 
 
 def _add_fixture_args(p: argparse.ArgumentParser, required: bool = True):
@@ -145,9 +149,11 @@ def cmd_example(args) -> int:
 
 def cmd_estimate(args) -> int:
     kind = KIND_BY_NAME[args.kind]
-    if args.example is None and not (args.a_file and args.b_file):
-        raise ValueError("estimate needs either --example or --a-file/--b-file")
-    if args.a_file and args.b_file:
+    files = (args.a_file, args.b_file)
+    if any(files) if args.example else not all(files):
+        raise ValueError("estimate takes either --example or both --a-file "
+                         "and --b-file")
+    if args.example is None:
         with open(args.a_file) as fh:
             a = ser.state_from_json(json.load(fh))
         with open(args.b_file) as fh:
@@ -265,7 +271,8 @@ def cmd_evolve(args) -> int:
         traj = track_complexity_under_evolution(
             a, b, h, witnesses[0], grid, _config(args, args.seed or 0))
         _emit(args, ser.trajectory_to_csv(traj))
-        return 0
+        truncated = any(s.truncated for s in traj.samples)
+        return TRUNCATION_EXIT if args.strict and truncated else 0
     if args.mode == "freeze":
         n = args.n
         h = xxz_chain(n)
@@ -328,7 +335,7 @@ def cmd_gap(args) -> int:
         "truncated": report.truncated,
     }
     _emit(args, ser.dumps(doc))
-    return TRUNCATION_EXIT if args.strict and report.truncated else 0
+    return 0
 
 
 def build_parser() -> _Parser:
@@ -336,9 +343,8 @@ def build_parser() -> _Parser:
                      description="complexity-based branch analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("example", parents=[], help="build a fixture")
+    p = sub.add_parser("example", help="build a fixture")
     _add_fixture_args(p)
-    _add_common(p)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("estimate", help="run a complexity query")
@@ -349,17 +355,18 @@ def build_parser() -> _Parser:
     p.add_argument("--a-file")
     p.add_argument("--b-file")
     _add_fixture_args(p, required=False)
-    _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("verdict", help="assess a branch decomposition")
     _add_fixture_args(p)
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--threshold", type=int, default=2)
-    p.add_argument("--lambda", dest="robustness_lambda", type=float,
-                   default=None)
-    p.add_argument("--noise-rate", type=float, default=None)
-    _add_common(p)
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="robustness_lambda", type=float,
+                     default=None)
+    lam.add_argument("--noise-rate", type=float, default=None)
+    _add_budget(p)
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("qec", help="residuals, floor, and classification")
@@ -368,7 +375,6 @@ def build_parser() -> _Parser:
     p.add_argument("--m1", type=int, default=3)
     p.add_argument("--m2", type=int, default=1)
     p.add_argument("--errors", default="identity,single-x")
-    _add_common(p)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("surface", help="rectangular-code logical rate model")
@@ -376,7 +382,6 @@ def build_parser() -> _Parser:
     p.add_argument("--short-cycle", "-l", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--c-const", type=float, default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("flow", help="integrate the growth flow model")
@@ -387,7 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--rate-function", default="saturating")
-    _add_common(p)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("evolve", help="track, freeze, or eigenstate sweeps")
@@ -399,7 +403,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", default="6,8")
     p.add_argument("--window", type=float, default=1 / 3)
     _add_fixture_args(p, required=False)
-    _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("props", help="run the inequality property suite")
@@ -408,15 +412,18 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--triples", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=0.1)
-    _add_common(p)
+    _add_budget(p, truncating=False)
     p.set_defaults(func=cmd_props)
 
     p = sub.add_parser("gap", help="pure-vs-dephased outcome probability gap")
     _add_fixture_args(p)
     p.add_argument("--phases", type=int, default=8)
-    _add_common(p)
+    _add_budget(p, truncating=False)
     p.set_defaults(func=cmd_gap)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None,
+                       help="output path (default stdout)")
     return parser
 
 

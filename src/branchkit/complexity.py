@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,7 +136,6 @@ class ComplexityQuery:
     a: QuantumState
     b: QuantumState
     delta: float | None = None
-    alphabet: GateAlphabet = field(default_factory=default_alphabet)
     max_size: int = 2
     seed: int = 0
 
@@ -266,12 +265,11 @@ def walk_sequences(block: np.ndarray, n_qubits: int, gates: list[GateOp],
 
 
 def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
-           alphabet: GateAlphabet | None = None, max_len: int = 2,
-           node_budget: int | None = None) -> SurveyResult:
+           max_len: int = 2, node_budget: int | None = None) -> SurveyResult:
     """Walk every alphabet gate sequence of length <= max_len once (pruning
     adjacent inverse pairs) and record, per channel, the best objective at
     each fused cost. One walk serves any number of thresholds afterwards."""
-    alphabet = alphabet or default_alphabet()
+    alphabet = default_alphabet()
     gates = alphabet.instantiate(n_qubits)
     result = SurveyResult(n_qubits, channels, gates, max_len)
     block0 = np.column_stack(states)  # (2**n, k)
@@ -292,7 +290,7 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
 
 def brute_force_estimate(q: ComplexityQuery,
                          node_budget: int | None = None) -> ComplexityEstimate:
-    """Exhaustive iterative-deepening enumeration over the query's alphabet.
+    """Exhaustive iterative-deepening enumeration over the default alphabet.
 
     Returns lower = upper = the smallest fused cost at which any enumerated
     sequence meets the threshold (the enumeration itself certifies that no
@@ -302,10 +300,10 @@ def brute_force_estimate(q: ComplexityQuery,
     """
     res = survey(
         [q.a.amplitudes, q.b.amplitudes], q.a.n_qubits,
-        [Channel(q.kind, 0, 1)], q.alphabet, q.max_size, node_budget,
+        [Channel(q.kind, 0, 1)], q.max_size, node_budget,
     )
     lower, upper, witness, achieved = res.bounds(0, q.threshold)
-    scope = f"alphabet:{q.alphabet.name}"
+    scope = f"alphabet:{default_alphabet().name}"
     if witness is not None:
         _verify_witness(q, witness, achieved)
     return ComplexityEstimate(

@@ -6,7 +6,7 @@ local observables for chaotic chains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class TrackSample:
 class Trajectory:
     samples: tuple
     mode: str  # "flow" | "empirical"
-    meta: dict = field(default_factory=dict)
 
 
 def _flow_invariant(c: float, k: float, rate: float, t: float) -> float:
@@ -117,9 +116,7 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
         if step < n_steps:
             ci = rk4(ci) if ci > 0 else 0.0
             cd = rk4(cd) if cd > 0 else 0.0
-    meta = {"k": p.k, "rate": p.rate, "dt": p.dt,
-            "rate_function": p.rate_function}
-    return Trajectory(tuple(samples), "flow", meta)
+    return Trajectory(tuple(samples), "flow")
 
 
 def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
@@ -144,8 +141,7 @@ def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
         samples.append(TrackSample(
             t, float(objective), ci.lower_bound, ci.upper_bound,
             cd.lower_bound, cd.upper_bound, ci.truncated or cd.truncated))
-    meta = {"epsilon": epsilon, "hamiltonian_terms": len(h.terms)}
-    return Trajectory(tuple(samples), "empirical", meta)
+    return Trajectory(tuple(samples), "empirical")
 
 
 @dataclass(frozen=True)

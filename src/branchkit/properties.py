@@ -21,8 +21,6 @@ from .branches import (
 from .complexity import (
     Channel,
     ComplexityKind,
-    GateAlphabet,
-    default_alphabet,
     fused_cost,
     objective_value,
     survey,
@@ -83,14 +81,11 @@ def random_orthogonal_states(n: int, count: int, seed: int
 
 def run_pair_properties(n: int, instances: int, seed: int,
                         deltas: tuple[float, ...] = (0.1, 0.5, 0.9),
-                        max_len: int = 3,
-                        alphabet: GateAlphabet | None = None,
-                        ) -> PropertySuiteReport:
+                        max_len: int = 3) -> PropertySuiteReport:
     """Monotonicity, symmetry, phase invariance, the interference sandwich,
     the product-state ceiling, the conjugate-basis relation, and the triangle
     inequality, over seeded random orthogonal pairs (plus one extra random
     state per instance for the triangle)."""
-    alphabet = alphabet or default_alphabet()
     cap = max_len + 1
     stats = {name: PropertyStats() for name in (
         "monotonicity", "symmetry", "phase_invariance", "ci_sandwich",
@@ -118,7 +113,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
             Channel(K_R, Z, A), Channel(K_R, Z, B),
             Channel(K_R, B, C), Channel(K_R, A, C),
         ]
-        res = survey(cols, n, channels, alphabet, max_len)
+        res = survey(cols, n, channels, max_len)
 
         for d in deltas:
             # symmetry and phase invariance, all three kinds
@@ -206,7 +201,6 @@ def run_triple_properties(n: int, triples: int, seed: int,
                           epsilon: float = 0.1,
                           p_values: tuple[float, ...] = (0.5, 0.3),
                           max_len: int = 3, phase_points: int = 8,
-                          alphabet: GateAlphabet | None = None,
                           ) -> TripleSuiteReport:
     """Merge bounds and three-branch compatibility over seeded orthogonal triples."""
     merge = PropertyStats()
@@ -215,12 +209,12 @@ def run_triple_properties(n: int, triples: int, seed: int,
         a, b, c = random_orthogonal_states(n, 3, seed * 7919 + inst)
         for p in p_values:
             rep = merge_bound_check(a, b, c, p, epsilon, max_len,
-                                    phase_points, alphabet)
+                                    phase_points)
             merge.note(rep.d_ok and rep.i_ok,
                        detail=f"inst={inst} p={p}: D {rep.d_lhs}<={rep.d_rhs} "
                               f"I {rep.i_lhs}>={rep.i_rhs_min}")
         rep3 = three_branch_compatibility(a, b, c, epsilon, max_len,
-                                          phase_points, alphabet)
+                                          phase_points)
         three.note(rep3.ok,
                    detail=f"inst={inst}: margins ({rep3.margin_ab},"
                           f"{rep3.margin_bc},{rep3.margin_ca}) vs "

@@ -91,9 +91,6 @@ class QuantumState:
     def zero(n_qubits: int) -> "QuantumState":
         return QuantumState.basis(n_qubits, 0)
 
-    def fidelity(self, other: "QuantumState") -> float:
-        return float(abs(inner_product(self, other)) ** 2)
-
 
 @dataclass(frozen=True)
 class GateOp:

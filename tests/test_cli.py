@@ -1,4 +1,6 @@
 """CLI contract: schemas, reproducibility, exit codes, serialization."""
+import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -6,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from branchkit import cli
 from branchkit import serialize as ser
 from branchkit import fixtures as fx
-from branchkit.cli import main
+from branchkit.cli import build_parser, main
 from branchkit.complexity import ComplexityKind, ComplexityQuery, brute_force_estimate
 from branchkit.qsim import QuantumState, haar_random_state, random_circuit
 
@@ -225,3 +228,109 @@ class TestExtendedCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["sweep"][0]["observables"][0]["median_diag_gap"] > 0
+
+
+class TestOptionsAreRead:
+    # one cheap, valid command line per subcommand
+    BASE = {
+        "example": "example --example ghz --n 2",
+        "estimate": "estimate --kind interference --example ghz --n 2 "
+                    "--delta 0.9",
+        "verdict": "verdict --example ghz --n 2",
+        "qec": "qec --code repetition --m1 3",
+        "surface": "surface --long-cycle 10 --short-cycle 2 --p 0.01",
+        "flow": "flow --ci0 1 --cd0 1 --t-end 0.01",
+        "evolve": "evolve --mode eth --sizes 4",
+        "props": "props --n 2 --instances 1 --seed 1 --triples 0",
+        "gap": "gap --example ghz --n 2 --budget 1",
+    }
+    REMOVED = {
+        "example": ("--format", "--budget", "--node-budget", "--strict"),
+        "qec": ("--format", "--budget", "--node-budget", "--strict"),
+        "surface": ("--format", "--budget", "--node-budget", "--strict"),
+        "flow": ("--format", "--budget", "--node-budget", "--strict"),
+        "estimate": ("--format",),
+        "verdict": ("--format",),
+        "evolve": ("--format",),
+        "props": ("--format", "--node-budget", "--strict"),
+        "gap": ("--format", "--node-budget", "--strict"),
+    }
+    VALUES = {"--format": ["csv"], "--budget": ["2"], "--node-budget": ["1"],
+              "--strict": []}
+
+    @pytest.mark.parametrize("command,option", [
+        (c, o) for c, opts in REMOVED.items() for o in opts])
+    def test_removed_option_is_a_usage_error(self, command, option, capsys):
+        base = self.BASE[command].split()
+        build_parser().parse_args(base)  # the base line alone is valid
+        with pytest.raises(SystemExit) as exc:
+            main(base + [option, *self.VALUES[option]])
+        assert exc.value.code == 64
+
+    @staticmethod
+    def _source_read_by(func) -> str:
+        """Source of a cmd_* function and of every cli helper it calls,
+        transitively."""
+        helpers = {name: fn for name, fn in vars(cli).items()
+                   if inspect.isfunction(fn) and fn.__module__ == cli.__name__}
+        seen = {func.__name__}
+        todo, text = [func], ""
+        while todo:
+            src = inspect.getsource(todo.pop())
+            text += src
+            for name, fn in helpers.items():
+                if name not in seen and f"{name}(" in src:
+                    seen.add(name)
+                    todo.append(fn)
+        return text
+
+    def test_every_option_is_read(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        unread = []
+        for command, sp in sub.choices.items():
+            text = self._source_read_by(sp.get_default("func"))
+            unread += [f"{command} {a.option_strings[0]}" for a in sp._actions
+                       if not isinstance(a, argparse._HelpAction)
+                       and f"args.{a.dest}" not in text]
+        assert unread == []
+
+
+class TestContradictoryInputs:
+    def test_lambda_and_noise_rate_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verdict", "--example", "ghz", "--n", "2",
+                  "--lambda", "2", "--noise-rate", "0.5"])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("inputs", [
+        "--example ghz --n 2 --a-file A",
+        "--example ghz --n 2 --b-file B",
+        "--example ghz --n 2 --a-file A --b-file B",
+        "--a-file A",
+    ])
+    def test_estimate_mixed_inputs_rejected(self, inputs, capsys, tmp_path):
+        paths = {}
+        for name, state in (("A", QuantumState.basis(2, 0)),
+                            ("B", QuantumState.basis(2, 3))):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(ser.dumps(ser.state_to_json(state)))
+        argv = [str(paths.get(tok, tok)) for tok in inputs.split()]
+        code, out, err = run_cli(["estimate", "--kind", "interference",
+                                  "--delta", "0.9", *argv], capsys)
+        assert (code, out) == (2, "")
+        assert "--a-file" in json.loads(err)["error"]
+
+
+def test_evolve_track_strict_exit_3(capsys):
+    argv = ["evolve", "--mode", "track", "--example", "ghz", "--n", "4",
+            "--seed", "1", "--t-grid", "0,1", "--budget", "2",
+            "--node-budget", "5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    strict_code, strict_out, _ = run_cli(argv + ["--strict"], capsys)
+    assert strict_code == 3
+    assert strict_out == out
+    # every enumeration was cut, so no interference lower bound survives
+    assert [r.split(",")[2] for r in out.splitlines()[1:]] == ["0", "0"]
