@@ -12,7 +12,10 @@ from branchkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+README = Path(__file__).parent.parent / "README.md"
+
 README_EXAMPLES = {
+    "example": "example --example two-random --n 4 --seed 1",
     "verdict": "verdict --example ghz --n 4 --seed 1 --threshold 1",
     "estimate": "estimate --kind interference --example ghz --n 2 --delta 0.9",
     "qec": "qec --code repetition --m1 3 --errors identity,single-x",
@@ -38,3 +41,10 @@ def test_readme_example_stdout(name, capsys):
         assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
     else:
         assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_readme_lists_exactly_the_pinned_examples():
+    lines = [line.split("#")[0].split()[1:]
+             for line in README.read_text().splitlines()
+             if line.startswith("branchkit ")]
+    assert [" ".join(words) for words in lines] == list(README_EXAMPLES.values())
