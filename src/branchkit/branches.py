@@ -139,7 +139,6 @@ class EstimatorConfig:
     use_variational: bool = True
     variational_blocks: int = 4
     restarts: int = 3
-    sweeps: int = 60
     seed: int = 0
 
 
@@ -156,8 +155,7 @@ def estimate_pair(kind: ComplexityKind, a: QuantumState, b: QuantumState,
         ests.append(constructive_estimate(query, candidates))
     if config.use_variational and all(e.upper_bound is None for e in ests):
         ests.append(variational_upper_bound(
-            query, config.restarts, config.variational_blocks, config.sweeps
-        ))
+            query, config.restarts, config.variational_blocks))
     if not ests:  # no search configured: an empty candidate list knows nothing
         return constructive_estimate(query, [])
     return combine_estimates(*ests)
@@ -178,10 +176,10 @@ class PairAssessment:
 @dataclass(frozen=True)
 class BranchVerdict:
     pairwise: tuple[PairAssessment, ...]
+    overall: str
     epsilon: float
     good_threshold: int
     robustness_lambda: float
-    overall: str
 
 
 def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
@@ -264,7 +262,7 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
         overall = "NotBranch"
     else:
         overall = "Inconclusive"
-    return BranchVerdict(tuple(pairs), epsilon, good_threshold, lam, overall)
+    return BranchVerdict(tuple(pairs), overall, epsilon, good_threshold, lam)
 
 
 # ---------------------------------------------------------------------------

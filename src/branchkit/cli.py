@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
-gap; each takes --output. estimate, verdict and evolve also take --budget,
---node-budget and --strict; props and gap take --budget only. Everything
-stochastic takes an explicit --seed; identical command lines produce
-byte-identical output. Exit codes: 0 success, 2 validation failure
+gap; each takes --output. estimate, verdict and evolve --mode track also
+take --budget, --node-budget and --strict; props and gap take --budget only.
+Everything stochastic takes an explicit --seed; identical command lines
+produce byte-identical output. Exit codes: 0 success, 2 validation failure
 (structured JSON on stderr), 3 budget truncation under --strict (estimate,
 verdict, evolve --mode track), 64 usage.
 """
@@ -49,21 +49,26 @@ from . import serialize as ser
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 TRUNCATION_EXIT = 3
+DEFAULT_BUDGET = 2
 
 KIND_BY_NAME = {k.value: k for k in ComplexityKind}
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"error: {message}\n")
+    sys.exit(USAGE_EXIT)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(USAGE_EXIT)
+        _usage_error(message)
 
 
 def _add_budget(p: argparse.ArgumentParser, truncating: bool = True):
     """--budget, plus --node-budget and --strict for commands whose
     enumeration can be truncated."""
-    p.add_argument("--budget", type=int, default=2,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max enumeration sequence length")
     if truncating:
         p.add_argument("--node-budget", type=int, default=None,
@@ -136,14 +141,9 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _config(args, seed: int = 0) -> EstimatorConfig:
-    return EstimatorConfig(max_len=args.budget, seed=seed,
-                           node_budget=args.node_budget)
-
-
 def cmd_example(args) -> int:
     fixture = build_fixture(args)
-    _emit(args, ser.dumps(ser.fixture_to_json(fixture)))
+    _emit(args, ser.dumps(ser.to_json(fixture)))
     return 0
 
 
@@ -171,7 +171,7 @@ def cmd_estimate(args) -> int:
         seed=args.seed or 0,
     )
     est = estimate_pair(kind, a, b, args.delta, config, candidates)
-    _emit(args, ser.dumps(ser.estimate_to_json(est)))
+    _emit(args, ser.dumps(ser.to_json(est)))
     return TRUNCATION_EXIT if args.strict and est.truncated else 0
 
 
@@ -179,7 +179,8 @@ def cmd_verdict(args) -> int:
     fixture = build_fixture(args)
     verdict = assess_branches(
         fixture.decomposition, epsilon=args.epsilon,
-        config=_config(args, args.seed or 0),
+        config=EstimatorConfig(max_len=args.budget, seed=args.seed or 0,
+                               node_budget=args.node_budget),
         good_threshold=args.threshold,
         robustness_lambda=args.robustness_lambda,
         noise_rate=args.noise_rate,
@@ -222,14 +223,11 @@ def cmd_qec(args) -> int:
             raise ValueError("qec needs --code or --code-file")
         spec = CodeSpec(words, _expand_errors(args.errors.split(","), n))
     report = beny_oreshkov_residuals(spec)
-    doc = {
-        "schema_version": ser.SCHEMA_VERSION,
-        "code": "file" if args.code_file else args.code,
-        "n_qubits": spec.n_qubits,
-        "residuals": ser.residual_report_to_json(report),
-        "floor": ser.floor_to_json(code_complexity_floor(report)),
-    }
-    _emit(args, ser.dumps(doc))
+    _emit(args, ser.dumps(ser.document(
+        code="file" if args.code_file else args.code,
+        n_qubits=spec.n_qubits,
+        residuals=ser.residual_report_to_json(report),
+        floor=code_complexity_floor(report))))
     return 0
 
 
@@ -237,10 +235,9 @@ def cmd_surface(args) -> int:
     model = SurfaceCodeModel(args.long_cycle, args.short_cycle, args.p)
     report = surface_logical_rate(model, args.c_const)
     oracle = exact_binomial_tail_rate(model)
-    doc = ser.rate_report_to_json(report)
-    doc["binomial_tail_oracle"] = oracle
-    doc["formula_over_oracle"] = report.logical_rate / oracle
-    _emit(args, ser.dumps(doc))
+    _emit(args, ser.dumps(ser.document(
+        **ser.to_json(report), binomial_tail_oracle=oracle,
+        formula_over_oracle=report.logical_rate / oracle)))
     return 0
 
 
@@ -258,18 +255,26 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_evolve(args) -> int:
     grid = _parse_grid(args.t_grid)
+    track_only = {"--budget": args.budget, "--node-budget": args.node_budget,
+                  "--strict": args.strict, "--hamiltonian": args.hamiltonian}
+    given = [opt for opt, value in track_only.items() if value is not None]
+    if args.mode != "track" and given:
+        _usage_error(f"{', '.join(given)}: only --mode track reads these")
     if args.mode == "track":
         if args.example is None:
             raise ValueError("evolve --mode track needs --example")
         fixture = build_fixture(args)
         n = fixture.decomposition.parent.n_qubits
-        h = mixed_field_ising(n) if args.hamiltonian == "ising" else xxz_chain(n)
+        h = xxz_chain(n) if args.hamiltonian == "xxz" else mixed_field_ising(n)
         a, b = fixture.pair()
         witnesses = fixture.known_witnesses.get(ComplexityKind.INTERFERENCE)
         if not witnesses:
             raise ValueError("this example carries no interference witness to track")
+        config = EstimatorConfig(
+            max_len=DEFAULT_BUDGET if args.budget is None else args.budget,
+            seed=args.seed or 0, node_budget=args.node_budget)
         traj = track_complexity_under_evolution(
-            a, b, h, witnesses[0], grid, _config(args, args.seed or 0))
+            a, b, h, witnesses[0], grid, config)
         _emit(args, ser.trajectory_to_csv(traj))
         truncated = any(s.truncated for s in traj.samples)
         return TRUNCATION_EXIT if args.strict and truncated else 0
@@ -280,18 +285,16 @@ def cmd_evolve(args) -> int:
         a = magnetization_sector_state(n, 1, seed)
         b = magnetization_sector_state(n, 2, seed + 1)
         rep = symmetry_freeze_check(a, b, h, phase_rotation_circuit(n), grid)
-        _emit(args, ser.dumps(ser.freeze_report_to_json(rep)))
+        _emit(args, ser.dumps(ser.to_json(rep)))
         return 0
     if args.mode == "eth":
         sizes = [int(x) for x in args.sizes.split(",")]
-        docs = []
+        reports = []
         for n in sizes:
             h = mixed_field_ising(n)
             obs = "I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)
-            docs.append(ser.eth_report_to_json(
-                eth_diagnostic(h, [obs], args.window)))
-        _emit(args, ser.dumps({"schema_version": ser.SCHEMA_VERSION,
-                               "sweep": docs}))
+            reports.append(eth_diagnostic(h, [obs], args.window))
+        _emit(args, ser.dumps(ser.document(sweep=reports)))
         return 0
     raise ValueError(f"unknown mode {args.mode!r}")
 
@@ -301,40 +304,18 @@ def cmd_props(args) -> int:
                                 max_len=args.budget,
                                 triples=args.triples, epsilon=args.epsilon)
     counts = report.violation_counts()
-    doc = {
-        "schema_version": ser.SCHEMA_VERSION,
-        "n": args.n,
-        "instances": args.instances,
-        "seed": args.seed,
-        "max_len": args.budget,
-        "violations": counts,
-        "total_violations": sum(counts.values()),
-        "properties": {
-            name: {"checked": st.checked, "violations": st.violations,
-                   "vacuous": st.vacuous, "examples": st.examples}
-            for name, st in report.pair_report.properties.items()
-        },
-    }
-    _emit(args, ser.dumps(doc))
+    _emit(args, ser.dumps(ser.document(
+        n=args.n, instances=args.instances, seed=args.seed,
+        max_len=args.budget, violations=counts,
+        total_violations=sum(counts.values()),
+        properties=report.pair_report.properties)))
     return 0
 
 
 def cmd_gap(args) -> int:
     fixture = build_fixture(args)
     report = rho_vs_diag_gap(fixture.decomposition, args.budget, args.phases)
-    doc = {
-        "schema_version": ser.SCHEMA_VERSION,
-        "example": args.example,
-        "max_gap_found": report.max_gap_found,
-        "bound_rhs_at_max": report.bound_rhs_at_max,
-        "per_pair_terms_at_max": list(report.per_pair_terms_at_max),
-        "max_equality_residual": report.max_equality_residual,
-        "max_bound_violation": report.max_bound_violation,
-        "circuits_checked": report.circuits_checked,
-        "phase_points": report.phase_points,
-        "truncated": report.truncated,
-    }
-    _emit(args, ser.dumps(doc))
+    _emit(args, ser.dumps(ser.to_json(report, example=args.example)))
     return 0
 
 
@@ -399,12 +380,13 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--t-grid", default="0,1,2")
     p.add_argument("--hamiltonian", choices=("ising", "xxz"),
-                   default="ising")
+                   help="evolving Hamiltonian (default ising)")
     p.add_argument("--sizes", default="6,8")
     p.add_argument("--window", type=float, default=1 / 3)
     _add_fixture_args(p, required=False)
     _add_budget(p)
-    p.set_defaults(func=cmd_evolve)
+    # unset unless given, so that the modes that ignore them can reject them
+    p.set_defaults(func=cmd_evolve, budget=None, strict=None)
 
     p = sub.add_parser("props", help="run the inequality property suite")
     p.add_argument("--n", type=int, default=3)
@@ -433,11 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, AssertionError, OSError) as exc:
-        sys.stderr.write(ser.dumps({
-            "schema_version": ser.SCHEMA_VERSION,
-            "error": str(exc),
-            "type": type(exc).__name__,
-        }))
+        sys.stderr.write(ser.dumps(ser.document(
+            error=str(exc), type=type(exc).__name__)))
         return VALIDATION_EXIT
 
 

@@ -159,8 +159,8 @@ class ComplexityEstimate:
     lower_bound: int
     lower_bound_scope: str
     upper_bound: int | None
-    witness: Circuit | None
     achieved_value: float | None
+    witness: Circuit | None
     method: str
     seed: int = 0
     truncated: bool = False

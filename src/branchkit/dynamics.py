@@ -149,10 +149,10 @@ class FreezeReport:
     commutator_norm: float
     phase_a: float
     phase_b: float
+    t_grid: tuple[float, ...]
     distinguishability: tuple[float, ...]
     interference: tuple[float, ...]
     total_variation: float
-    t_grid: tuple[float, ...]
     ok: bool
 
 
@@ -194,8 +194,8 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
         ivals.append(objective_value(ComplexityKind.INTERFERENCE,
                                      u_sym, at, bt))
     tv = float(max(dvals) - min(dvals)) if dvals else 0.0
-    return FreezeReport(comm, phase_a, phase_b, tuple(dvals), tuple(ivals),
-                        tv, tuple(sorted(t_grid)), tv <= tol)
+    return FreezeReport(comm, phase_a, phase_b, tuple(sorted(t_grid)),
+                        tuple(dvals), tuple(ivals), tv, tv <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,13 @@ from .qsim import (
 _RT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExampleFixture:
     name: str
-    decomposition: BranchDecomposition
-    expected: dict
     source_section: str
     seed: int | None = None
+    expected: dict
+    decomposition: BranchDecomposition
     known_witnesses: dict = field(default_factory=dict)
 
     def pair(self, i: int = 0, j: int = 1) -> tuple[QuantumState, QuantumState]:
@@ -74,9 +74,9 @@ def ghz(n: int, alpha: complex = 1 / _RT2, beta: complex = 1 / _RT2
             Circuit(n, (GateOp((0,), GATES_1Q["Z"], "Z"),))],
     }
     return _checked(ExampleFixture(
-        "ghz", dec,
-        {"ci_scaling": "O(N)", "cd_scaling": "1"},
-        source_section="ghz", known_witnesses=witnesses))
+        name="ghz", source_section="ghz",
+        expected={"ci_scaling": "O(N)", "cd_scaling": "1"},
+        decomposition=dec, known_witnesses=witnesses))
 
 
 def product_plus_random(n: int, alpha: complex = 1 / _RT2,
@@ -98,10 +98,9 @@ def product_plus_random(n: int, alpha: complex = 1 / _RT2,
             Circuit(n, (GateOp((0,), GATES_1Q["Z"], "Z"),))],
     }
     return _checked(ExampleFixture(
-        "product_plus_random", dec,
-        {"ci_scaling": "O(exp N)", "cd_scaling": "O(1)"},
-        source_section="product-plus-random", seed=seed,
-        known_witnesses=witnesses))
+        name="product_plus_random", source_section="product-plus-random",
+        seed=seed, expected={"ci_scaling": "O(exp N)", "cd_scaling": "O(1)"},
+        decomposition=dec, known_witnesses=witnesses))
 
 
 def two_random_circuits(n: int, d1: int, d2: int, seed: int
@@ -132,13 +131,14 @@ def two_random_circuits(n: int, d1: int, d2: int, seed: int
         ComplexityKind.DISTINGUISHABILITY: [c1.inverse().then(z0).then(c1)],
     }
     return _checked(ExampleFixture(
-        "two_random_circuits", dec,
-        {"ci_scaling": "O((D1+D2) N)", "cd_scaling": "O(min(D1,D2) N)",
-         "good_when": "max(D1,D2)*N large",
-         "raw_overlap": [raw_overlap.real, raw_overlap.imag],
-         "d1": d1, "d2": d2},
-        source_section="two-random-circuits", seed=seed,
-        known_witnesses=witnesses))
+        name="two_random_circuits", source_section="two-random-circuits",
+        seed=seed,
+        expected={"ci_scaling": "O((D1+D2) N)",
+                  "cd_scaling": "O(min(D1,D2) N)",
+                  "good_when": "max(D1,D2)*N large",
+                  "raw_overlap": [raw_overlap.real, raw_overlap.imag],
+                  "d1": d1, "d2": d2},
+        decomposition=dec, known_witnesses=witnesses))
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,11 @@ def parity_codewords(m1: int, m2: int) -> ParityCode:
             pair_blocks(x_sites, n, GATES_1Q["X"], "X")],
     }
     fixture = _checked(ExampleFixture(
-        "parity_codewords", dec,
-        {"ci_scaling": f"m2 = {m2} (single-qubit-gate units)",
-         "cd_scaling": f"m1 = {m1} (single-qubit-gate units)",
-         "m1": m1, "m2": m2},
-        source_section="parity-code", known_witnesses=witnesses))
+        name="parity_codewords", source_section="parity-code",
+        expected={"ci_scaling": f"m2 = {m2} (single-qubit-gate units)",
+                  "cd_scaling": f"m1 = {m1} (single-qubit-gate units)",
+                  "m1": m1, "m2": m2},
+        decomposition=dec, known_witnesses=witnesses))
     return ParityCode(s0, s1, fixture)
 
 
@@ -216,11 +216,11 @@ def tensor_branches(mode: str, left: tuple[QuantumState, QuantumState],
     dec = BranchDecomposition(parent, ((w, QuantumState(n, comp0)),
                                        (w, QuantumState(n, comp1))))
     return _checked(ExampleFixture(
-        f"tensor_{mode}", dec,
-        {"ci_scaling": "inherited from the left pair",
-         "cd_scaling": "inherited from the left pair",
-         "left_qubits": psi_l.n_qubits},
-        source_section=f"tensor-{mode}"))
+        name=f"tensor_{mode}", source_section=f"tensor-{mode}",
+        expected={"ci_scaling": "inherited from the left pair",
+                  "cd_scaling": "inherited from the left pair",
+                  "left_qubits": psi_l.n_qubits},
+        decomposition=dec))
 
 
 def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
@@ -261,11 +261,11 @@ def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
             Circuit(n, (GateOp((0,), marker, label),))],
     }
     return _checked(ExampleFixture(
-        "distinguishing_qubit", dec,
-        {"ci_scaling": "set by the register pair", "cd_scaling": "1",
-         "basis": basis},
-        source_section="distinguishing-qubit", seed=seed,
-        known_witnesses=witnesses))
+        name="distinguishing_qubit", source_section="distinguishing-qubit",
+        seed=seed,
+        expected={"ci_scaling": "set by the register pair",
+                  "cd_scaling": "1", "basis": basis},
+        decomposition=dec, known_witnesses=witnesses))
 
 
 def deep_random_registers(n_register: int, depth: int, seed: int

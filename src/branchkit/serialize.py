@@ -1,56 +1,102 @@
 """JSON and CSV serialization for every exported object.
 
-All schemas carry a schema_version field. Dictionaries are built in a fixed
-key order and floats are emitted via Python's shortest round-trip repr, so
-identical inputs produce byte-identical output.
+One rule encodes every JSON document. A dataclass becomes an object of its
+fields in declaration order, under their own names except for the keys in
+RENAMED, and opens with schema_version unless it is one of the inner parts in
+UNVERSIONED. Complex numbers become [re, im] pairs and complex arrays flat,
+row-major lists of such pairs; real arrays and tuples become lists, enums
+their value. Three shapes are spelled out in `_parts`. Floats are emitted via
+Python's shortest round-trip repr, so identical inputs produce byte-identical
+output.
 """
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 
 import numpy as np
 
-from .branches import BranchDecomposition, BranchVerdict
-from .codes import FloorStatement, ResidualReport, SurfaceRateReport
-from .complexity import ComplexityEstimate
-from .dynamics import EthReport, FreezeReport, Trajectory
-from .fixtures import ExampleFixture
+from .branches import BranchDecomposition, BranchVerdict, PairAssessment
+from .codes import CodeSpec, ResidualReport, SurfaceRateReport
+from .dynamics import ObservableStats, Trajectory
+from .properties import PropertyStats
 from .qsim import Circuit, GateOp, QuantumState
 
 SCHEMA_VERSION = "1"
 
-
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _pairs(arr: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(arr).ravel()]
+RENAMED = {"pairwise": "pairs", "overall": "overall_class",
+           "robustness_lambda": "lambda", "classification": "class",
+           "per_observable": "observables", "robust_l_min": "robust_L_min"}
+UNVERSIONED = (GateOp, PairAssessment, ObservableStats, PropertyStats)
 
 
-def state_to_json(state: QuantumState) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n_qubits": state.n_qubits,
-        "amplitudes": _pairs(state.amplitudes),
-    }
+def _parts(obj) -> dict:
+    """A dataclass's fields by name, in declaration order, with the three
+    shapes the generic rule would not give written out."""
+    parts = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, BranchDecomposition):
+        parts["components"] = [{"weight": w, "state": s}
+                               for w, s in obj.components]
+    elif isinstance(obj, ResidualReport):
+        parts["lambda_mn"] = list(obj.lambda_mn)  # an m x m grid of pairs
+        parts["eps_mnij"] = np.abs(obj.eps_mnij)
+    elif isinstance(obj, SurfaceRateReport):
+        model = parts.pop("model")
+        parts = {**_parts(model), **parts}
+    return parts
+
+
+def _encode(obj):
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {_encode(k): _encode(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return np.stack((obj.real, obj.imag), -1).reshape(-1, 2).tolist()
+        return obj.tolist()
+    if isinstance(obj, complex):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        head = {} if isinstance(obj, UNVERSIONED) else {
+            "schema_version": SCHEMA_VERSION}
+        return {**head, **{RENAMED.get(k, k): _encode(v)
+                           for k, v in _parts(obj).items()}}
+    raise TypeError(f"cannot encode {type(obj).__name__} as JSON")
+
+
+def document(**parts) -> dict:
+    """A JSON document: schema_version, then `parts` in order, encoded. A
+    part that is already a document (it has a schema_version) is kept as
+    is, so residual_report_to_json's large output is not walked twice."""
+    return {"schema_version": SCHEMA_VERSION, **{
+        k: v if isinstance(v, dict) and "schema_version" in v else _encode(v)
+        for k, v in parts.items()}}
+
+
+def to_json(obj, **head) -> dict:
+    """The JSON document of a dataclass, with `head` right after
+    schema_version."""
+    return {**document(**head), **_encode(obj)}
+
+
+# named entry points, not aliases of to_json: perfbench calls and traces them
+def verdict_to_json(v: BranchVerdict) -> dict:
+    return _encode(v)
+
+
+def residual_report_to_json(r: ResidualReport) -> dict:
+    return _encode(r)
 
 
 def state_from_json(doc: dict) -> QuantumState:
     amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     return QuantumState(int(doc["n_qubits"]), amps)
-
-
-def circuit_to_json(circuit: Circuit) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n_qubits": circuit.n_qubits,
-        "gates": [
-            {"targets": list(g.targets), "matrix": _pairs(g.matrix),
-             "label": g.label}
-            for g in circuit.gates
-        ],
-    }
 
 
 def circuit_from_json(doc: dict) -> Circuit:
@@ -62,56 +108,6 @@ def circuit_from_json(doc: dict) -> Circuit:
     return Circuit(int(doc["n_qubits"]), tuple(gates))
 
 
-def estimate_to_json(est: ComplexityEstimate) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": est.kind.value,
-        "delta": est.delta,
-        "lower_bound": est.lower_bound,
-        "lower_bound_scope": est.lower_bound_scope,
-        "upper_bound": est.upper_bound,
-        "achieved_value": est.achieved_value,
-        "witness": None if est.witness is None else circuit_to_json(est.witness),
-        "method": est.method,
-        "seed": est.seed,
-        "truncated": est.truncated,
-    }
-
-
-def verdict_to_json(v: BranchVerdict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "pairs": [
-            {
-                "i": p.i, "j": p.j,
-                "ci": estimate_to_json(p.ci),
-                "cd": estimate_to_json(p.cd),
-                "margin": p.margin,
-                "witness_margin": p.witness_margin,
-                "ratio": p.ratio,
-                "class": p.classification,
-            }
-            for p in v.pairwise
-        ],
-        "overall_class": v.overall,
-        "epsilon": v.epsilon,
-        "good_threshold": v.good_threshold,
-        "lambda": v.robustness_lambda,
-    }
-
-
-def decomposition_to_json(d: BranchDecomposition) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "parent": state_to_json(d.parent),
-        "components": [
-            {"weight": _pair(w), "state": state_to_json(s)}
-            for w, s in d.components
-        ],
-        "tolerance": d.tolerance,
-    }
-
-
 def decomposition_from_json(doc: dict) -> BranchDecomposition:
     comps = tuple(
         (complex(c["weight"][0], c["weight"][1]), state_from_json(c["state"]))
@@ -121,98 +117,9 @@ def decomposition_from_json(doc: dict) -> BranchDecomposition:
                                doc.get("tolerance", 1e-8))
 
 
-def fixture_to_json(f: ExampleFixture) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": f.name,
-        "source_section": f.source_section,
-        "seed": f.seed,
-        "expected": f.expected,
-        "decomposition": decomposition_to_json(f.decomposition),
-        "known_witnesses": {
-            kind.value: [circuit_to_json(c) for c in circuits]
-            for kind, circuits in f.known_witnesses.items()
-        },
-    }
-
-
-def code_spec_to_json(spec) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "codewords": [state_to_json(w) for w in spec.codewords],
-        "errors": list(spec.errors),
-    }
-
-
-def code_spec_from_json(doc: dict):
-    from .codes import CodeSpec
-
+def code_spec_from_json(doc: dict) -> CodeSpec:
     words = tuple(state_from_json(w) for w in doc["codewords"])
     return CodeSpec(words, tuple(doc["errors"]))
-
-
-def residual_report_to_json(r: ResidualReport) -> dict:
-    m = r.lambda_mn.shape[0] if r.lambda_mn.size else 0
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "lambda_mn": [[_pair(r.lambda_mn[a, b]) for b in range(m)]
-                      for a in range(m)],
-        "eps_mnij": np.abs(r.eps_mnij).tolist(),
-        "max_eps": r.max_eps,
-        "correctable_to": r.correctable_to,
-        "error_costs": list(r.error_costs),
-        "level_pass": [[lvl, ok] for lvl, ok in r.level_pass],
-        "exact_tol": r.exact_tol,
-    }
-
-
-def floor_to_json(f: FloorStatement) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "c": f.c,
-        "floor": f.floor,
-        "epsilon": f.epsilon,
-    }
-
-
-def rate_report_to_json(r: SurfaceRateReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "long_cycle": r.model.long_cycle,
-        "short_cycle": r.model.short_cycle,
-        "p": r.model.p,
-        "logical_rate": r.logical_rate,
-        "asymptotic_form": r.asymptotic_form,
-        "robust_L_min": r.robust_l_min,
-    }
-
-
-def freeze_report_to_json(r: FreezeReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "commutator_norm": r.commutator_norm,
-        "phase_a": r.phase_a,
-        "phase_b": r.phase_b,
-        "t_grid": list(r.t_grid),
-        "distinguishability": list(r.distinguishability),
-        "interference": list(r.interference),
-        "total_variation": r.total_variation,
-        "ok": r.ok,
-    }
-
-
-def eth_report_to_json(r: EthReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n_qubits": r.n_qubits,
-        "window": list(r.window),
-        "observables": [
-            {"name": o.name, "max_diag_gap": o.max_diag_gap,
-             "median_diag_gap": o.median_diag_gap,
-             "max_offdiag": o.max_offdiag}
-            for o in r.per_observable
-        ],
-    }
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -222,12 +129,14 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         for s in traj.samples:
             lines.append(f"{s.t!r},{s.c_i!r},{s.c_d!r},{s.invariant_drift!r}")
     elif traj.mode == "empirical":
-        lines.append("t,witness_objective,ci_lower,ci_upper,cd_lower,cd_upper")
+        lines.append("t,witness_objective,ci_lower,ci_upper,cd_lower,cd_upper,"
+                     "truncated")
         for s in traj.samples:
             up_i = "" if s.ci_upper is None else s.ci_upper
             up_d = "" if s.cd_upper is None else s.cd_upper
             lines.append(f"{s.t!r},{s.witness_objective!r},{s.ci_lower},"
-                         f"{up_i},{s.cd_lower},{up_d}")
+                         f"{up_i},{s.cd_lower},{up_d},"
+                         f"{str(s.truncated).lower()}")
     else:
         raise ValueError(f"unknown trajectory mode {traj.mode!r}")
     return "\n".join(lines) + "\n"

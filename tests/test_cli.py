@@ -25,13 +25,13 @@ def run_cli(argv, capsys):
 class TestSerialization:
     def test_state_roundtrip(self):
         s = haar_random_state(3, 44)
-        doc = ser.state_to_json(s)
+        doc = ser.to_json(s)
         back = ser.state_from_json(doc)
         assert np.allclose(back.amplitudes, s.amplitudes)
 
     def test_circuit_roundtrip(self):
         c = random_circuit(3, 2, seed=15)
-        back = ser.circuit_from_json(ser.circuit_to_json(c))
+        back = ser.circuit_from_json(ser.to_json(c))
         assert back.gate_count == c.gate_count
         for g1, g2 in zip(back.gates, c.gates):
             assert g1.targets == g2.targets
@@ -41,7 +41,7 @@ class TestSerialization:
         est = brute_force_estimate(ComplexityQuery(
             ComplexityKind.INTERFERENCE, QuantumState.basis(2, 0),
             QuantumState.basis(2, 3), 0.9, max_size=2))
-        doc = ser.estimate_to_json(est)
+        doc = ser.to_json(est)
         for key in ("kind", "delta", "lower_bound", "lower_bound_scope",
                     "upper_bound", "achieved_value", "witness", "method",
                     "seed", "truncated", "schema_version"):
@@ -50,13 +50,13 @@ class TestSerialization:
 
     def test_decomposition_roundtrip(self):
         f = fx.ghz(3)
-        doc = ser.decomposition_to_json(f.decomposition)
+        doc = ser.to_json(f.decomposition)
         back = ser.decomposition_from_json(doc)
         assert np.allclose(back.parent.amplitudes,
                            f.decomposition.parent.amplitudes)
 
     def test_fixture_export_carries_source_tag(self):
-        doc = ser.fixture_to_json(fx.ghz(3))
+        doc = ser.to_json(fx.ghz(3))
         assert doc["source_section"] == "ghz"
         assert doc["expected"]["cd_scaling"] == "1"
 
@@ -92,7 +92,7 @@ class TestCommands:
         for name, state in (("a", QuantumState.basis(2, 0)),
                             ("b", QuantumState.basis(2, 3))):
             (tmp_path / f"{name}.json").write_text(
-                ser.dumps(ser.state_to_json(state)))
+                ser.dumps(ser.to_json(state)))
         code, out, _ = run_cli(
             ["estimate", "--kind", "interference", "--delta", "0.9",
              "--a-file", str(tmp_path / "a.json"),
@@ -195,7 +195,7 @@ class TestExtendedCommands:
         spec = CodeSpec((QuantumState.basis(3, 0), QuantumState.basis(3, 7)),
                         ("III", "XII", "IXI", "IIX"))
         path = tmp_path / "code.json"
-        path.write_text(ser.dumps(ser.code_spec_to_json(spec)))
+        path.write_text(ser.dumps(ser.to_json(spec)))
         code, out, _ = run_cli(["qec", "--code-file", str(path)], capsys)
         assert code == 0
         doc = json.loads(out)
@@ -208,7 +208,8 @@ class TestExtendedCommands:
              "--seed", "1", "--t-grid", "0,0.5", "--budget", "2"], capsys)
         assert code == 0
         rows = out.strip().splitlines()
-        assert rows[0] == "t,witness_objective,ci_lower,ci_upper,cd_lower,cd_upper"
+        assert rows[0] == ("t,witness_objective,ci_lower,ci_upper,cd_lower,"
+                           "cd_upper,truncated")
         assert len(rows) == 3
         assert float(rows[1].split(",")[1]) == pytest.approx(2.0)
 
@@ -251,12 +252,13 @@ class TestOptionsAreRead:
         "flow": ("--format", "--budget", "--node-budget", "--strict"),
         "estimate": ("--format",),
         "verdict": ("--format",),
-        "evolve": ("--format",),
+        "evolve": ("--format", "--budget", "--node-budget", "--strict",
+                   "--hamiltonian"),
         "props": ("--format", "--node-budget", "--strict"),
         "gap": ("--format", "--node-budget", "--strict"),
     }
     VALUES = {"--format": ["csv"], "--budget": ["2"], "--node-budget": ["1"],
-              "--strict": []}
+              "--strict": [], "--hamiltonian": ["ising"]}
 
     @pytest.mark.parametrize("command,option", [
         (c, o) for c, opts in REMOVED.items() for o in opts])
@@ -315,7 +317,7 @@ class TestContradictoryInputs:
         for name, state in (("A", QuantumState.basis(2, 0)),
                             ("B", QuantumState.basis(2, 3))):
             paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(ser.dumps(ser.state_to_json(state)))
+            paths[name].write_text(ser.dumps(ser.to_json(state)))
         argv = [str(paths.get(tok, tok)) for tok in inputs.split()]
         code, out, err = run_cli(["estimate", "--kind", "interference",
                                   "--delta", "0.9", *argv], capsys)
@@ -334,3 +336,13 @@ def test_evolve_track_strict_exit_3(capsys):
     assert strict_out == out
     # every enumeration was cut, so no interference lower bound survives
     assert [r.split(",")[2] for r in out.splitlines()[1:]] == ["0", "0"]
+
+
+def test_evolve_track_csv_flags_truncation(capsys):
+    argv = ["evolve", "--mode", "track", "--example", "ghz", "--n", "4",
+            "--seed", "1", "--t-grid", "0,1", "--budget", "2"]
+    _, cut, _ = run_cli(argv + ["--node-budget", "5"], capsys)
+    _, full, _ = run_cli(argv, capsys)
+    # a cut enumeration's lower bound of 0 is not a certified 0
+    assert [r.split(",")[-1] for r in cut.splitlines()[1:]] == ["true", "true"]
+    assert [r.split(",")[-1] for r in full.splitlines()[1:]] == ["false", "false"]
