@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import (
+    CHUNK_BYTES,
     Channel,
     ComplexityEstimate,
     ComplexityKind,
@@ -25,10 +26,11 @@ from .complexity import (
     brute_force_estimate,
     combine_estimates,
     constructive_estimate,
-    default_alphabet,
+    level_frontiers,
+    sequence_at,
+    sequence_count,
     survey,
     variational_upper_bound,
-    walk_sequences,
 )
 from .qsim import Circuit, QuantumState, inner_product
 
@@ -291,69 +293,84 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     every phase assignment, the probability gap must stay below the pairwise
     sum bound (checked to 1e-10; a violation is raised as an implementation
     bug). With exactly two components the gap equals its single pair term
-    identically, and the worst equality residual is reported.
+    identically, and the worst equality residual is reported. max_circuits
+    checks the first N circuits in level order (shorter first, tuple order
+    within a length); the largest gap is reported at the tuple-earliest
+    circuit that reaches it.
     """
     _require_valid(d)
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")
-    alphabet = default_alphabet()
-    gates = alphabet.instantiate(n)
 
     k = len(d.components)
     sqrtw = np.array([abs(w) for w, _ in d.components])
     probs = sqrtw**2
     base = np.column_stack([s.amplitudes for _, s in d.components])  # (dim, k)
+    dim = base.shape[0]
 
     grid = 2.0 * np.pi * np.arange(phase_points) / phase_points
     combos = np.array(list(itertools.product(*([grid] * (k - 1)))))
     phases = np.hstack([np.zeros((len(combos), 1)), combos])  # (T, k), theta_1 = 0
     phase_mat = np.exp(1j * phases).T  # (k, T)
+    # about four complex (dim, T) arrays per circuit are alive at once
+    step = max(1, CHUNK_BYTES // (4 * dim * len(phases) * 16))
 
     pair_list = list(itertools.combinations(range(k), 2))
+    rels = [np.exp(1j * (phases[:, j] - phases[:, i])) for i, j in pair_list]
     max_gap = -1.0
     rhs_at_max = 0.0
     terms_at_max: tuple[float, ...] = ()
     max_eq_res = 0.0 if k == 2 else None
     max_violation = -np.inf
     count = 0
-    truncated = False
+    at_max: tuple[int, ...] = ()
 
-    for block, _, _ in walk_sequences(base, n, gates,
-                                      alphabet.inverse_indices(gates),
-                                      circuit_budget):
-        if max_circuits is not None and count >= max_circuits:
-            truncated = True
-            break
-        count += 1
-        amp_w = block * sqrtw  # columns scaled by sqrt(p_i)
-        p_theta = np.abs(amp_w @ phase_mat) ** 2           # (dim, T)
-        p_diag = (np.abs(block) ** 2) @ probs              # (dim,)
-        lhs = np.abs(p_theta - p_diag[:, None])            # (dim, T)
+    for level in range(circuit_budget + 1):
+        for f in level_frontiers(base, n, level, max_circuits):
+            count += len(f.rank)
+            for p0 in range(0, len(f.rank), step):
+                # (m, dim, k), contiguous so each product runs as the same
+                # BLAS call per circuit whatever the chunk size
+                block = np.ascontiguousarray(
+                    f.kets[:, p0:p0 + step].transpose(1, 0, 2))
+                m = len(block)
+                amp_w = block * sqrtw  # columns scaled by sqrt(p_i)
+                p_diag = (np.abs(block) ** 2).reshape(-1, k) @ probs
+                # |p_theta - p_diag| in place, p_theta = |amp_w @ phases|^2
+                lhs = np.abs(amp_w.reshape(-1, k) @ phase_mat) ** 2
+                lhs -= p_diag[:, None]
+                lhs = np.abs(lhs, out=lhs).reshape(m, -1)
 
-        rhs = np.zeros_like(lhs)
-        pair_terms = []
-        for i, j in pair_list:
-            cij = np.conj(amp_w[:, i]) * amp_w[:, j]       # (dim,)
-            rel = np.exp(1j * (phases[:, j] - phases[:, i]))  # (T,)
-            term = 2.0 * np.abs(np.real(cij[:, None] * rel[None, :]))
-            pair_terms.append(term)
-            rhs += term
-        viol = float((lhs - rhs).max())
-        max_violation = max(max_violation, viol)
-        if viol > GAP_ATOL:
-            raise AssertionError(
-                f"outcome-probability sum bound violated by {viol:.3e}; "
-                "this indicates an implementation bug"
-            )
-        if k == 2:
-            max_eq_res = max(max_eq_res, float(np.abs(lhs - rhs).max()))
-        flat = int(lhs.argmax())
-        if lhs.flat[flat] > max_gap:
-            max_gap = float(lhs.flat[flat])
-            rhs_at_max = float(rhs.flat[flat])
-            terms_at_max = tuple(float(t.flat[flat]) for t in pair_terms)
+                rhs = np.zeros_like(lhs)
+                pair_terms = []
+                for (i, j), rel in zip(pair_list, rels):
+                    cij = np.conj(amp_w[..., i]) * amp_w[..., j]  # (m, dim)
+                    term = np.abs(np.real(cij[..., None] * rel)).reshape(m, -1)
+                    term *= 2.0
+                    pair_terms.append(term)
+                    rhs += term
+                viol = float((lhs - rhs).max())
+                max_violation = max(max_violation, viol)
+                if viol > GAP_ATOL:
+                    raise AssertionError(
+                        f"outcome-probability sum bound violated by {viol:.3e}; "
+                        "this indicates an implementation bug"
+                    )
+                if k == 2:
+                    max_eq_res = max(max_eq_res, float(np.abs(lhs - rhs).max()))
+                # the first circuit of a chunk at its maximum is its
+                # tuple-earliest, since a chunk holds one length in tuple order
+                node = int(lhs.max(axis=1).argmax())
+                flat = int(lhs[node].argmax())
+                gap = float(lhs[node, flat])
+                seq = sequence_at(n, int(f.rank[p0 + node]))
+                if gap > max_gap or (gap == max_gap and seq < at_max):
+                    max_gap, at_max = gap, seq
+                    rhs_at_max = float(rhs[node, flat])
+                    terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
 
+    truncated = count < sequence_count(n, circuit_budget)
     return GapReport(max_gap, rhs_at_max, terms_at_max, max_eq_res,
                      max_violation, count, phase_points, truncated)
 

@@ -3,6 +3,7 @@
 Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
 gap; each takes --output. estimate, verdict and evolve --mode track also
 take --budget, --node-budget and --strict; props and gap take --budget only.
+evolve accepts only the options its --mode reads (EVOLVE_READS).
 Everything stochastic takes an explicit --seed; identical command lines
 produce byte-identical output. Exit codes: 0 success, 2 validation failure
 (structured JSON on stderr), 3 budget truncation under --strict (estimate,
@@ -78,7 +79,12 @@ def _add_budget(p: argparse.ArgumentParser, truncating: bool = True):
                        help="exit 3 when any result is budget-truncated")
 
 
+FIXTURE_OPTIONS = ("example", "n", "seed", "alpha", "beta", "d1", "d2", "m1",
+                   "m2", "depth", "basis")
+
+
 def _add_fixture_args(p: argparse.ArgumentParser, required: bool = True):
+    """The FIXTURE_OPTIONS that build_fixture reads."""
     p.add_argument("--example", required=required,
                    choices=("ghz", "product-random", "two-random", "parity",
                             "distinguishing", "tensor-separable",
@@ -253,13 +259,25 @@ def _parse_grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+# The options each evolve mode reads; giving any other one exits 64.
+EVOLVE_READS = {
+    "track": ("t_grid", "hamiltonian", "budget", "node_budget", "strict",
+              *FIXTURE_OPTIONS),
+    "freeze": ("t_grid", "n", "seed"),
+    "eth": ("sizes", "window"),
+}
+
+
 def cmd_evolve(args) -> int:
-    grid = _parse_grid(args.t_grid)
-    track_only = {"--budget": args.budget, "--node-budget": args.node_budget,
-                  "--strict": args.strict, "--hamiltonian": args.hamiltonian}
-    given = [opt for opt, value in track_only.items() if value is not None]
-    if args.mode != "track" and given:
-        _usage_error(f"{', '.join(given)}: only --mode track reads these")
+    reads = EVOLVE_READS[args.mode]
+    stray = [dest for dest in args.evolve_defaults
+             if dest not in reads and getattr(args, dest) is not None]
+    if stray:
+        given = ", ".join("--" + dest.replace("_", "-") for dest in stray)
+        _usage_error(f"{given}: --mode {args.mode} does not read these")
+    for dest in reads:
+        if getattr(args, dest) is None:
+            setattr(args, dest, args.evolve_defaults[dest])
     if args.mode == "track":
         if args.example is None:
             raise ValueError("evolve --mode track needs --example")
@@ -270,11 +288,10 @@ def cmd_evolve(args) -> int:
         witnesses = fixture.known_witnesses.get(ComplexityKind.INTERFERENCE)
         if not witnesses:
             raise ValueError("this example carries no interference witness to track")
-        config = EstimatorConfig(
-            max_len=DEFAULT_BUDGET if args.budget is None else args.budget,
-            seed=args.seed or 0, node_budget=args.node_budget)
+        config = EstimatorConfig(max_len=args.budget, seed=args.seed or 0,
+                                 node_budget=args.node_budget)
         traj = track_complexity_under_evolution(
-            a, b, h, witnesses[0], grid, config)
+            a, b, h, witnesses[0], _parse_grid(args.t_grid), config)
         _emit(args, ser.trajectory_to_csv(traj))
         truncated = any(s.truncated for s in traj.samples)
         return TRUNCATION_EXIT if args.strict and truncated else 0
@@ -284,7 +301,8 @@ def cmd_evolve(args) -> int:
         seed = args.seed if args.seed is not None else 0
         a = magnetization_sector_state(n, 1, seed)
         b = magnetization_sector_state(n, 2, seed + 1)
-        rep = symmetry_freeze_check(a, b, h, phase_rotation_circuit(n), grid)
+        rep = symmetry_freeze_check(a, b, h, phase_rotation_circuit(n),
+                                    _parse_grid(args.t_grid))
         _emit(args, ser.dumps(ser.to_json(rep)))
         return 0
     if args.mode == "eth":
@@ -376,17 +394,20 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("evolve", help="track, freeze, or eigenstate sweeps")
-    p.add_argument("--mode", choices=("track", "freeze", "eth"),
-                   required=True)
+    p.add_argument("--mode", choices=tuple(EVOLVE_READS), required=True)
     p.add_argument("--t-grid", default="0,1,2")
-    p.add_argument("--hamiltonian", choices=("ising", "xxz"),
-                   help="evolving Hamiltonian (default ising)")
+    p.add_argument("--hamiltonian", choices=("ising", "xxz"), default="ising",
+                   help="evolving Hamiltonian")
     p.add_argument("--sizes", default="6,8")
     p.add_argument("--window", type=float, default=1 / 3)
     _add_fixture_args(p, required=False)
     _add_budget(p)
-    # unset unless given, so that the modes that ignore them can reject them
-    p.set_defaults(func=cmd_evolve, budget=None, strict=None)
+    # every option is unset unless given, so that cmd_evolve can reject the
+    # ones the chosen mode does not read; it fills in these defaults
+    defaults = {a.dest: a.default for a in p._actions
+                if a.option_strings and a.dest not in ("help", "mode")}
+    p.set_defaults(func=cmd_evolve, evolve_defaults=defaults,
+                   **dict.fromkeys(defaults))
 
     p = sub.add_parser("props", help="run the inequality property suite")
     p.add_argument("--n", type=int, default=3)

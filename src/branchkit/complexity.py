@@ -9,14 +9,17 @@ Costs are counted in 2-qubit-gate units: a gate sequence is packed greedily
 left-to-right into blocks whose combined support stays within two qubits, and
 the cost is the number of blocks. (Greedy packing is optimal for contiguous
 partitions and reversal-invariant, which keeps the certified bounds symmetric
-under (a, b) swaps.) Lower bounds come from exhaustive iterative-deepening
-enumeration over a discrete gate alphabet and are certified only relative to
-that alphabet up to the enumerated sequence length; upper bounds come from
+under (a, b) swaps.) Lower bounds come from exhaustive enumeration over a
+discrete gate alphabet, walked level by level in chunks of parent sequences
+whose children are all scored by one GEMM against precomputed g†|s> rows, and
+are certified only relative to that alphabet up to the enumerated sequence
+length; upper bounds come from
 enumeration witnesses, user-supplied constructive circuits, or a
 derivative-free variational search over general 2-qubit blocks.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -52,9 +55,12 @@ class ComplexityKind(enum.Enum):
         # interference queries probe tiny leakage, distinguishability near-certainty
         return 0.1 if self is ComplexityKind.INTERFERENCE else 0.9
 
-    def objective(self, g: np.ndarray, a: int = 0, b: int = 1) -> float:
-        """The objective between states a and b, read off the overlap matrix
-        g[r, c] = <s_r|U|s_c> of one circuit U."""
+    def objective(self, g: np.ndarray, a: int | np.ndarray = 0,
+                  b: int | np.ndarray = 1):
+        """The objective between states a and b, read off the overlaps
+        g[r, c, ...] = <s_r|U|s_c> (trailing axes index circuits U). a and b
+        are column indices, or equal-length index arrays, one pair per
+        channel, which put a channel axis first."""
         if self is ComplexityKind.RELATIVE:
             return abs(g[b, a])
         if self is ComplexityKind.DISTINGUISHABILITY:
@@ -174,6 +180,13 @@ class ComplexityEstimate:
 # Enumeration engine
 # ---------------------------------------------------------------------------
 
+# Every working array of the engine (a run of kets, a gate slice of the
+# g†|s_r> rows, the overlaps of one GEMM) stays under this many bytes, so
+# peak memory does not grow with the size of a level.
+CHUNK_BYTES = 256 * 1024
+_TIE = 1e-12
+
+
 @dataclass(frozen=True)
 class Channel:
     """One tracked objective inside a survey: kind plus column indices of (a, b)."""
@@ -183,30 +196,252 @@ class Channel:
     b: int
 
 
-class SurveyResult:
-    """Best objective per fused cost for every channel of one enumeration walk."""
+@dataclass(frozen=True)
+class Frontier:
+    """A run of consecutive same-length gate sequences in level order.
 
-    def __init__(self, n_qubits: int, channels: list[Channel],
-                 gates: list[GateOp], max_len: int):
+    kets[:, i, c] is sequence i applied to input column c, shape (2**n, m, k).
+    Per sequence: fused cost, qubit bitmask of its last fused block, last gate
+    index (the gate count for the empty sequence) and level-order rank.
+    """
+
+    kets: np.ndarray
+    cost: np.ndarray
+    support: np.ndarray
+    last: np.ndarray
+    rank: np.ndarray
+
+    def part(self, start: int, stop: int) -> "Frontier":
+        """Sequences start..stop-1 of this frontier (views, no copies)."""
+        return Frontier(self.kets[:, start:stop], self.cost[start:stop],
+                        self.support[start:stop], self.last[start:stop],
+                        self.rank[start:stop])
+
+
+class _Enumeration:
+    """The default alphabet on n qubits, laid out for level-order walks.
+
+    Level L holds the G * (G - 1)**(L - 1) sequences of L gates (G gates, and
+    every gate's inverse is excluded right after it); ranks count the empty
+    sequence first, then by length, then in tuple order.
+    """
+
+    def __init__(self, n_qubits: int):
+        alphabet = default_alphabet()
         self.n_qubits = n_qubits
-        self.channels = list(channels)
-        self.gates = gates
-        self.max_len = max_len
-        self.truncated = False
-        self.nodes = 0
-        # best[ch][c] = (value, gate-index tuple) for fused cost c
-        self.best: list[list[tuple[float, tuple[int, ...]] | None]] = [
-            [None] * (max_len + 1) for _ in channels
-        ]
+        self.gates = alphabet.instantiate(n_qubits)
+        inverse = alphabet.inverse_indices(self.gates)
+        if None in inverse:
+            raise ValueError("the enumeration alphabet must be closed under inverses")
+        # the empty sequence's last gate is len(gates), which excludes nothing
+        self.inverse = np.array(inverse + [len(self.gates)])
+        self.support = np.array([sum(1 << q for q in g.targets) for g in self.gates])
+        self.popcount = np.array([bin(s).count("1") for s in range(2**n_qubits)])
+        g = len(self.gates)
+        self._offsets = list(itertools.accumulate(
+            (g * (g - 1) ** (length - 1) if length else 1 for length in range(64)),
+            initial=0))
 
-    def record(self, values: list[float], cost: int, seq: tuple[int, ...]):
-        for ci, v in enumerate(values):
-            slot = self.best[ci][cost]
-            if slot is None or v > slot[0] + 1e-12:
-                self.best[ci][cost] = (v, seq)
-            elif v > slot[0] - 1e-12 and (len(seq), seq) < (len(slot[1]), slot[1]):
-                # value tie: prefer the shorter, then canonically earlier sequence
-                self.best[ci][cost] = (v, seq)
+    def offset(self, level: int) -> int:
+        """Rank of the first sequence of `level` gates."""
+        return self._offsets[level]
+
+    def sequence(self, rank: int) -> tuple[int, ...]:
+        """The gate-index tuple at a level-order rank."""
+        level = 0
+        while self.offset(level + 1) <= rank:
+            level += 1
+        if level == 0:
+            return ()
+        index, digits = rank - self.offset(level), []
+        for _ in range(level - 1):
+            index, d = divmod(index, len(self.gates) - 1)
+            digits.append(d)
+        seq = [index]
+        for d in reversed(digits):
+            seq.append(d + int(d >= self.inverse[seq[-1]]))
+        return tuple(seq)
+
+    def children(self, f: Frontier, level: int):
+        """For each (sequence of a frontier at `level`, appended gate): whether
+        the gate may follow (it is not the inverse of the last gate), and the
+        child's rank, fused cost and last-block support, each shaped (m, G)."""
+        g = len(self.gates)
+        gate = np.arange(g)
+        skip = self.inverse[f.last][:, None]
+        index = (f.rank - self.offset(level))[:, None] * (g - 1) + gate - (gate > skip)
+        union = f.support[:, None] | self.support
+        fused = (self.popcount[union] <= 2) & (level > 0)
+        return (gate != skip, self.offset(level + 1) + index,
+                f.cost[:, None] + ~fused, np.where(fused, union, self.support))
+
+    def grow(self, f: Frontier, level: int, limit: int):
+        """The children of a frontier at `level` ranked below `limit`, as
+        frontiers in rank order; one gate application per gate and chunk."""
+        dim, m, k = f.kets.shape
+        g = len(self.gates)
+        per_chunk = max(1, CHUNK_BYTES // (dim * k * 16))
+        step_g, step_p = min(g, per_chunk), max(1, per_chunk // g)
+        for p0 in range(0, m, step_p):
+            parents = f.part(p0, p0 + step_p)
+            allowed, rank, cost, support = self.children(parents, level)
+            keep = allowed & (rank < limit)
+            cols = parents.kets.reshape(dim, -1)
+            for g0 in range(0, g, step_g):
+                pj, gj = np.nonzero(keep[:, g0:g0 + step_g])
+                if not len(pj):
+                    continue
+                kets = np.empty((dim, len(pj), k), dtype=complex)
+                for j in range(gj.min(), gj.max() + 1):
+                    at = gj == j
+                    gate = self.gates[g0 + j]
+                    kets[:, at] = apply_gate_block(
+                        cols, self.n_qubits, gate.targets, gate.matrix
+                    ).reshape(dim, -1, k)[:, pj[at]]
+                gi = gj + g0
+                yield Frontier(kets, cost[pj, gi], support[pj, gi], gi,
+                               rank[pj, gi])
+
+
+_enumeration = functools.cache(_Enumeration)
+
+
+def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
+                    limit: int | None = None):
+    """Every alphabet gate sequence of `level` gates (never a gate right after
+    its inverse) applied to the columns of `block` (2**n, k), as frontiers in
+    level order. With a limit, only the sequences ranked below it."""
+    walk = _enumeration(n_qubits)
+    if limit is None:
+        limit = walk.offset(level + 1)
+    if level == 0:
+        if limit > 0:
+            zero = np.zeros(1, dtype=int)
+            yield Frontier(block[:, None, :], zero, zero,
+                           np.array([len(walk.gates)]), zero)
+        return
+    for parent in level_frontiers(block, n_qubits, level - 1, limit):
+        yield from walk.grow(parent, level - 1, limit)
+
+
+def sequence_at(n_qubits: int, rank: int) -> tuple[int, ...]:
+    """The gate-index tuple of the sequence at a level-order rank."""
+    return _enumeration(n_qubits).sequence(rank)
+
+
+def sequence_count(n_qubits: int, max_len: int) -> int:
+    """How many alphabet gate sequences have at most max_len gates."""
+    return _enumeration(n_qubits).offset(max_len + 1)
+
+
+def _offer(cands: list[tuple[int, float]], rank: int, value: float,
+           floor: float):
+    """Add a candidate to one slot. Candidates stay sorted by rank with
+    strictly rising values, none below floor: one with an earlier rank and at
+    least the value wins whenever the other could."""
+    i = bisect.bisect(cands, rank, key=lambda c: c[0])
+    if i and cands[i - 1][1] >= value:
+        return
+    j = i
+    while j < len(cands) and cands[j][1] <= value:
+        j += 1
+    cands[i:j] = [(rank, value)]
+    while cands[0][1] < floor:
+        del cands[0]
+
+
+class _Slots:
+    """Per (channel, fused cost): the maximum objective seen, and the ranks
+    that can still be the slot's winner, the lowest-ranked sequence within
+    _TIE of the maximum. The winner does not depend on the visiting order."""
+
+    def __init__(self, channels: list[Channel], max_len: int):
+        self.count = len(channels)
+        self.groups = []
+        for kind in ComplexityKind:
+            rows = [i for i, ch in enumerate(channels) if ch.kind is kind]
+            if rows:
+                self.groups.append((kind, np.array(rows),
+                                    np.array([channels[i].a for i in rows]),
+                                    np.array([channels[i].b for i in rows])))
+        self.top = np.full((self.count, max_len + 1), -np.inf)
+        self.cands = [[[] for _ in range(max_len + 1)] for _ in channels]
+
+    def values(self, overlaps: np.ndarray) -> np.ndarray:
+        """Objectives (channels, ...) of overlaps[r, c, ...] = <s_r|U|s_c>."""
+        out = np.empty((self.count,) + overlaps.shape[2:])
+        for kind, rows, a, b in self.groups:
+            out[rows] = kind.objective(overlaps, a, b)
+        return out
+
+    def add(self, values: np.ndarray, cost: np.ndarray, rank: np.ndarray):
+        """Record values (channels, m) of m sequences given in rank order."""
+        for c in range(cost.min(), cost.max() + 1):
+            at = cost == c
+            if not at.any():
+                continue
+            v = values[:, at]
+            most = v.max(axis=1)
+            top = np.maximum(self.top[:, c], most)
+            self.top[:, c] = top
+            live = np.flatnonzero(most >= top - _TIE)
+            if not len(live):
+                continue
+            floor = top[live] - _TIE
+            v = np.where(v[live] >= floor[:, None], v[live], -np.inf)
+            # within one call ranks rise, so only running maxima can win
+            record = np.empty(v.shape, dtype=bool)
+            record[:, 0] = v[:, 0] > -np.inf
+            record[:, 1:] = v[:, 1:] > np.maximum.accumulate(v, axis=1)[:, :-1]
+            ranks = rank[at]
+            for i, j in zip(*np.nonzero(record)):
+                _offer(self.cands[live[i]][c], int(ranks[j]), float(v[i, j]),
+                       floor[i])
+
+    def best(self, walk: _Enumeration):
+        """best[channel][cost] = (value, gate-index tuple), or None."""
+        out = []
+        for row, tops in zip(self.cands, self.top):
+            out.append([])
+            for cands, top in zip(row, tops):
+                wins = [(v, walk.sequence(r)) for r, v in cands if v >= top - _TIE]
+                out[-1].append(wins[0] if wins else None)
+        return out
+
+
+def _gate_rows(walk: _Enumeration, block: np.ndarray):
+    """The rows <s_r| g = (g†|s_r>)† for every gate, as (first gate, array
+    (gates, k, 2**n)) slices small enough that a slice, and its overlaps
+    with one parent's kets (gates, k, k), stay within CHUNK_BYTES."""
+    dim, k = block.shape
+    g = len(walk.gates)
+    step = max(1, min(g, CHUNK_BYTES // (max(dim, k) * k * 16)))
+    slices = []
+    for g0 in range(0, g, step):
+        rows = np.empty((min(step, g - g0), k, dim), dtype=complex)
+        for j, gate in enumerate(walk.gates[g0:g0 + len(rows)]):
+            rows[j] = apply_gate_block(block, walk.n_qubits, gate.targets,
+                                       gate.matrix.conj().T).conj().T
+        slices.append((g0, rows))
+    return slices
+
+
+@dataclass(frozen=True)
+class SurveyResult:
+    """Best objective per fused cost for every channel of one enumeration.
+
+    best[channel][cost] is (value, gate-index tuple), or None when no
+    enumerated sequence has that cost. `nodes` counts the sequences scored,
+    the empty one included; `truncated` says a node budget cut them short.
+    """
+
+    n_qubits: int
+    channels: list[Channel]
+    gates: list[GateOp]
+    max_len: int
+    nodes: int
+    truncated: bool
+    best: list[list[tuple[float, tuple[int, ...]] | None]]
 
     def circuit(self, seq: tuple[int, ...]) -> Circuit:
         return Circuit(self.n_qubits, tuple(self.gates[i] for i in seq))
@@ -233,64 +468,52 @@ class SurveyResult:
         return self.bounds(channel_index, kind.threshold(delta))[0]
 
 
-def walk_sequences(block: np.ndarray, n_qubits: int, gates: list[GateOp],
-                   inverse: list[int | None], max_len: int):
-    """Depth-first walk over every gate sequence of length <= max_len, never
-    placing a gate right after its inverse. Yields (block, seq, cost) per
-    node, the empty sequence first: `block` with the sequence applied to
-    every column, the gate-index tuple, and its fused cost. Each node costs
-    one gate application on its parent's block."""
-    mats = [g.matrix for g in gates]
-    targs = [g.targets for g in gates]
-    supports = [frozenset(t) for t in targs]
-
-    def children(block, seq, cost, support):
-        skip = inverse[seq[-1]] if seq else None
-        for gi in range(len(gates)):
-            if gi == skip:
-                continue
-            child = apply_gate_block(block, n_qubits, targs[gi], mats[gi])
-            if seq and len(support | supports[gi]) <= 2:
-                ccost, csup = cost, support | supports[gi]
-            else:
-                ccost, csup = cost + 1, supports[gi]
-            cseq = seq + (gi,)
-            yield child, cseq, ccost
-            if len(cseq) < max_len:
-                yield from children(child, cseq, ccost, csup)
-
-    yield block, (), 0
-    if max_len > 0:
-        yield from children(block, (), 0, frozenset())
-
-
 def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
            max_len: int = 2, node_budget: int | None = None) -> SurveyResult:
-    """Walk every alphabet gate sequence of length <= max_len once (pruning
-    adjacent inverse pairs) and record, per channel, the best objective at
-    each fused cost. One walk serves any number of thresholds afterwards."""
-    alphabet = default_alphabet()
-    gates = alphabet.instantiate(n_qubits)
-    result = SurveyResult(n_qubits, channels, gates, max_len)
-    block0 = np.column_stack(states)  # (2**n, k)
-    bras = block0.conj().T  # fixed <s_i| rows
-    for block, seq, cost in walk_sequences(block0, n_qubits, gates,
-                                           alphabet.inverse_indices(gates),
-                                           max_len):
-        # the empty sequence is always recorded, whatever the budget
-        if seq and node_budget is not None and result.nodes >= node_budget:
-            result.truncated = True
-            break
-        g = bras @ block
-        result.record([ch.kind.objective(g, ch.a, ch.b) for ch in channels],
-                      cost, seq)
-        result.nodes += 1
-    return result
+    """Score every alphabet gate sequence of length <= max_len (never a gate
+    right after its inverse) and keep, per channel and fused cost, the best
+    objective: on ties within 1e-12, the shortest, then tuple-earliest
+    sequence. One walk serves any number of thresholds afterwards.
+
+    Levels are walked in chunks of parents, and all children of a chunk are
+    scored by one GEMM, <s_r|g p|s_c> = <g† s_r|p s_c>, so the kets of the
+    last level are never built. node_budget keeps the first N sequences in
+    level order (shorter first, tuple order within a length); the empty
+    sequence always counts.
+    """
+    walk = _enumeration(n_qubits)
+    total = sequence_count(n_qubits, max_len)
+    limit = total if node_budget is None else min(total, max(node_budget, 1))
+    block = np.column_stack(states)  # (2**n, k)
+    dim, k = block.shape
+    slots = _Slots(channels, max_len)
+    zero = np.zeros(1, dtype=int)
+    slots.add(slots.values((block.conj().T @ block)[:, :, None]), zero, zero)
+    rows = _gate_rows(walk, block)
+    step = max(1, CHUNK_BYTES // (len(rows[0][1]) * k * k * 16))
+    for level in range(max_len):
+        for f in level_frontiers(block, n_qubits, level, limit):
+            for p0 in range(0, len(f.rank), step):
+                parents = f.part(p0, p0 + step)
+                allowed, rank, cost, _ = walk.children(parents, level)
+                keep = allowed & (rank < limit)
+                cols = parents.kets.reshape(dim, -1)
+                for g0, r in rows:
+                    gates = slice(g0, g0 + len(r))
+                    sel = keep[:, gates]
+                    if not sel.any():
+                        continue
+                    overlaps = (r.reshape(-1, dim) @ cols).reshape(
+                        len(r), k, -1, k).transpose(1, 3, 2, 0)
+                    slots.add(slots.values(overlaps)[:, sel],
+                              cost[:, gates][sel], rank[:, gates][sel])
+    return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
+                        limit, limit < total, slots.best(walk))
 
 
 def brute_force_estimate(q: ComplexityQuery,
                          node_budget: int | None = None) -> ComplexityEstimate:
-    """Exhaustive iterative-deepening enumeration over the default alphabet.
+    """Exhaustive level-ordered enumeration over the default alphabet.
 
     Returns lower = upper = the smallest fused cost at which any enumerated
     sequence meets the threshold (the enumeration itself certifies that no
@@ -442,34 +665,41 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
     block0 = np.column_stack([q.a.amplitudes, q.b.amplitudes])
     bras = block0.conj().T
 
-    def objective(theta: np.ndarray, pairs: list[tuple[int, int]]) -> float:
+    def objective(units: list[np.ndarray], pairs: list[tuple[int, int]]) -> float:
         block = block0
-        for i, pair in enumerate(pairs):
-            block = apply_gate_block(block, n, pair,
-                                     _block_unitary(theta[15 * i:15 * (i + 1)]))
+        for u, pair in zip(units, pairs):
+            block = apply_gate_block(block, n, pair, u)
         return float(q.kind.objective(bras @ block))
 
     for m in range(max_blocks + 1):
         pairs = [schedule[i % len(schedule)] for i in range(m)]
         if m == 0:
-            best_val, best_theta = objective(np.zeros(0), []), np.zeros(0)
+            best_val, best_theta = objective([], []), np.zeros(0)
         else:
             best_val, best_theta = -1.0, None
             for _ in range(restarts):
                 theta = rng.uniform(-np.pi, np.pi, size=15 * m)
-                val = objective(theta, pairs)
+                # one unitary per block; a probe re-exponentiates only its own
+                units = [_block_unitary(theta[15 * i:15 * (i + 1)])
+                         for i in range(m)]
+                val = objective(units, pairs)
                 step = 0.8
                 for _ in range(sweeps):
                     improved = False
                     for i in range(theta.size):
+                        b, start, kept = i // 15, theta[i], units[i // 15]
                         for delta in (step, -step):
                             theta[i] += delta
-                            cand = objective(theta, pairs)
+                            units[b] = _block_unitary(theta[15 * b:15 * (b + 1)])
+                            cand = objective(units, pairs)
                             if cand > val + 1e-12:
                                 val = cand
                                 improved = True
                                 break
                             theta[i] -= delta
+                            # undoing the step can leave theta[i] an ulp away
+                            units[b] = kept if theta[i] == start else \
+                                _block_unitary(theta[15 * b:15 * (b + 1)])
                     if val >= q.threshold + 1e-9:
                         break
                     if not improved:

@@ -242,6 +242,8 @@ class TestOptionsAreRead:
         "surface": "surface --long-cycle 10 --short-cycle 2 --p 0.01",
         "flow": "flow --ci0 1 --cd0 1 --t-end 0.01",
         "evolve": "evolve --mode eth --sizes 4",
+        "evolve-freeze": "evolve --mode freeze --n 2 --t-grid 0",
+        "evolve-track": "evolve --mode track --example ghz --n 2 --t-grid 0",
         "props": "props --n 2 --instances 1 --seed 1 --triples 0",
         "gap": "gap --example ghz --n 2 --budget 1",
     }
@@ -253,12 +255,19 @@ class TestOptionsAreRead:
         "estimate": ("--format",),
         "verdict": ("--format",),
         "evolve": ("--format", "--budget", "--node-budget", "--strict",
-                   "--hamiltonian"),
+                   "--hamiltonian", "--t-grid", "--example", "--n", "--seed",
+                   "--d1"),
+        "evolve-freeze": ("--sizes", "--window", "--example", "--alpha",
+                          "--budget"),
+        "evolve-track": ("--sizes", "--window"),
         "props": ("--format", "--node-budget", "--strict"),
         "gap": ("--format", "--node-budget", "--strict"),
     }
     VALUES = {"--format": ["csv"], "--budget": ["2"], "--node-budget": ["1"],
-              "--strict": [], "--hamiltonian": ["ising"]}
+              "--strict": [], "--hamiltonian": ["ising"], "--t-grid": ["9,9"],
+              "--example": ["ghz"], "--n": ["7"], "--seed": ["3"],
+              "--d1": ["5"], "--sizes": ["99"], "--window": ["0.9"],
+              "--alpha": ["3"]}
 
     @pytest.mark.parametrize("command,option", [
         (c, o) for c, opts in REMOVED.items() for o in opts])
@@ -285,6 +294,15 @@ class TestOptionsAreRead:
                     seen.add(name)
                     todo.append(fn)
         return text
+
+    def test_every_evolve_option_is_read_by_a_mode(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest for a in sub.choices["evolve"]._actions
+                   if a.option_strings} - {"help", "mode", "output"}
+        assert options == {d for dests in cli.EVOLVE_READS.values()
+                           for d in dests}
 
     def test_every_option_is_read(self):
         parser = build_parser()
