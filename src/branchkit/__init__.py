@@ -24,10 +24,8 @@ from .complexity import (
     ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
-    GateAlphabet,
     brute_force_estimate,
     constructive_estimate,
-    default_alphabet,
     fused_cost,
     objective_value,
     variational_upper_bound,

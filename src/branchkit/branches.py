@@ -6,7 +6,7 @@ interference cost exceeds the witnessed distinguishability cost by a
 configurable margin, and as adversarially robust when the interference cost
 clears an exponential of the distinguishability cost. The module also hosts
 the runnable checks tying decompositions to outcome probabilities (pure
-state versus dehased mixture), the merge bounds for grouped components,
+state versus dephased mixture), the merge bounds for grouped components,
 three-branch compatibility, and the irreversibility comparison.
 """
 from __future__ import annotations
@@ -302,6 +302,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")
+    total = sequence_count(n, circuit_budget)
 
     k = len(d.components)
     sqrtw = np.array([abs(w) for w, _ in d.components])
@@ -370,9 +371,8 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
                     rhs_at_max = float(rhs[node, flat])
                     terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
 
-    truncated = count < sequence_count(n, circuit_budget)
     return GapReport(max_gap, rhs_at_max, terms_at_max, max_eq_res,
-                     max_violation, count, phase_points, truncated)
+                     max_violation, count, phase_points, count < total)
 
 
 # ---------------------------------------------------------------------------

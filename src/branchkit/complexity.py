@@ -13,9 +13,9 @@ under (a, b) swaps.) Lower bounds come from exhaustive enumeration over a
 discrete gate alphabet, walked level by level in chunks of parent sequences
 whose children are all scored by one GEMM against precomputed g†|s> rows, and
 are certified only relative to that alphabet up to the enumerated sequence
-length; upper bounds come from
-enumeration witnesses, user-supplied constructive circuits, or a
-derivative-free variational search over general 2-qubit blocks.
+length; upper bounds come from enumeration witnesses, user-supplied
+constructive circuits, or a derivative-free variational search over general
+2-qubit blocks.
 """
 from __future__ import annotations
 
@@ -66,48 +66,6 @@ class ComplexityKind(enum.Enum):
         if self is ComplexityKind.DISTINGUISHABILITY:
             return abs(g[a, a] - g[b, b])
         return abs(g[a, b]) + abs(g[b, a])
-
-
-@dataclass(frozen=True)
-class GateAlphabet:
-    """Discrete, canonically ordered gate set for certified enumeration."""
-
-    name: str
-    one_qubit: tuple[tuple[str, np.ndarray], ...]
-    two_qubit: tuple[tuple[str, np.ndarray], ...]
-
-    def instantiate(self, n_qubits: int) -> list[GateOp]:
-        """All placements in canonical order: 1q label-major then qubit, 2q label-major then ordered pair."""
-        gates: list[GateOp] = []
-        for label, mat in self.one_qubit:
-            for q in range(n_qubits):
-                gates.append(GateOp((q,), mat, label))
-        for label, mat in self.two_qubit:
-            for q0, q1 in itertools.permutations(range(n_qubits), 2):
-                gates.append(GateOp((q0, q1), mat, label))
-        return gates
-
-    def inverse_indices(self, gates: list[GateOp]) -> list[int | None]:
-        """inverse_indices[i] = j when gates[j] is the exact inverse of gates[i]."""
-        inv: list[int | None] = [None] * len(gates)
-        by_targets: dict[tuple[int, ...], list[int]] = {}
-        for i, g in enumerate(gates):
-            by_targets.setdefault(g.targets, []).append(i)
-        for i, g in enumerate(gates):
-            want = g.matrix.conj().T
-            for j in by_targets[g.targets]:
-                if np.allclose(gates[j].matrix, want, atol=1e-12):
-                    inv[i] = j
-                    break
-        return inv
-
-
-@functools.cache
-def default_alphabet() -> GateAlphabet:
-    """{X, Y, Z, H, S, S†, T, T†} on every qubit plus CNOT on every ordered pair."""
-    one = tuple((label, GATES_1Q[label]) for label in
-                ("X", "Y", "Z", "H", "S", "SDG", "T", "TDG"))
-    return GateAlphabet("default", one, (("CNOT", CNOT),))
 
 
 def fused_cost(gates: tuple[GateOp, ...] | list[GateOp]) -> int:
@@ -180,9 +138,9 @@ class ComplexityEstimate:
 # Enumeration engine
 # ---------------------------------------------------------------------------
 
-# Every working array of the engine (a run of kets, a gate slice of the
-# g†|s_r> rows, the overlaps of one GEMM) stays under this many bytes, so
-# peak memory does not grow with the size of a level.
+# Every working array of a run of children (the kets it grows, or the
+# overlaps of one GEMM) stays under this many bytes, so peak memory does not
+# grow with the size of a level.
 CHUNK_BYTES = 256 * 1024
 _TIE = 1e-12
 
@@ -218,8 +176,17 @@ class Frontier:
                         self.rank[start:stop])
 
 
+# The enumeration alphabet: these gates on every qubit, label-major, then
+# CNOT on every ordered pair. S, T and their adjoints invert each other;
+# every other gate is its own inverse.
+_ONE_QUBIT = ("X", "Y", "Z", "H", "S", "SDG", "T", "TDG")
+_ADJOINT = {"S": "SDG", "SDG": "S", "T": "TDG", "TDG": "T"}
+_SCOPE = "alphabet:default"
+_MAX_LEN = 63  # the longest sequences the rank table counts
+
+
 class _Enumeration:
-    """The default alphabet on n qubits, laid out for level-order walks.
+    """The enumeration alphabet on n qubits, laid out for level-order walks.
 
     Level L holds the G * (G - 1)**(L - 1) sequences of L gates (G gates, and
     every gate's inverse is excluded right after it); ranks count the empty
@@ -227,33 +194,31 @@ class _Enumeration:
     """
 
     def __init__(self, n_qubits: int):
-        alphabet = default_alphabet()
         self.n_qubits = n_qubits
-        self.gates = alphabet.instantiate(n_qubits)
-        inverse = alphabet.inverse_indices(self.gates)
-        if None in inverse:
-            raise ValueError("the enumeration alphabet must be closed under inverses")
+        self.gates = [GateOp((q,), GATES_1Q[label], label)
+                      for label in _ONE_QUBIT for q in range(n_qubits)]
+        self.gates += [GateOp(pair, CNOT, "CNOT")
+                       for pair in itertools.permutations(range(n_qubits), 2)]
+        index = {(g.label, g.targets): i for i, g in enumerate(self.gates)}
         # the empty sequence's last gate is len(gates), which excludes nothing
-        self.inverse = np.array(inverse + [len(self.gates)])
+        self.inverse = np.array([index[_ADJOINT.get(g.label, g.label), g.targets]
+                                 for g in self.gates] + [len(self.gates)])
         self.support = np.array([sum(1 << q for q in g.targets) for g in self.gates])
         self.popcount = np.array([bin(s).count("1") for s in range(2**n_qubits)])
         g = len(self.gates)
-        self._offsets = list(itertools.accumulate(
-            (g * (g - 1) ** (length - 1) if length else 1 for length in range(64)),
-            initial=0))
-
-    def offset(self, level: int) -> int:
-        """Rank of the first sequence of `level` gates."""
-        return self._offsets[level]
+        # offsets[L] is the rank of the first sequence of L gates
+        self.offsets = list(itertools.accumulate(
+            (g * (g - 1) ** (length - 1) if length else 1
+             for length in range(_MAX_LEN + 1)), initial=0))
 
     def sequence(self, rank: int) -> tuple[int, ...]:
         """The gate-index tuple at a level-order rank."""
         level = 0
-        while self.offset(level + 1) <= rank:
+        while self.offsets[level + 1] <= rank:
             level += 1
         if level == 0:
             return ()
-        index, digits = rank - self.offset(level), []
+        index, digits = rank - self.offsets[level], []
         for _ in range(level - 1):
             index, d = divmod(index, len(self.gates) - 1)
             digits.append(d)
@@ -262,45 +227,52 @@ class _Enumeration:
             seq.append(d + int(d >= self.inverse[seq[-1]]))
         return tuple(seq)
 
-    def children(self, f: Frontier, level: int):
-        """For each (sequence of a frontier at `level`, appended gate): whether
-        the gate may follow (it is not the inverse of the last gate), and the
-        child's rank, fused cost and last-block support, each shaped (m, G)."""
+    def runs(self, f: Frontier, level: int, limit: int, child_bytes: int):
+        """The children of a frontier at `level` ranked below `limit`, in runs
+        of parents x gate slice sized so that child_bytes per child stay
+        within CHUNK_BYTES. Per run: the parents' kets as columns
+        (2**n, m * k), the gate slice, the mask (m, gates in the slice) of
+        the children walked, and their rank, fused cost and last-block
+        support in rank order."""
+        dim, m, _ = f.kets.shape
         g = len(self.gates)
+        gates = max(1, min(g, CHUNK_BYTES // child_bytes))
+        parents = max(1, CHUNK_BYTES // (gates * child_bytes))
         gate = np.arange(g)
-        skip = self.inverse[f.last][:, None]
-        index = (f.rank - self.offset(level))[:, None] * (g - 1) + gate - (gate > skip)
-        union = f.support[:, None] | self.support
-        fused = (self.popcount[union] <= 2) & (level > 0)
-        return (gate != skip, self.offset(level + 1) + index,
-                f.cost[:, None] + ~fused, np.where(fused, union, self.support))
+        for p0 in range(0, m, parents):
+            p = f.part(p0, p0 + parents)
+            skip = self.inverse[p.last][:, None]
+            rank = (self.offsets[level + 1] + gate - (gate > skip)
+                    + (p.rank - self.offsets[level])[:, None] * (g - 1))
+            keep = (gate != skip) & (rank < limit)
+            union = p.support[:, None] | self.support
+            fused = (self.popcount[union] <= 2) & (level > 0)
+            cost = p.cost[:, None] + ~fused
+            support = np.where(fused, union, self.support)
+            cols = p.kets.reshape(dim, -1)
+            for g0 in range(0, g, gates):
+                part = slice(g0, g0 + gates)
+                sel = keep[:, part]
+                if sel.any():
+                    yield (cols, part, sel, rank[:, part][sel],
+                           cost[:, part][sel], support[:, part][sel])
 
     def grow(self, f: Frontier, level: int, limit: int):
         """The children of a frontier at `level` ranked below `limit`, as
-        frontiers in rank order; one gate application per gate and chunk."""
-        dim, m, k = f.kets.shape
-        g = len(self.gates)
-        per_chunk = max(1, CHUNK_BYTES // (dim * k * 16))
-        step_g, step_p = min(g, per_chunk), max(1, per_chunk // g)
-        for p0 in range(0, m, step_p):
-            parents = f.part(p0, p0 + step_p)
-            allowed, rank, cost, support = self.children(parents, level)
-            keep = allowed & (rank < limit)
-            cols = parents.kets.reshape(dim, -1)
-            for g0 in range(0, g, step_g):
-                pj, gj = np.nonzero(keep[:, g0:g0 + step_g])
-                if not len(pj):
-                    continue
-                kets = np.empty((dim, len(pj), k), dtype=complex)
-                for j in range(gj.min(), gj.max() + 1):
-                    at = gj == j
-                    gate = self.gates[g0 + j]
-                    kets[:, at] = apply_gate_block(
-                        cols, self.n_qubits, gate.targets, gate.matrix
-                    ).reshape(dim, -1, k)[:, pj[at]]
-                gi = gj + g0
-                yield Frontier(kets, cost[pj, gi], support[pj, gi], gi,
-                               rank[pj, gi])
+        frontiers in rank order; one gate application per gate and run."""
+        dim, _, k = f.kets.shape
+        for cols, part, sel, rank, cost, support in self.runs(
+                f, level, limit, dim * k * 16):
+            pj, gj = np.nonzero(sel)
+            gj += part.start
+            kets = np.empty((dim, len(pj), k), dtype=complex)
+            for j in range(gj.min(), gj.max() + 1):
+                at = gj == j
+                gate = self.gates[j]
+                kets[:, at] = apply_gate_block(
+                    cols, self.n_qubits, gate.targets, gate.matrix
+                ).reshape(dim, -1, k)[:, pj[at]]
+            yield Frontier(kets, cost, support, gj, rank)
 
 
 _enumeration = functools.cache(_Enumeration)
@@ -313,7 +285,7 @@ def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
     level order. With a limit, only the sequences ranked below it."""
     walk = _enumeration(n_qubits)
     if limit is None:
-        limit = walk.offset(level + 1)
+        limit = walk.offsets[level + 1]
     if level == 0:
         if limit > 0:
             zero = np.zeros(1, dtype=int)
@@ -331,7 +303,10 @@ def sequence_at(n_qubits: int, rank: int) -> tuple[int, ...]:
 
 def sequence_count(n_qubits: int, max_len: int) -> int:
     """How many alphabet gate sequences have at most max_len gates."""
-    return _enumeration(n_qubits).offset(max_len + 1)
+    if not 0 <= max_len <= _MAX_LEN:
+        raise ValueError(f"sequence-length cap must lie in [0, {_MAX_LEN}], "
+                         f"got {max_len}")
+    return _enumeration(n_qubits).offsets[max_len + 1]
 
 
 def _offer(cands: list[tuple[int, float]], rank: int, value: float,
@@ -409,23 +384,6 @@ class _Slots:
         return out
 
 
-def _gate_rows(walk: _Enumeration, block: np.ndarray):
-    """The rows <s_r| g = (g†|s_r>)† for every gate, as (first gate, array
-    (gates, k, 2**n)) slices small enough that a slice, and its overlaps
-    with one parent's kets (gates, k, k), stay within CHUNK_BYTES."""
-    dim, k = block.shape
-    g = len(walk.gates)
-    step = max(1, min(g, CHUNK_BYTES // (max(dim, k) * k * 16)))
-    slices = []
-    for g0 in range(0, g, step):
-        rows = np.empty((min(step, g - g0), k, dim), dtype=complex)
-        for j, gate in enumerate(walk.gates[g0:g0 + len(rows)]):
-            rows[j] = apply_gate_block(block, walk.n_qubits, gate.targets,
-                                       gate.matrix.conj().T).conj().T
-        slices.append((g0, rows))
-    return slices
-
-
 @dataclass(frozen=True)
 class SurveyResult:
     """Best objective per fused cost for every channel of one enumeration.
@@ -489,24 +447,19 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     slots = _Slots(channels, max_len)
     zero = np.zeros(1, dtype=int)
     slots.add(slots.values((block.conj().T @ block)[:, :, None]), zero, zero)
-    rows = _gate_rows(walk, block)
-    step = max(1, CHUNK_BYTES // (len(rows[0][1]) * k * k * 16))
+    # rows[g] holds the bras <s_r| g = (g†|s_r>)†, shape (gates, k, 2**n)
+    rows = np.empty((len(walk.gates), k, dim), dtype=complex)
+    for j, gate in enumerate(walk.gates):
+        rows[j] = apply_gate_block(block, n_qubits, gate.targets,
+                                   gate.matrix.conj().T).conj().T
     for level in range(max_len):
         for f in level_frontiers(block, n_qubits, level, limit):
-            for p0 in range(0, len(f.rank), step):
-                parents = f.part(p0, p0 + step)
-                allowed, rank, cost, _ = walk.children(parents, level)
-                keep = allowed & (rank < limit)
-                cols = parents.kets.reshape(dim, -1)
-                for g0, r in rows:
-                    gates = slice(g0, g0 + len(r))
-                    sel = keep[:, gates]
-                    if not sel.any():
-                        continue
-                    overlaps = (r.reshape(-1, dim) @ cols).reshape(
-                        len(r), k, -1, k).transpose(1, 3, 2, 0)
-                    slots.add(slots.values(overlaps)[:, sel],
-                              cost[:, gates][sel], rank[:, gates][sel])
+            for cols, part, sel, rank, cost, _ in walk.runs(
+                    f, level, limit, k * k * 16):
+                r = rows[part]
+                overlaps = (r.reshape(-1, dim) @ cols).reshape(
+                    len(r), k, -1, k).transpose(1, 3, 2, 0)
+                slots.add(slots.values(overlaps)[:, sel], cost, rank)
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
                         limit, limit < total, slots.best(walk))
 
@@ -526,11 +479,10 @@ def brute_force_estimate(q: ComplexityQuery,
         [Channel(q.kind, 0, 1)], q.max_size, node_budget,
     )
     lower, upper, witness, achieved = res.bounds(0, q.threshold)
-    scope = f"alphabet:{default_alphabet().name}"
     if witness is not None:
         _verify_witness(q, witness, achieved)
     return ComplexityEstimate(
-        kind=q.kind, delta=q.delta, lower_bound=lower, lower_bound_scope=scope,
+        kind=q.kind, delta=q.delta, lower_bound=lower, lower_bound_scope=_SCOPE,
         upper_bound=upper, witness=witness, achieved_value=achieved,
         method="enumeration", seed=q.seed, truncated=res.truncated,
     )

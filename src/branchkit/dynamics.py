@@ -185,8 +185,9 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
         return float(np.angle(ov))
 
     phase_a, phase_b = eigenphase(a), eigenphase(b)
+    grid = tuple(sorted(t_grid))
     dvals, ivals = [], []
-    for t in t_grid:
+    for t in grid:
         at = evolve(a, h, t)
         bt = evolve(b, h, t)
         dvals.append(objective_value(ComplexityKind.DISTINGUISHABILITY,
@@ -194,7 +195,7 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
         ivals.append(objective_value(ComplexityKind.INTERFERENCE,
                                      u_sym, at, bt))
     tv = float(max(dvals) - min(dvals)) if dvals else 0.0
-    return FreezeReport(comm, phase_a, phase_b, tuple(sorted(t_grid)),
+    return FreezeReport(comm, phase_a, phase_b, grid,
                         tuple(dvals), tuple(ivals), tv, tv <= tol)
 
 

@@ -3,7 +3,10 @@
 Each property compares enumerated minimal fused sizes (cap+1 when nothing
 within the cap meets a threshold). A comparison is counted as vacuous when
 both sides sit at the cap, violated when the inequality fails, and checked
-otherwise. One enumeration walk per instance serves every property.
+otherwise. The pair properties of one instance share one enumeration walk;
+the triple suite walks once per merge-bound p value plus once for
+three-branch compatibility (three walks per triple by default), and the
+irreversibility check walks once per cat size (two walks).
 """
 from __future__ import annotations
 

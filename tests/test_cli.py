@@ -364,3 +364,18 @@ def test_evolve_track_csv_flags_truncation(capsys):
     # a cut enumeration's lower bound of 0 is not a certified 0
     assert [r.split(",")[-1] for r in cut.splitlines()[1:]] == ["true", "true"]
     assert [r.split(",")[-1] for r in full.splitlines()[1:]] == ["false", "false"]
+
+
+@pytest.mark.parametrize("argv", [
+    "estimate --kind interference --example ghz --n 2 --budget -1",
+    "estimate --kind interference --example ghz --n 2 --budget 70",
+    "verdict --example ghz --n 2 --budget -1",
+    "props --n 2 --instances 1 --seed 1 --triples 0 --budget -1",
+    "gap --example ghz --n 3 --budget -1",
+    "gap --example ghz --n 3 --budget 70",
+])
+def test_out_of_range_budget_fails_validation(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError" and "cap" in doc["error"]

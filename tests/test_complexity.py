@@ -6,10 +6,10 @@ from branchkit.complexity import (
     Channel,
     ComplexityKind,
     ComplexityQuery,
+    _enumeration,
     brute_force_estimate,
     combine_estimates,
     constructive_estimate,
-    default_alphabet,
     fused_cost,
     objective_value,
     pair_blocks,
@@ -75,16 +75,17 @@ class TestFusedCost:
 
 class TestAlphabet:
     def test_canonical_order_and_size(self):
-        gates = default_alphabet().instantiate(3)
+        gates = _enumeration(3).gates
         assert len(gates) == 8 * 3 + 6
         assert [g.label for g in gates[:6]] == ["X"] * 3 + ["Y"] * 3
 
     def test_inverse_table(self):
-        alpha = default_alphabet()
-        gates = alpha.instantiate(2)
-        inv = alpha.inverse_indices(gates)
-        for i, j in enumerate(inv):
-            assert j is not None
+        walk = _enumeration(2)
+        gates = walk.gates
+        # the empty sequence's entry excludes no gate
+        assert walk.inverse[-1] == len(gates)
+        for i, j in enumerate(walk.inverse[:-1]):
+            assert gates[j].targets == gates[i].targets
             prod = gates[j].matrix @ gates[i].matrix
             assert np.allclose(prod, np.eye(prod.shape[0]))
 

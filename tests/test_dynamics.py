@@ -122,6 +122,13 @@ class TestSymmetryFreeze:
         # sectors one and two apart under exp(i pi Z / 2) rotations
         assert abs(rep.phase_a - rep.phase_b) == pytest.approx(math.pi)
 
+    def test_unsorted_grid_reports_sorted_grid(self):
+        n = 6
+        a, b = self.setup_pair(n)
+        h, u = xxz_chain(n), phase_rotation_circuit(n)
+        assert (symmetry_freeze_check(a, b, h, u, [7.0, 0.0, 2.5, 1.0])
+                == symmetry_freeze_check(a, b, h, u, [0.0, 1.0, 2.5, 7.0]))
+
     def test_identity_symmetry_trivial(self):
         n = 3
         a = magnetization_sector_state(n, 0, 1)

@@ -13,19 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchkit import branches, fixtures as fx
+from branchkit import branches, complexity, fixtures as fx
 from branchkit.branches import BranchDecomposition, GapReport, rho_vs_diag_gap
 from branchkit.complexity import (
     Channel,
     ComplexityKind,
     Frontier,
-    default_alphabet,
+    _enumeration,
     fused_cost,
     level_frontiers,
     sequence_at,
     sequence_count,
     survey,
 )
+from branchkit.properties import random_orthogonal_states
 from branchkit.qsim import (
     Circuit,
     GateOp,
@@ -86,9 +87,13 @@ def _all_sequences(gates, inverse, max_len):
 
 
 def _setup(n):
-    alphabet = default_alphabet()
-    gates = alphabet.instantiate(n)
-    return gates, alphabet.inverse_indices(gates)
+    """The engine's gate list, and each gate's inverse found by matrix search
+    (not read from the engine's table)."""
+    gates = _enumeration(n).gates
+    inverse = [next(j for j, h in enumerate(gates) if h.targets == g.targets
+                    and np.allclose(h.matrix @ g.matrix, np.eye(len(g.matrix))))
+               for g in gates]
+    return gates, inverse
 
 
 def oracle_survey(states, n, channels, max_len, node_budget=None):
@@ -305,3 +310,36 @@ def depth_first_gap(d, circuit_budget, phase_points):
 def test_gap_report_matches_depth_first_gap(name):
     d = _criterion_07_decompositions()[name]
     assert rho_vs_diag_gap(d, 2, 8) == depth_first_gap(d, 2, 8)
+
+
+def _chunk_cases():
+    """(states, n, channels, max_len, node_budget) for every kind, at the
+    sizes where the default chunk never splits the gate list."""
+    cases = []
+    for n, max_len, k, budget in ((3, 3, 3, None), (3, 3, 5, None),
+                                  (4, 2, 3, None), (3, 3, 3, 5000)):
+        states = [s.amplitudes for s in random_orthogonal_states(n, k, 7 + k)]
+        channels = [Channel(kind, a, b) for kind in ComplexityKind
+                    for a, b in itertools.permutations(range(k), 2)]
+        cases.append((states, n, channels, max_len, budget))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1024, 4096, 32 * 1024])
+def test_results_do_not_depend_on_chunk_size(chunk, monkeypatch):
+    cases = _chunk_cases()
+    ghz3 = fx.ghz(3).decomposition
+    default = [survey(*case) for case in cases]
+    default_gap = rho_vs_diag_gap(ghz3, 2, 8)
+    monkeypatch.setattr(complexity, "CHUNK_BYTES", chunk)
+    monkeypatch.setattr(branches, "CHUNK_BYTES", chunk)
+    for case, want in zip(cases, default):
+        got = survey(*case)
+        assert (got.nodes, got.truncated) == (want.nodes, want.truncated)
+        for got_row, want_row in zip(got.best, want.best):
+            for g, w in zip(got_row, want_row):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert g[1] == w[1]
+                    assert abs(g[0] - w[0]) <= 1e-12
+    assert rho_vs_diag_gap(ghz3, 2, 8) == default_gap
