@@ -299,6 +299,8 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     circuit that reaches it.
     """
     _require_valid(d)
+    if phase_points < 1:
+        raise ValueError(f"phase_points must be >= 1, got {phase_points}")
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")

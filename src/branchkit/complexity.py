@@ -437,8 +437,10 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     scored by one GEMM, <s_r|g p|s_c> = <g† s_r|p s_c>, so the kets of the
     last level are never built. node_budget keeps the first N sequences in
     level order (shorter first, tuple order within a length); the empty
-    sequence always counts.
+    sequence always counts, so node_budget = 0 walks the empty sequence only.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     walk = _enumeration(n_qubits)
     total = sequence_count(n_qubits, max_len)
     limit = total if node_budget is None else min(total, max(node_budget, 1))
@@ -570,19 +572,29 @@ def pair_blocks(indices: list[int], n_qubits: int, matrix: np.ndarray,
 # Variational witness search
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _two_qubit_generators() -> tuple[np.ndarray, ...]:
-    labels = [p + q for p in "IXYZ" for q in "IXYZ"][1:]  # skip II
-    return tuple(np.kron(PAULI[l[0]], PAULI[l[1]]) for l in labels)
+# the 15 non-identity two-qubit Paulis P (x) Q, stacked (15, 4, 4)
+_GENS = np.array([np.kron(PAULI[p], PAULI[q]) for p in "IXYZ" for q in "IXYZ"][1:])
 
 
 def _block_unitary(theta: np.ndarray) -> np.ndarray:
-    gens = _two_qubit_generators()
-    h = np.zeros((4, 4), dtype=complex)
-    for t, g in zip(theta, gens):
-        h += t * g
+    # one term at a time in generator order: the witnesses depend on these bits
+    h = np.add.reduce(theta[:, None, None] * _GENS, axis=0, initial=0.0)
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def _environment(kets: np.ndarray, bras: np.ndarray, n_qubits: int,
+                 pair: tuple[int, int]) -> np.ndarray:
+    """The (16, k*k) matrix E with (u.reshape(16) @ E).reshape(k, k) equal to
+    bras† apply_gate_block(kets, n_qubits, pair, u) for every 4x4 u."""
+    k = kets.shape[1]
+
+    def front(block):
+        psi = block.reshape((2,) * n_qubits + (k,))
+        return np.moveaxis(psi, pair, (0, 1)).reshape(4, -1, k)
+
+    e = np.tensordot(front(bras).conj(), front(kets), axes=(1, 1))  # (i, r, j, c)
+    return e.transpose(0, 2, 1, 3).reshape(16, k * k)
 
 
 def round_robin_pairs(n: int) -> list[tuple[int, int]]:
@@ -606,7 +618,12 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
     parameters each) on a round-robin pair schedule, optimized by
     derivative-free coordinate descent with seeded restarts. Returns the
     smallest m whose best objective reaches the threshold; certifies nothing
-    from below. Deterministic for a fixed query seed."""
+    from below. Deterministic for a fixed query seed.
+
+    On reaching block b, a sweep applies the earlier blocks to |a>, |b> and
+    the later ones' adjoints to the bras, m - 1 gate applications, and
+    contracts both into b's (16, 4) environment; each of b's 30 coordinate
+    probes then costs one 4x4 exponential and one 16x4 contraction, for any n."""
     n = q.a.n_qubits
     if max_blocks is None:
         max_blocks = q.max_size
@@ -615,43 +632,46 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
         raise ValueError("variational search needs at least 2 qubits")
     rng = np.random.default_rng(q.seed)
     block0 = np.column_stack([q.a.amplitudes, q.b.amplitudes])
-    bras = block0.conj().T
 
-    def objective(units: list[np.ndarray], pairs: list[tuple[int, int]]) -> float:
-        block = block0
-        for u, pair in zip(units, pairs):
-            block = apply_gate_block(block, n, pair, u)
-        return float(q.kind.objective(bras @ block))
+    def environment(theta: np.ndarray, pairs: list[tuple[int, int]],
+                    b: int) -> np.ndarray:
+        kets = bras = block0
+        for t, pair in zip(theta[:b], pairs):
+            kets = apply_gate_block(kets, n, pair, _block_unitary(t))
+        for t, pair in zip(theta[:b:-1], pairs[:b:-1]):
+            bras = apply_gate_block(bras, n, pair, _block_unitary(t).conj().T)
+        return _environment(kets, bras, n, pairs[b])
+
+    def probe(theta_b: np.ndarray, env: np.ndarray) -> float:
+        g = (_block_unitary(theta_b).reshape(16) @ env).reshape(2, 2)
+        return float(q.kind.objective(g))
 
     for m in range(max_blocks + 1):
         pairs = [schedule[i % len(schedule)] for i in range(m)]
         if m == 0:
-            best_val, best_theta = objective([], []), np.zeros(0)
+            best_val = float(q.kind.objective(block0.conj().T @ block0))
+            best_theta = ()
         else:
             best_val, best_theta = -1.0, None
             for _ in range(restarts):
-                theta = rng.uniform(-np.pi, np.pi, size=15 * m)
-                # one unitary per block; a probe re-exponentiates only its own
-                units = [_block_unitary(theta[15 * i:15 * (i + 1)])
-                         for i in range(m)]
-                val = objective(units, pairs)
+                theta = rng.uniform(-np.pi, np.pi, size=(m, 15))
+                val = probe(theta[0], environment(theta, pairs, 0))
                 step = 0.8
                 for _ in range(sweeps):
                     improved = False
-                    for i in range(theta.size):
-                        b, start, kept = i // 15, theta[i], units[i // 15]
-                        for delta in (step, -step):
-                            theta[i] += delta
-                            units[b] = _block_unitary(theta[15 * b:15 * (b + 1)])
-                            cand = objective(units, pairs)
-                            if cand > val + 1e-12:
-                                val = cand
-                                improved = True
-                                break
-                            theta[i] -= delta
-                            # undoing the step can leave theta[i] an ulp away
-                            units[b] = kept if theta[i] == start else \
-                                _block_unitary(theta[15 * b:15 * (b + 1)])
+                    for b in range(m):
+                        env, theta_b = environment(theta, pairs, b), theta[b]
+                        for i in range(15):
+                            for delta in (step, -step):
+                                theta_b[i] += delta
+                                cand = probe(theta_b, env)
+                                if cand > val + 1e-12:
+                                    val = cand
+                                    improved = True
+                                    break
+                                # subtract, not restore: the ulp this can leave
+                                # is part of the pinned search path
+                                theta_b[i] -= delta
                     if val >= q.threshold + 1e-9:
                         break
                     if not improved:
@@ -663,12 +683,9 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
                 if best_val >= q.threshold + 1e-9:
                     break
         if best_val >= q.threshold - _THRESHOLD_SLACK:
-            gates = tuple(
-                GateOp(pairs[i], _block_unitary(best_theta[15 * i:15 * (i + 1)]),
-                       "var2")
-                for i in range(m)
-            )
-            witness = Circuit(n, gates)
+            witness = Circuit(n, tuple(
+                GateOp(pair, _block_unitary(t), "var2")
+                for pair, t in zip(pairs, best_theta)))
             return _witness_only(q, "variational", m, witness,
-                                 _verify_witness(q, witness, None))
+                                 _verify_witness(q, witness, best_val))
     return _witness_only(q, "variational")

@@ -379,3 +379,26 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     assert (code, out) == (2, "")
     doc = json.loads(err)
     assert doc["type"] == "ValueError" and "cap" in doc["error"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("estimate --kind interference --example ghz --n 2 --node-budget -3",
+     "node_budget"),
+    ("verdict --example ghz --n 2 --node-budget -1", "node_budget"),
+    ("gap --example ghz --n 3 --phases 0", "phase_points"),
+    ("gap --example ghz --n 3 --phases -2", "phase_points"),
+])
+def test_negative_count_fails_validation(argv, name, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    bad = argv.split()[-1]
+    assert doc["type"] == "ValueError"
+    assert name in doc["error"] and doc["error"].endswith(f"got {bad}")
+
+
+def test_zero_node_budget_walks_the_empty_sequence(capsys):
+    code, out, _ = run_cli("estimate --kind interference --example ghz --n 2 "
+                           "--node-budget 0".split(), capsys)
+    assert code == 0
+    assert json.loads(out)["truncated"] is True
