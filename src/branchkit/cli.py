@@ -220,6 +220,9 @@ def cmd_qec(args) -> int:
     else:
         if args.code == "repetition":
             n = args.m1
+            if not 1 <= n <= 12:
+                raise ValueError(f"the repetition code's m1 must lie in 1..12, "
+                                 f"got {n}")
             words = (QuantumState.basis(n, 0), QuantumState.basis(n, 2**n - 1))
         elif args.code == "parity":
             pc = fx.parity_codewords(args.m1, args.m2)

@@ -11,7 +11,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -246,8 +245,13 @@ class Hamiltonian:
         if cached is None:
             dim = 2**self.n_qubits
             cached = np.zeros((dim, dim), dtype=complex)
+            cols = np.arange(dim)
             for coeff, pauli in self.terms:
-                cached += coeff * reduce(np.kron, (PAULI[ch] for ch in pauli))
+                # P|c> = i^{#Y} (-1)^{popcount(c & zy)} |c ^ flip>, qubit 0 the MSB
+                flip = int("".join("1" if ch in "XY" else "0" for ch in pauli), 2)
+                zy = int("".join("1" if ch in "ZY" else "0" for ch in pauli), 2)
+                sign = np.where(np.bitwise_count(cols & zy) & 1, -1.0, 1.0)
+                cached[cols ^ flip, cols] += coeff * 1j ** pauli.count("Y") * sign
             cached.setflags(write=False)
             object.__setattr__(self, "_matrix", cached)
         return cached

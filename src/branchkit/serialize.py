@@ -8,12 +8,19 @@ row-major lists of such pairs; real arrays and tuples become lists, enums
 their value. Three shapes are spelled out in `_parts`. Floats are emitted via
 Python's shortest round-trip repr, so identical inputs produce byte-identical
 output.
+
+`dumps` writes the text itself, in exactly the layout, byte for byte, of
+`json.dumps(doc, indent=2, allow_nan=True)` plus a newline. The standard
+library encodes indented output in pure Python; here a regular nested list of
+floats, such as a residual tensor, is written in one join.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
 import json
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -143,5 +150,86 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical JSON text: fixed key order as built, 2-space indent."""
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    """Canonical JSON text: fixed key order as built, 2-space indent, the
+    bytes of `json.dumps(doc, indent=2, allow_nan=True) + "\\n"`."""
+    out: list[str] = []
+    _write(doc, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_escape = json.encoder.encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _key(k) -> str:
+    """A key as `json` writes it: other scalars as their JSON text, quoted."""
+    if isinstance(k, str):
+        return _escape(k)
+    if k is None or isinstance(k, (int, float)):
+        return _escape(json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _write(o, level: int, out: list[str]) -> None:
+    if isinstance(o, (list, tuple)):
+        if type(o) is list and o and _write_tensor(o, level, out):
+            return
+        brackets, items = "[]", (("", v) for v in o)
+    elif isinstance(o, dict):
+        brackets, items = "{}", ((_key(k) + ": ", v) for k, v in o.items())
+    else:
+        out.append(json.dumps(o))  # a leaf, through json's own C encoder
+        return
+    if not o:
+        out.append(brackets)
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = brackets[0] + inner
+    for head, v in items:
+        out.append(sep + head)
+        _write(v, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + "  " * level + brackets[1])
+
+
+def _write_tensor(o: list, level: int, out: list[str]) -> bool:
+    """Write `o` if it is a regular nested list whose leaves are all exactly
+    float, and say whether it was."""
+    dims, flat = [len(o)], o
+    while True:
+        kinds = set(map(type, flat))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return False
+        lengths = set(map(len, flat))
+        if len(lengths) != 1 or 0 in lengths:
+            return False
+        dims.append(lengths.pop())
+        flat = list(chain.from_iterable(flat))
+    depth = len(dims)
+    texts = list(map(float.__repr__, flat))
+    if not math.isfinite(sum(flat)):
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    ind = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    # seps[r] closes the r innermost lists, writes the comma, opens r again
+    seps = ["".join(ind[depth - j] + "]" for j in range(1, r + 1)) + ","
+            + ind[depth - r]
+            + "".join("[" + ind[d] for d in range(depth - r + 1, depth + 1))
+            for r in range(depth)]
+    # before leaf i > 0, r counts the trailing axes whose index rolls over
+    index = np.arange(1, len(flat))
+    rolls = np.zeros(len(flat) - 1, dtype=np.intp)
+    stride = 1
+    for size in dims[:0:-1]:
+        stride *= size
+        rolls += index % stride == 0
+    parts = [""] * (2 * len(flat) - 1)
+    parts[::2] = texts
+    parts[1::2] = np.array(seps, dtype=object)[rolls].tolist()
+    out.append("".join("[" + ind[d] for d in range(1, depth + 1)))
+    out.extend(parts)
+    out.append("".join(ind[d] + "]" for d in range(depth - 1, -1, -1)))
+    return True

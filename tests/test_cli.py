@@ -387,6 +387,9 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     ("verdict --example ghz --n 2 --node-budget -1", "node_budget"),
     ("gap --example ghz --n 3 --phases 0", "phase_points"),
     ("gap --example ghz --n 3 --phases -2", "phase_points"),
+    # parity_codewords stops at 12 qubits; the repetition code has the same cap
+    ("qec --code repetition --m1 -1", "m1"),
+    ("qec --code repetition --m1 13", "m1"),
 ])
 def test_negative_count_fails_validation(argv, name, capsys):
     code, out, err = run_cli(argv.split(), capsys)

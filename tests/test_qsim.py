@@ -1,12 +1,15 @@
 """Statevector core: states, gates, circuits, sampling, evolution."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit.qsim import (
     CNOT,
     GATES_1Q,
+    PAULI,
     Circuit,
     GateOp,
     Hamiltonian,
@@ -219,3 +222,31 @@ class TestEvolution:
     def test_bad_pauli_rejected(self):
         with pytest.raises(ValueError):
             Hamiltonian(2, ((1.0, "ZA"),))
+
+
+def kron_matrix(h: Hamiltonian) -> np.ndarray:
+    """The dense sum of Kronecker products, term by term in order."""
+    out = np.zeros((2**h.n_qubits,) * 2, dtype=complex)
+    for coeff, pauli in h.terms:
+        out += coeff * reduce(np.kron, (PAULI[ch] for ch in pauli))
+    return out
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    strings = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                            min_size=1, max_size=4))
+    coeffs = (st.floats(-3, 3, allow_nan=False)
+              | st.sampled_from([0.0, -0.0, -1.0, 1.0]))
+    terms = draw(st.lists(st.tuples(coeffs, st.sampled_from(strings)),
+                          min_size=1, max_size=8))
+    return Hamiltonian(n, tuple(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums())
+def test_to_matrix_is_bitwise_the_kron_sum(h):
+    got, want = h.to_matrix().view(float), kron_matrix(h).view(float)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
