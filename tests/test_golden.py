@@ -1,7 +1,9 @@
 """Byte-exact stdout of every CLI example in the README.
 
 Each golden file under tests/golden/ holds the stdout of one command line;
-the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead.
+the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead,
+and so is the 23 MB qec document of the 3x3 parity code, which is not a
+README example.
 """
 import hashlib
 from pathlib import Path
@@ -48,3 +50,30 @@ def test_readme_lists_exactly_the_pinned_examples():
              for line in README.read_text().splitlines()
              if line.startswith("branchkit ")]
     assert [" ".join(words) for words in lines] == list(README_EXAMPLES.values())
+
+
+def weight_two_paulis(n: int) -> list[str]:
+    """The identity, every weight-1 Pauli string, then every weight-2 one."""
+    out = ["I" * n]
+    for q in range(n):
+        for p in "XYZ":
+            out.append("I" * q + p + "I" * (n - q - 1))
+    for q0 in range(n):
+        for q1 in range(q0 + 1, n):
+            for p0 in "XYZ":
+                for p1 in "XYZ":
+                    s = ["I"] * n
+                    s[q0], s[q1] = p0, p1
+                    out.append("".join(s))
+    return out
+
+
+def test_parity_3x3_qec_document(capsys):
+    errors = weight_two_paulis(9)
+    assert len(errors) == 352
+    code = main(["qec", "--code", "parity", "--m1", "3", "--m2", "3",
+                 "--errors", ",".join(errors)])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    sha, size = (GOLDEN / "qec_parity_3x3.sha256").read_text().split()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
