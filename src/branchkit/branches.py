@@ -32,7 +32,7 @@ from .complexity import (
     survey,
     variational_upper_bound,
 )
-from .qsim import Circuit, QuantumState, inner_product
+from .qsim import Circuit, QuantumState, _require_orthogonal, inner_product
 
 GAP_ATOL = 1e-10
 
@@ -380,15 +380,6 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
 # ---------------------------------------------------------------------------
 # Merge bounds and three-branch compatibility
 # ---------------------------------------------------------------------------
-
-def _require_orthogonal(states: list[QuantumState], atol: float = 1e-8):
-    for i, j in itertools.combinations(range(len(states)), 2):
-        ov = abs(inner_product(states[i], states[j]))
-        if ov > atol:
-            raise ValueError(
-                f"states {i} and {j} are not orthogonal (|overlap| = {ov:.3e})"
-            )
-
 
 @dataclass(frozen=True)
 class MergeBoundReport:

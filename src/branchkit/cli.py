@@ -44,7 +44,7 @@ from .dynamics import (
     xxz_chain,
 )
 from .properties import run_property_suite
-from .qsim import QuantumState
+from .qsim import QuantumState, haar_random_state
 from . import serialize as ser
 
 USAGE_EXIT = 64
@@ -126,13 +126,11 @@ def build_fixture(args) -> fx.ExampleFixture:
         return fx.distinguishing_qubit_state(e0, e1, args.basis)
     if name == "tensor-separable":
         left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
-        from .qsim import haar_random_state
         return fx.tensor_branches(
             "separable", left, haar_random_state(args.n - 1,
                                                  _need_seed(args, name)))
     if name == "tensor-entangled":
         left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
-        from .qsim import haar_random_state
         r0 = haar_random_state(args.n - 1, _need_seed(args, name))
         r1 = haar_random_state(args.n - 1, args.seed + 1)
         return fx.tensor_branches("entangled", left, (r0, r1))

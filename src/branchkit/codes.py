@@ -10,13 +10,13 @@ good codes and good branches mutually exclusive.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qsim import QuantumState, apply_pauli_string, inner_product
+from .qsim import (QuantumState, _require_orthogonal, _require_pauli,
+                   apply_pauli_string)
 
 EXACT_TOL = 1e-9
 
@@ -39,19 +39,10 @@ class CodeSpec:
         if len(self.codewords) < 2:
             raise ValueError("a code needs at least 2 codewords")
         n = self.codewords[0].n_qubits
-        for w in self.codewords:
-            if w.n_qubits != n:
-                raise ValueError("codewords must share a qubit count")
-        for i, j in itertools.combinations(range(len(self.codewords)), 2):
-            ov = abs(inner_product(self.codewords[i], self.codewords[j]))
-            if ov > 1e-8:
-                raise ValueError(
-                    f"codewords {i}, {j} are not orthogonal (|overlap|={ov:.3e})"
-                )
+        _require_orthogonal(self.codewords)
         errors = tuple(str(e).upper() for e in self.errors)
         for e in errors:
-            if len(e) != n or any(ch not in "IXYZ" for ch in e):
-                raise ValueError(f"bad Pauli error {e!r} for {n} qubits")
+            _require_pauli(n, e)
         object.__setattr__(self, "errors", errors)
 
     @property
@@ -91,10 +82,10 @@ def beny_oreshkov_residuals(code: CodeSpec,
     n = code.n_qubits
     k = len(code.codewords)
     m_err = len(code.errors)
+    block = np.stack([w.amplitudes for w in code.codewords], axis=1)
     acted = np.empty((m_err, k, 2**n), dtype=complex)
     for m, err in enumerate(code.errors):
-        for i, w in enumerate(code.codewords):
-            acted[m, i] = apply_pauli_string(w.amplitudes, n, err)
+        acted[m] = apply_pauli_string(block, n, err).T
     gram = np.einsum("mid,njd->mnij", acted.conj(), acted)
     lam = np.einsum("mnii->mn", gram) / k
     eps = gram - lam[:, :, None, None] * np.eye(k)[None, None]

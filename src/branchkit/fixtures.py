@@ -19,6 +19,7 @@ from .qsim import (
     Circuit,
     GateOp,
     QuantumState,
+    _require_orthogonal,
     apply_circuit,
     haar_random_state,
     random_circuit,
@@ -193,9 +194,7 @@ def tensor_branches(mode: str, left: tuple[QuantumState, QuantumState],
     """Separable mode: (psi_L + phi_L) x R with branches [psi_L x R, phi_L x R].
     Entangled mode: psi_L x psi_R + phi_L x phi_R with product branches."""
     psi_l, phi_l = left
-    ov = abs(np.vdot(psi_l.amplitudes, phi_l.amplitudes))
-    if ov > 1e-8:
-        raise ValueError(f"left pair must be orthogonal (|overlap| = {ov:.3e})")
+    _require_orthogonal(left)
     if mode == "separable":
         r = right if isinstance(right, QuantumState) else right[0]
         comp0 = np.kron(psi_l.amplitudes, r.amplitudes)
@@ -228,11 +227,7 @@ def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
                                seed: int | None = None) -> ExampleFixture:
     """One extra qubit labels two orthogonal register states; the same parent
     decomposes in the computational or the conjugate labeling."""
-    if eta0.n_qubits != eta1.n_qubits:
-        raise ValueError("register states must share a qubit count")
-    ov = abs(np.vdot(eta0.amplitudes, eta1.amplitudes))
-    if ov > 1e-8:
-        raise ValueError(f"register states must be orthogonal (|overlap| = {ov:.3e})")
+    _require_orthogonal((eta0, eta1))
     n = eta0.n_qubits + 1
     up = np.array([1, 0], dtype=complex)
     dn = np.array([0, 1], dtype=complex)

@@ -4,12 +4,16 @@ Conventions used throughout the package:
   - qubit 0 is the most significant bit of the computational basis index,
     so basis state |q0 q1 ... q_{n-1}> lives at index sum(q_k << (n-1-k));
   - a gate acts on 1 or 2 qubits, arbitrary (non-adjacent) pairs allowed;
+  - a Pauli string such as "IXZ" names one letter per qubit, and acts as
+    P|c> = i^{#Y} (-1)^{popcount(c & zy)} |c ^ flip>, with flip the mask of
+    its X/Y letters and zy the mask of its Z/Y letters (`_pauli_action`);
   - every object is immutable after construction and all operations are
     pure functions returning new objects, so values are safe to share
     between concurrent workers.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +197,16 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _require_orthogonal(states) -> None:
+    """Raise ValueError unless the states share a qubit count and every pair
+    overlaps by at most 1e-8."""
+    for i, j in itertools.combinations(range(len(states)), 2):
+        ov = abs(inner_product(states[i], states[j]))
+        if ov > 1e-8:
+            raise ValueError(f"states {i} and {j} are not orthogonal "
+                             f"(|overlap| = {ov:.3e})")
+
+
 def haar_random_state(n: int, seed: int) -> QuantumState:
     """Haar-random n-qubit state: normalized vector of iid standard complex Gaussians."""
     if not 1 <= n <= 14:
@@ -236,8 +250,7 @@ class Hamiltonian:
     def __post_init__(self):
         terms = tuple((float(c), str(p)) for c, p in self.terms)
         for _, p in terms:
-            if len(p) != self.n_qubits or any(ch not in PAULI for ch in p):
-                raise ValueError(f"bad Pauli string {p!r} for {self.n_qubits} qubits")
+            _require_pauli(self.n_qubits, p)
         object.__setattr__(self, "terms", terms)
 
     def to_matrix(self) -> np.ndarray:
@@ -245,13 +258,10 @@ class Hamiltonian:
         if cached is None:
             dim = 2**self.n_qubits
             cached = np.zeros((dim, dim), dtype=complex)
-            cols = np.arange(dim)
+            rows = np.arange(dim)
             for coeff, pauli in self.terms:
-                # P|c> = i^{#Y} (-1)^{popcount(c & zy)} |c ^ flip>, qubit 0 the MSB
-                flip = int("".join("1" if ch in "XY" else "0" for ch in pauli), 2)
-                zy = int("".join("1" if ch in "ZY" else "0" for ch in pauli), 2)
-                sign = np.where(np.bitwise_count(cols & zy) & 1, -1.0, 1.0)
-                cached[cols ^ flip, cols] += coeff * 1j ** pauli.count("Y") * sign
+                src, phase = _pauli_action(self.n_qubits, pauli)
+                cached[rows, src] += coeff * phase
             cached.setflags(write=False)
             object.__setattr__(self, "_matrix", cached)
         return cached
@@ -268,13 +278,28 @@ class Hamiltonian:
         return cached
 
 
+def _require_pauli(n_qubits: int, pauli: str) -> None:
+    """Raise ValueError unless `pauli` is n_qubits letters from IXYZ."""
+    if len(pauli) != n_qubits or not set(pauli) <= set("IXYZ"):
+        raise ValueError(f"bad Pauli string {pauli!r} for {n_qubits} qubits")
+
+
+def _pauli_action(n_qubits: int, pauli: str) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase) with (P psi)[r] = phase[r] * psi[src[r]] for the string P."""
+    flip = sum(1 << q for q, ch in enumerate(reversed(pauli)) if ch in "XY")
+    zy = sum(1 << q for q, ch in enumerate(reversed(pauli)) if ch in "ZY")
+    src = np.arange(2**n_qubits) ^ flip
+    sign = np.where(np.bitwise_count(src & zy) & 1, -1.0, 1.0)
+    return src, 1j ** pauli.count("Y") * sign
+
+
 def apply_pauli_string(amps: np.ndarray, n_qubits: int, pauli: str) -> np.ndarray:
-    """Apply a Pauli string (e.g. "IXZ") to a raw amplitude vector or block."""
-    out = amps
-    for q, ch in enumerate(pauli):
-        if ch != "I":
-            out = apply_gate_block(out, n_qubits, (q,), PAULI[ch])
-    return out
+    """Apply a Pauli string (e.g. "IXZ") to an amplitude vector or (2**n, k) block."""
+    _require_pauli(n_qubits, pauli)
+    if amps.shape[0] != 2**n_qubits:
+        raise ValueError(f"{amps.shape[0]} amplitudes do not match {n_qubits} qubits")
+    src, phase = _pauli_action(n_qubits, pauli)
+    return (phase if amps.ndim == 1 else phase[:, None]) * amps[src]
 
 
 def expectation(h: Hamiltonian, state: QuantumState) -> float:
@@ -314,11 +339,10 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
             raise ValueError("trotter evolution requires steps >= 1")
         dt = t / steps
         amps = state.amplitudes
-        half = list(h.terms)
         for _ in range(steps):
-            for coeff, pauli in half:
+            for coeff, pauli in h.terms:
                 amps = _pauli_exp(amps, h.n_qubits, pauli, coeff * dt / 2)
-            for coeff, pauli in reversed(half):
+            for coeff, pauli in reversed(h.terms):
                 amps = _pauli_exp(amps, h.n_qubits, pauli, coeff * dt / 2)
         amps = amps / np.linalg.norm(amps)
         return QuantumState(state.n_qubits, amps)

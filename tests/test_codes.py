@@ -84,6 +84,15 @@ class TestResiduals:
         with pytest.raises(ValueError, match="orthogonal"):
             CodeSpec((QuantumState.basis(1, 0), plus), ("I",))
 
+    @pytest.mark.parametrize("error", ["XX", "XXXX", "IAI"])
+    def test_bad_error_string_named(self, error):
+        with pytest.raises(ValueError, match=repr(error)):
+            CodeSpec(repetition_words(), ("III", error))
+
+    def test_mixed_qubit_counts_rejected(self):
+        with pytest.raises(ValueError, match="qubit counts"):
+            CodeSpec((QuantumState.basis(2, 0), QuantumState.basis(3, 7)), ())
+
     def test_empty_error_set(self):
         rep = beny_oreshkov_residuals(CodeSpec(repetition_words(), ()))
         floor = code_complexity_floor(rep)

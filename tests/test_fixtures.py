@@ -167,6 +167,11 @@ class TestDistinguishingQubit:
         with pytest.raises(ValueError, match="orthogonal"):
             fx.distinguishing_qubit_state(e0, e0)
 
+    def test_mixed_register_sizes_rejected(self):
+        with pytest.raises(ValueError, match="qubit counts"):
+            fx.distinguishing_qubit_state(haar_random_state(3, 1),
+                                          haar_random_state(2, 1))
+
     def test_marker_gates_distinguish(self):
         e0, e1 = fx.deep_random_registers(3, 4, seed=22)
         for basis in ("computational", "conjugate"):

@@ -16,6 +16,7 @@ from branchkit.qsim import (
     QuantumState,
     apply_circuit,
     apply_gate_block,
+    apply_pauli_string,
     evolve,
     expectation,
     haar_random_state,
@@ -250,3 +251,80 @@ def test_to_matrix_is_bitwise_the_kron_sum(h):
     got, want = h.to_matrix().view(float), kron_matrix(h).view(float)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def oracle_pauli(amps: np.ndarray, n: int, pauli: str) -> np.ndarray:
+    """A Pauli string applied letter by letter as single-qubit gates."""
+    for q, ch in enumerate(pauli):
+        if ch != "I":
+            amps = apply_gate_block(amps, n, (q,), PAULI[ch])
+    return amps
+
+
+def oracle_trotter(state: QuantumState, h: Hamiltonian, t: float,
+                   steps: int) -> np.ndarray:
+    """Strang splitting over the terms, each exp(-i theta P) from oracle_pauli."""
+    dt, amps = t / steps, state.amplitudes
+    for _ in range(steps):
+        for coeff, pauli in h.terms + h.terms[::-1]:
+            theta = coeff * dt / 2
+            amps = (np.cos(theta) * amps - 1j * np.sin(theta)
+                    * oracle_pauli(amps, h.n_qubits, pauli))
+    return amps / np.linalg.norm(amps)
+
+
+@st.composite
+def pauli_blocks(draw):
+    """A Pauli string with a vector or (2**n, k) block, some entries zeroed."""
+    n = draw(st.integers(1, 6))
+    pauli = draw(st.text("IXYZ", min_size=n, max_size=n))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2**n,) if k is None else (2**n, k)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return n, pauli, amps
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_blocks())
+def test_apply_pauli_string_matches_the_letter_loop(case):
+    # equal values; the sign of a zero amplitude may differ
+    n, pauli, amps = case
+    got = apply_pauli_string(amps, n, pauli)
+    assert got.shape == amps.shape
+    assert np.array_equal(got, oracle_pauli(amps, n, pauli))
+
+
+@st.composite
+def trotter_cases(draw):
+    n = draw(st.integers(3, 4))
+    terms = draw(st.lists(
+        st.tuples(st.floats(-2, 2, allow_nan=False),
+                  st.text("IXYZ", min_size=n, max_size=n)),
+        min_size=1, max_size=5))
+    t = draw(st.floats(-2, 2, allow_nan=False))
+    return (haar_random_state(n, draw(st.integers(0, 1000))),
+            Hamiltonian(n, tuple(terms)), t, draw(st.integers(1, 4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trotter_cases())
+def test_trotter_evolve_matches_the_oracle_loop(case):
+    state, h, t, steps = case
+    got = evolve(state, h, t, method="trotter", steps=steps).amplitudes
+    assert np.array_equal(got, oracle_trotter(state, h, t, steps))
+
+
+@pytest.mark.parametrize("pauli", ["XX", "XXXX", "xii", "IAI"])
+def test_bad_pauli_string_named(pauli):
+    with pytest.raises(ValueError, match=repr(pauli)):
+        apply_pauli_string(QuantumState.zero(3).amplitudes, 3, pauli)
+    with pytest.raises(ValueError, match=repr(pauli)):
+        Hamiltonian(3, ((1.0, pauli),))
+
+
+@pytest.mark.parametrize("length", [4, 16])
+def test_amplitude_count_must_match_qubits(length):
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_pauli_string(np.ones(length, dtype=complex), 3, "XII")
