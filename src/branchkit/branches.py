@@ -428,18 +428,18 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
     ]
     states = [a.amplitudes, b.amplitudes] + merged
     kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
-    channels = [Channel(kD, 0, 1), Channel(kI, 0, 1)]
-    channels += [Channel(kD, 0, 2 + t) for t in range(phase_points)]
-    channels += [Channel(kI, 0, 2 + t) for t in range(phase_points)]
-    res = survey(states, a.n_qubits, channels, max_len)
+    d_ab, i_ab = Channel(kD, 0, 1), Channel(kI, 0, 1)
+    d_merged = Channel(kD, 0, 2)  # theta = 0 entry
+    i_merged = [Channel(kI, 0, 2 + t) for t in range(phase_points)]
+    res = survey(states, a.n_qubits, [d_ab, i_ab, d_merged] + i_merged,
+                 max_len)
 
     d_delta_lhs = 1.0 - epsilon / p
     i_delta_lhs = epsilon / math.sqrt(p)
-    d_lhs = res.size(0, d_delta_lhs)
-    i_lhs = res.size(1, i_delta_lhs)
-    d_rhs = res.size(2, 1.0 - epsilon)  # theta = 0 entry
-    i_rhs_min = min(res.size(2 + phase_points + t, epsilon)
-                    for t in range(phase_points))
+    d_lhs = res.size(d_ab, d_delta_lhs)
+    i_lhs = res.size(i_ab, i_delta_lhs)
+    d_rhs = res.size(d_merged, 1.0 - epsilon)
+    i_rhs_min = min(res.size(ch, epsilon) for ch in i_merged)
     return MergeBoundReport(
         p=p, epsilon=epsilon, d_lhs=d_lhs, d_rhs=d_rhs, i_lhs=i_lhs,
         i_rhs_min=i_rhs_min, d_delta_lhs=d_delta_lhs, i_delta_lhs=i_delta_lhs,
@@ -487,32 +487,25 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     states = [a.amplitudes, b.amplitudes, c.amplitudes] + bc + ab
     kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
 
-    channels = [
-        Channel(kI, 0, 1), Channel(kD, 0, 1),   # (a, b)
-        Channel(kI, 1, 2), Channel(kD, 1, 2),   # (b, c)
-        Channel(kI, 2, 0), Channel(kD, 2, 0),   # (c, a)
-    ]
-    off_bc = len(channels)
-    channels += [Channel(kI, 0, 3 + t) for t in range(phase_points)]
-    off_d_bc = len(channels)
-    channels.append(Channel(kD, 0, 3))          # (a, (b+c)/sqrt2)
-    off_ab = len(channels)
-    channels += [Channel(kI, 3 + phase_points + t, 2)
-                 for t in range(phase_points)]
-    off_d_ab = len(channels)
-    channels.append(Channel(kD, 3 + phase_points, 2))  # ((a+b)/sqrt2, c)
+    pairs = [(0, 1), (1, 2), (2, 0)]  # (a, b), (b, c), (c, a)
+    i_pairs = [Channel(kI, i, j) for i, j in pairs]
+    d_pairs = [Channel(kD, i, j) for i, j in pairs]
+    # (a, (b+c)/sqrt2) and ((a+b)/sqrt2, c), interference over the grid
+    i_bc = [Channel(kI, 0, 3 + t) for t in range(phase_points)]
+    d_bc = Channel(kD, 0, 3)
+    i_ab = [Channel(kI, 3 + phase_points + t, 2) for t in range(phase_points)]
+    d_ab = Channel(kD, 3 + phase_points, 2)
+    res = survey(states, a.n_qubits,
+                 i_pairs + d_pairs + i_bc + [d_bc] + i_ab + [d_ab], max_len)
 
-    res = survey(states, a.n_qubits, channels, max_len)
-
-    b1 = min(res.size(off_bc + t, epsilon) for t in range(phase_points)) \
-        - res.size(off_d_bc, 1.0 - epsilon)
-    b2 = min(res.size(off_ab + t, epsilon) for t in range(phase_points)) \
-        - res.size(off_d_ab, 1.0 - epsilon)
+    b1 = min(res.size(ch, epsilon) for ch in i_bc) \
+        - res.size(d_bc, 1.0 - epsilon)
+    b2 = min(res.size(ch, epsilon) for ch in i_ab) \
+        - res.size(d_ab, 1.0 - epsilon)
 
     d_i, d_d = rt2 * epsilon, 1.0 - 2.0 * epsilon
-    m_ab = res.size(0, d_i) - res.size(1, d_d)
-    m_bc = res.size(2, d_i) - res.size(3, d_d)
-    m_ca = res.size(4, d_i) - res.size(5, d_d)
+    m_ab, m_bc, m_ca = (res.size(ci, d_i) - res.size(cd, d_d)
+                        for ci, cd in zip(i_pairs, d_pairs))
 
     return ThreeBranchReport(
         b1=b1, b2=b2, margin_ab=m_ab, margin_bc=m_bc, margin_ca=m_ca,
@@ -567,16 +560,17 @@ def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
     states += [d.parent.amplitudes, psi0.amplitudes]
     ip, i0 = len(states) - 2, len(states) - 1
     pairs = list(itertools.combinations(range(len(d.components)), 2))
-    channels = [Channel(ComplexityKind.INTERFERENCE, i, j) for i, j in pairs]
-    channels.append(Channel(ComplexityKind.RELATIVE, ip, i0))  # parent -> psi0
-    res = survey(states, psi0.n_qubits, channels, max_len)
+    interference = [Channel(ComplexityKind.INTERFERENCE, i, j)
+                    for i, j in pairs]
+    reverse = Channel(ComplexityKind.RELATIVE, ip, i0)  # parent -> psi0
+    res = survey(states, psi0.n_qubits, interference + [reverse], max_len)
 
     entries = []
     for delta in deltas:
-        _, rev_upper, _, _ = res.bounds(len(pairs),
-                                        ComplexityKind.RELATIVE.threshold(delta))
-        for pi, (i, j) in enumerate(pairs):
-            lower = res.size(pi, delta)
+        _, rev_upper, _, _ = res.bounds(reverse,
+                                        reverse.kind.threshold(delta))
+        for (i, j), channel in zip(pairs, interference):
+            lower = res.size(channel, delta)
             if rev_upper is None:
                 status = "inconclusive"
             elif lower <= rev_upper + preparation_cost:

@@ -388,9 +388,12 @@ class _Slots:
 class SurveyResult:
     """Best objective per fused cost for every channel of one enumeration.
 
-    best[channel][cost] is (value, gate-index tuple), or None when no
-    enumerated sequence has that cost. `nodes` counts the sequences scored,
-    the empty one included; `truncated` says a node budget cut them short.
+    Results are read by channel: bounds() and size() look it up in
+    `channels` and raise ValueError for one that was not surveyed.
+    best[i][cost] is channels[i]'s (value, gate-index tuple), or None when
+    no enumerated sequence has that cost. `nodes` counts the sequences
+    scored, the empty one included; `truncated` says a node budget cut them
+    short.
     """
 
     n_qubits: int
@@ -404,10 +407,10 @@ class SurveyResult:
     def circuit(self, seq: tuple[int, ...]) -> Circuit:
         return Circuit(self.n_qubits, tuple(self.gates[i] for i in seq))
 
-    def bounds(self, channel_index: int, threshold: float
+    def bounds(self, channel: Channel, threshold: float
                ) -> tuple[int, int | None, Circuit | None, float | None]:
         """(lower, upper, witness, achieved) for one channel at a threshold."""
-        table = self.best[channel_index]
+        table = self.best[self.channels.index(channel)]
         for cost in range(self.max_len + 1):
             slot = table[cost]
             if slot is not None and slot[0] >= threshold - _THRESHOLD_SLACK:
@@ -419,11 +422,10 @@ class SurveyResult:
             return 0, None, None, None
         return self.max_len + 1, None, None, None
 
-    def size(self, channel_index: int, delta: float) -> int:
+    def size(self, channel: Channel, delta: float) -> int:
         """Enumerated minimal fused size of one channel at accuracy delta (the
         channel's kind sets the threshold), or cap+1 when nothing met it."""
-        kind = self.channels[channel_index].kind
-        return self.bounds(channel_index, kind.threshold(delta))[0]
+        return self.bounds(channel, channel.kind.threshold(delta))[0]
 
 
 def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
@@ -476,11 +478,10 @@ def brute_force_estimate(q: ComplexityQuery,
     and the upper bound is unknown. On budget truncation the result is
     flagged and the lower bound degrades to 0, never silently wrong.
     """
-    res = survey(
-        [q.a.amplitudes, q.b.amplitudes], q.a.n_qubits,
-        [Channel(q.kind, 0, 1)], q.max_size, node_budget,
-    )
-    lower, upper, witness, achieved = res.bounds(0, q.threshold)
+    channel = Channel(q.kind, 0, 1)
+    res = survey([q.a.amplitudes, q.b.amplitudes], q.a.n_qubits, [channel],
+                 q.max_size, node_budget)
+    lower, upper, witness, achieved = res.bounds(channel, q.threshold)
     if witness is not None:
         _verify_witness(q, witness, achieved)
     return ComplexityEstimate(

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fixtures
 from .branches import (
-    BranchDecomposition,
     irreversibility_check,
     merge_bound_check,
     three_branch_compatibility,
@@ -97,44 +97,40 @@ def run_pair_properties(n: int, instances: int, seed: int,
 
     for inst in range(instances):
         a, b, c = random_orthogonal_states(n, 3, seed * 100003 + inst)
-        zero = QuantumState.zero(n)
         rt2 = math.sqrt(2.0)
-        psi_p = QuantumState(n, (a.amplitudes + b.amplitudes) / rt2)
-        psi_m = QuantumState(n, (a.amplitudes - b.amplitudes) / rt2)
-        phase = np.exp(1.7j)
-        b_phased = QuantumState(n, phase * b.amplitudes)
-
-        cols = [a.amplitudes, b.amplitudes, c.amplitudes, zero.amplitudes,
-                psi_p.amplitudes, psi_m.amplitudes, b_phased.amplitudes]
+        cols = [a.amplitudes, b.amplitudes, c.amplitudes,
+                QuantumState.zero(n).amplitudes,
+                (a.amplitudes + b.amplitudes) / rt2,
+                (a.amplitudes - b.amplitudes) / rt2,
+                np.exp(1.7j) * b.amplitudes]
         A, B, C, Z, PP, PM, BPH = range(7)
-        channels = [
-            Channel(K_R, A, B), Channel(K_R, B, A),
-            Channel(K_D, A, B), Channel(K_D, B, A),
-            Channel(K_I, A, B), Channel(K_I, B, A),
-            Channel(K_R, A, BPH), Channel(K_D, A, BPH), Channel(K_I, A, BPH),
-            Channel(K_I, PP, PM),
-            Channel(K_R, Z, A), Channel(K_R, Z, B),
-            Channel(K_R, B, C), Channel(K_R, A, C),
-        ]
+        # per kind: (a, b), (b, a) and (a, e^{1.7i} b)
+        fwd, rev, phased = (
+            {kind: Channel(kind, i, j) for kind in (K_R, K_D, K_I)}
+            for i, j in ((A, B), (B, A), (A, BPH)))
+        conj = Channel(K_I, PP, PM)
+        r_za, r_zb = Channel(K_R, Z, A), Channel(K_R, Z, B)
+        r_bc = Channel(K_R, B, C)
+        channels = [fwd[K_R], rev[K_R], fwd[K_D], rev[K_D], fwd[K_I],
+                    rev[K_I], *phased.values(), conj, r_za, r_zb, r_bc]
         res = survey(cols, n, channels, max_len)
 
         for d in deltas:
             # symmetry and phase invariance, all three kinds
-            trips = [(K_R, 0, 1, 6), (K_D, 2, 3, 7), (K_I, 4, 5, 8)]
-            for kind, fwd, rev, phased in trips:
-                s_fwd, s_rev = res.size(fwd, d), res.size(rev, d)
+            for kind in (K_R, K_D, K_I):
+                s_fwd, s_rev = res.size(fwd[kind], d), res.size(rev[kind], d)
                 stats["symmetry"].note(
                     s_fwd == s_rev,
                     detail=f"inst={inst} {kind.value} d={d}: {s_fwd} != {s_rev}")
-                s_ph = res.size(phased, d)
+                s_ph = res.size(phased[kind], d)
                 stats["phase_invariance"].note(
                     s_fwd == s_ph,
                     detail=f"inst={inst} {kind.value} d={d}: {s_fwd} != {s_ph}")
 
             # interference sandwich: R(d/2) <= I at accuracy d/2 <= R(d)
-            s_r_half = res.size(0, d / 2)
-            s_i_half = res.size(4, d / 2)
-            s_r_full = res.size(0, d)
+            s_r_half = res.size(fwd[K_R], d / 2)
+            s_i_half = res.size(fwd[K_I], d / 2)
+            s_r_full = res.size(fwd[K_R], d)
             low_ok = s_r_half <= s_i_half
             up_ok = s_i_half <= s_r_full
             stats["ci_sandwich"].note(
@@ -145,23 +141,22 @@ def run_pair_properties(n: int, instances: int, seed: int,
                        f"I={s_i_half} R({d})={s_r_full}")
 
             # product-state ceiling: D(a,b) <= min(R(0->a), R(0->b))
-            s_d = res.size(2, d)
-            s_ra, s_rb = res.size(10, d), res.size(11, d)
-            ceiling = min(s_ra, s_rb)
+            s_d = res.size(fwd[K_D], d)
+            ceiling = min(res.size(r_za, d), res.size(r_zb, d))
             stats["cd_ceiling"].note(
                 s_d <= ceiling,
                 vacuous=(s_d >= cap and ceiling >= cap),
                 detail=f"inst={inst} d={d}: D={s_d} > min(R)={ceiling}")
 
             # conjugate-basis: I((a+b)/rt2,(a-b)/rt2) <= D(a,b)
-            s_i_pm = res.size(9, d)
+            s_i_pm = res.size(conj, d)
             stats["conjugate_basis"].note(
                 s_i_pm <= s_d,
                 vacuous=(s_i_pm >= cap and s_d >= cap),
                 detail=f"inst={inst} d={d}: I(conj)={s_i_pm} > D={s_d}")
 
         # monotonicity over the delta grid, all three kinds
-        for kind, ch in ((K_R, 0), (K_D, 2), (K_I, 4)):
+        for kind, ch in fwd.items():
             sizes = [res.size(ch, d) for d in sorted(deltas)]
             stats["monotonicity"].note(
                 all(x <= y for x, y in zip(sizes, sizes[1:])),
@@ -170,8 +165,8 @@ def run_pair_properties(n: int, instances: int, seed: int,
         # triangle at delta = 0.9 via the concatenated witness
         d_tri = 0.9
         thr = K_R.threshold(d_tri)
-        _, up1, w1, v1 = res.bounds(0, thr)   # a -> b
-        _, up2, w2, v2 = res.bounds(12, thr)  # b -> c
+        _, up1, w1, v1 = res.bounds(fwd[K_R], thr)  # a -> b
+        _, up2, w2, v2 = res.bounds(r_bc, thr)      # b -> c
         if up1 is None or up2 is None:
             stats["triangle"].note(True, vacuous=True)
         else:
@@ -254,14 +249,9 @@ def run_property_suite(n: int, instances: int, seed: int,
 
     irr = PropertyStats()
     for m in (2, 3):
-        parent = QuantumState.from_vector(
-            (QuantumState.basis(m, 0).amplitudes
-             + QuantumState.basis(m, 2**m - 1).amplitudes) / math.sqrt(2.0))
-        d = BranchDecomposition(parent, (
-            (1 / math.sqrt(2.0), QuantumState.basis(m, 0)),
-            (1 / math.sqrt(2.0), QuantumState.basis(m, 2**m - 1)),
-        ))
-        rep = irreversibility_check(QuantumState.zero(m), d, max_len=max_len)
+        rep = irreversibility_check(QuantumState.zero(m),
+                                    fixtures.ghz(m).decomposition,
+                                    max_len=max_len)
         status = rep.status_at(0.9)
         irr.note(status == "ok", vacuous=status == "inconclusive",
                  detail=f"cat n={m}: status {status}")

@@ -157,10 +157,11 @@ class TestBruteForce:
 class TestSurveyEngine:
     def test_matches_single_query(self):
         a, b = haar_random_state(2, 31), haar_random_state(2, 32)
-        res = survey([a.amplitudes, b.amplitudes], 2, [Channel(K_I, 0, 1)],
-                     max_len=2)
+        channel = Channel(K_I, 0, 1)
+        res = survey([a.amplitudes, b.amplitudes], 2, [channel], max_len=2)
         for delta in (0.1, 0.5):
-            lower, upper, witness, achieved = res.bounds(0, K_I.threshold(delta))
+            lower, upper, witness, achieved = res.bounds(channel,
+                                                         K_I.threshold(delta))
             est = brute_force_estimate(ComplexityQuery(K_I, a, b, delta,
                                                        max_size=2))
             assert (lower, upper) == (est.lower_bound, est.upper_bound)
@@ -169,11 +170,21 @@ class TestSurveyEngine:
 
     def test_symmetry_channels_agree(self):
         a, b = haar_random_state(2, 41), haar_random_state(2, 42)
-        res = survey([a.amplitudes, b.amplitudes], 2,
-                     [Channel(K_R, 0, 1), Channel(K_R, 1, 0)], max_len=2)
+        fwd, rev = Channel(K_R, 0, 1), Channel(K_R, 1, 0)
+        res = survey([a.amplitudes, b.amplitudes], 2, [fwd, rev], max_len=2)
         for delta in (0.1, 0.5, 0.9):
             thr = K_R.threshold(delta)
-            assert res.bounds(0, thr)[0] == res.bounds(1, thr)[0]
+            assert res.bounds(fwd, thr)[0] == res.bounds(rev, thr)[0]
+
+    def test_unsurveyed_channel_rejected(self):
+        a, b = haar_random_state(2, 41), haar_random_state(2, 42)
+        res = survey([a.amplitudes, b.amplitudes], 2, [Channel(K_R, 0, 1)],
+                     max_len=1)
+        for missing in (Channel(K_R, 1, 0), Channel(K_I, 0, 1)):
+            with pytest.raises(ValueError):
+                res.bounds(missing, K_R.threshold(0.5))
+            with pytest.raises(ValueError):
+                res.size(missing, 0.5)
 
 
 class TestConstructive:

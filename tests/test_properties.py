@@ -1,12 +1,17 @@
 """The inequality property harness on small random ensembles."""
-import numpy as np
+import dataclasses
 
+import numpy as np
+import pytest
+
+from branchkit import branches, complexity, fixtures, properties
 from branchkit.properties import (
     random_orthogonal_states,
     run_pair_properties,
     run_property_suite,
     run_triple_properties,
 )
+from branchkit.qsim import QuantumState
 
 SOUND_PAIR_PROPERTIES = ("monotonicity", "symmetry", "phase_invariance",
                          "ci_sandwich", "conjugate_basis", "triangle")
@@ -65,3 +70,37 @@ class TestFullSuite:
             assert key in counts
             if key != "cd_ceiling":
                 assert counts[key] == 0, key
+
+
+SUITES = {
+    "pair_properties": lambda: run_pair_properties(2, 1, seed=3, max_len=2),
+    "merge_bound": lambda: branches.merge_bound_check(
+        *random_orthogonal_states(2, 3, seed=4), p=0.5, max_len=2),
+    "three_branch": lambda: branches.three_branch_compatibility(
+        *random_orthogonal_states(2, 3, seed=4), max_len=2),
+    "irreversibility": lambda: branches.irreversibility_check(
+        QuantumState.zero(3), fixtures.ghz(3).decomposition,
+        max_len=2),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_surveyed_channel_is_read(suite, monkeypatch):
+    requested, read = [], set()
+
+    class Recording(complexity.SurveyResult):
+        def bounds(self, channel, threshold):
+            read.add(channel)
+            return super().bounds(channel, threshold)
+
+    def recording_survey(states, n_qubits, channels, *args, **kwargs):
+        requested.extend(channels)
+        res = complexity.survey(states, n_qubits, channels, *args, **kwargs)
+        return Recording(*(getattr(res, f.name)
+                           for f in dataclasses.fields(res)))
+
+    monkeypatch.setattr(branches, "survey", recording_survey)
+    monkeypatch.setattr(properties, "survey", recording_survey)
+    SUITES[suite]()
+    assert requested
+    assert set(requested) == read
