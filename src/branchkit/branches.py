@@ -184,13 +184,21 @@ class BranchVerdict:
     robustness_lambda: float
 
 
+def _branch_quality(ci_lower: int, cd_upper: int, good_threshold: int,
+                    lam: float) -> tuple[bool, bool]:
+    """(good, robust): good when the margin ci - cd reaches good_threshold,
+    robust when it is good and ci > exp(lam * cd)."""
+    good = ci_lower - cd_upper >= good_threshold
+    return good, good and ci_lower > math.exp(lam * cd_upper)
+
+
 def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
               good_threshold: int, lam: float) -> tuple[str, int | None]:
     if cd.upper_bound is None or (ci.truncated and ci.lower_bound == 0):
         return "Inconclusive", None
     margin = ci.lower_bound - cd.upper_bound
-    good = margin >= good_threshold
-    robust = good and ci.lower_bound > math.exp(lam * cd.upper_bound)
+    good, robust = _branch_quality(ci.lower_bound, cd.upper_bound,
+                                   good_threshold, lam)
     if robust:
         return "Robust", margin
     if good:

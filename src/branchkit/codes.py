@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .branches import _branch_quality
 from .qsim import (QuantumState, _require_orthogonal, _require_pauli,
                    apply_pauli_string)
 
@@ -186,12 +187,13 @@ def exact_binomial_tail_rate(model: SurfaceCodeModel) -> float:
 def classify_region(ci_lower: int, cd_upper: int, code_floor_threshold: int,
                     good_threshold: int, robustness_lambda: float) -> str:
     """Place a (interference, distinguishability) cost pair on the map of
-    code-like versus branch-like regimes."""
+    code-like versus branch-like regimes. The branch grades are those of
+    `assess_branches`: a robust branch is a good branch first."""
     if min(ci_lower, cd_upper) < 0:
         raise ValueError("complexity bounds must be nonnegative")
     is_code = min(ci_lower, cd_upper) >= code_floor_threshold
-    is_branch = ci_lower - cd_upper >= good_threshold
-    is_robust = ci_lower > math.exp(robustness_lambda * cd_upper)
+    is_branch, is_robust = _branch_quality(ci_lower, cd_upper, good_threshold,
+                                           robustness_lambda)
     if is_code and is_branch:
         return "Both"
     if is_robust:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from branchkit.branches import _classify
 from branchkit.codes import (
     CodeSpec,
     SurfaceCodeModel,
@@ -14,7 +15,12 @@ from branchkit.codes import (
     pauli_cost,
     surface_logical_rate,
 )
-from branchkit.complexity import ComplexityKind, ComplexityQuery, brute_force_estimate
+from branchkit.complexity import (
+    ComplexityEstimate,
+    ComplexityKind,
+    ComplexityQuery,
+    brute_force_estimate,
+)
 from branchkit.fixtures import parity_codewords
 from branchkit.qsim import QuantumState, apply_pauli_string
 
@@ -192,6 +198,16 @@ class TestRegions:
 
     def test_plain_good_branch(self):
         assert classify_region(4, 2, 5, 2, 3.0) == "GoodBranch"
+
+    def test_robust_requires_the_margin(self):
+        # ci > exp(cd) holds, but the margin 2 - 0 misses the good threshold
+        # 3, so this is no branch: the verdict assess_branches gives
+        assert classify_region(2, 0, 5, 3, 1.0) == "Neither"
+        ci = ComplexityEstimate(ComplexityKind.INTERFERENCE, 0.1, 2, "", 2,
+                                None, None, "test")
+        cd = ComplexityEstimate(ComplexityKind.DISTINGUISHABILITY, 0.9, 0, "",
+                                0, None, None, "test")
+        assert _classify(ci, cd, 3, 1.0) == ("NotBranch", 2)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
