@@ -19,7 +19,6 @@ constructive circuits, or a derivative-free variational search over general
 """
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -140,7 +139,10 @@ class ComplexityEstimate:
 
 # Every working array of a run of children (the kets it grows, or the
 # overlaps of one GEMM) stays under this many bytes, so peak memory does not
-# grow with the size of a level.
+# grow with the size of a level. A frontier's child table (rank, kept mask,
+# fused cost and last-block support) is (m, gates) for its m sequences; grow
+# makes frontiers whose kets fit this bound, which keeps m, and the table,
+# small.
 CHUNK_BYTES = 256 * 1024
 _TIE = 1e-12
 
@@ -168,12 +170,6 @@ class Frontier:
     support: np.ndarray
     last: np.ndarray
     rank: np.ndarray
-
-    def part(self, start: int, stop: int) -> "Frontier":
-        """Sequences start..stop-1 of this frontier (views, no copies)."""
-        return Frontier(self.kets[:, start:stop], self.cost[start:stop],
-                        self.support[start:stop], self.last[start:stop],
-                        self.rank[start:stop])
 
 
 # The enumeration alphabet: these gates on every qubit, label-major, then
@@ -230,32 +226,33 @@ class _Enumeration:
     def runs(self, f: Frontier, level: int, limit: int, child_bytes: int):
         """The children of a frontier at `level` ranked below `limit`, in runs
         of parents x gate slice sized so that child_bytes per child stay
-        within CHUNK_BYTES. Per run: the parents' kets as columns
-        (2**n, m * k), the gate slice, the mask (m, gates in the slice) of
-        the children walked, and their rank, fused cost and last-block
-        support in rank order."""
+        within CHUNK_BYTES. Runs come in rank order, and so do the children
+        within a run: a run that slices the gates has one parent. Per run:
+        the parents' kets as columns (2**n, m * k), the gate slice, the mask
+        (m, gates in the slice) of the children walked, and their rank,
+        fused cost and last-block support in rank order."""
         dim, m, _ = f.kets.shape
         g = len(self.gates)
         gates = max(1, min(g, CHUNK_BYTES // child_bytes))
         parents = max(1, CHUNK_BYTES // (gates * child_bytes))
         gate = np.arange(g)
+        skip = self.inverse[f.last][:, None]
+        rank = (self.offsets[level + 1] + gate - (gate > skip)
+                + (f.rank - self.offsets[level])[:, None] * (g - 1))
+        keep = (gate != skip) & (rank < limit)
+        union = f.support[:, None] | self.support
+        fused = (self.popcount[union] <= 2) & (level > 0)
+        cost = f.cost[:, None] + ~fused
+        support = np.where(fused, union, self.support)
         for p0 in range(0, m, parents):
-            p = f.part(p0, p0 + parents)
-            skip = self.inverse[p.last][:, None]
-            rank = (self.offsets[level + 1] + gate - (gate > skip)
-                    + (p.rank - self.offsets[level])[:, None] * (g - 1))
-            keep = (gate != skip) & (rank < limit)
-            union = p.support[:, None] | self.support
-            fused = (self.popcount[union] <= 2) & (level > 0)
-            cost = p.cost[:, None] + ~fused
-            support = np.where(fused, union, self.support)
-            cols = p.kets.reshape(dim, -1)
+            rows = slice(p0, p0 + parents)
+            cols = f.kets[:, rows].reshape(dim, -1)
             for g0 in range(0, g, gates):
                 part = slice(g0, g0 + gates)
-                sel = keep[:, part]
+                sel = keep[rows, part]
                 if sel.any():
-                    yield (cols, part, sel, rank[:, part][sel],
-                           cost[:, part][sel], support[:, part][sel])
+                    yield (cols, part, sel, rank[rows, part][sel],
+                           cost[rows, part][sel], support[rows, part][sel])
 
     def grow(self, f: Frontier, level: int, limit: int):
         """The children of a frontier at `level` ranked below `limit`, as
@@ -282,15 +279,18 @@ def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
                     limit: int | None = None):
     """Every alphabet gate sequence of `level` gates (never a gate right after
     its inverse) applied to the columns of `block` (2**n, k), as frontiers in
-    level order. With a limit, only the sequences ranked below it."""
+    level order: ranks rise by one from each sequence to the next. With a
+    limit, only the sequences ranked below it; when no sequence of this level
+    is, nothing is walked."""
     walk = _enumeration(n_qubits)
     if limit is None:
         limit = walk.offsets[level + 1]
+    if limit <= walk.offsets[level]:
+        return
     if level == 0:
-        if limit > 0:
-            zero = np.zeros(1, dtype=int)
-            yield Frontier(block[:, None, :], zero, zero,
-                           np.array([len(walk.gates)]), zero)
+        zero = np.zeros(1, dtype=int)
+        yield Frontier(block[:, None, :], zero, zero,
+                       np.array([len(walk.gates)]), zero)
         return
     for parent in level_frontiers(block, n_qubits, level - 1, limit):
         yield from walk.grow(parent, level - 1, limit)
@@ -311,16 +311,13 @@ def sequence_count(n_qubits: int, max_len: int) -> int:
 
 def _offer(cands: list[tuple[int, float]], rank: int, value: float,
            floor: float):
-    """Add a candidate to one slot. Candidates stay sorted by rank with
-    strictly rising values, none below floor: one with an earlier rank and at
-    least the value wins whenever the other could."""
-    i = bisect.bisect(cands, rank, key=lambda c: c[0])
-    if i and cands[i - 1][1] >= value:
+    """Add a candidate that outranks every kept one to one slot. Candidates
+    stay sorted by rank with strictly rising values, none below floor: one
+    with an earlier rank and at least the value wins whenever the other
+    could."""
+    if cands and cands[-1][1] >= value:
         return
-    j = i
-    while j < len(cands) and cands[j][1] <= value:
-        j += 1
-    cands[i:j] = [(rank, value)]
+    cands.append((rank, value))
     while cands[0][1] < floor:
         del cands[0]
 
@@ -328,7 +325,9 @@ def _offer(cands: list[tuple[int, float]], rank: int, value: float,
 class _Slots:
     """Per (channel, fused cost): the maximum objective seen, and the ranks
     that can still be the slot's winner, the lowest-ranked sequence within
-    _TIE of the maximum. The winner does not depend on the visiting order."""
+    _TIE of the maximum. Sequences must be added in strictly rising rank
+    order, which is the order the walk scores them in; every kept candidate
+    then stays within _TIE of the maximum, and the first one wins."""
 
     def __init__(self, channels: list[Channel], max_len: int):
         self.count = len(channels)
@@ -350,7 +349,8 @@ class _Slots:
         return out
 
     def add(self, values: np.ndarray, cost: np.ndarray, rank: np.ndarray):
-        """Record values (channels, m) of m sequences given in rank order."""
+        """Record values (channels, m) of m sequences given in rank order,
+        all ranked above every sequence added before."""
         for c in range(cost.min(), cost.max() + 1):
             at = cost == c
             if not at.any():
@@ -375,13 +375,8 @@ class _Slots:
 
     def best(self, walk: _Enumeration):
         """best[channel][cost] = (value, gate-index tuple), or None."""
-        out = []
-        for row, tops in zip(self.cands, self.top):
-            out.append([])
-            for cands, top in zip(row, tops):
-                wins = [(v, walk.sequence(r)) for r, v in cands if v >= top - _TIE]
-                out[-1].append(wins[0] if wins else None)
-        return out
+        return [[(cands[0][1], walk.sequence(cands[0][0])) if cands else None
+                 for cands in row] for row in self.cands]
 
 
 @dataclass(frozen=True)
@@ -457,6 +452,8 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
         rows[j] = apply_gate_block(block, n_qubits, gate.targets,
                                    gate.matrix.conj().T).conj().T
     for level in range(max_len):
+        if limit <= walk.offsets[level + 1]:
+            break  # every child of this level ranks at or past the limit
         for f in level_frontiers(block, n_qubits, level, limit):
             for cols, part, sel, rank, cost, _ in walk.runs(
                     f, level, limit, k * k * 16):

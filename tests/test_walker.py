@@ -343,3 +343,55 @@ def test_results_do_not_depend_on_chunk_size(chunk, monkeypatch):
                     assert g[1] == w[1]
                     assert abs(g[0] - w[0]) <= 1e-12
     assert rho_vs_diag_gap(ghz3, 2, 8) == default_gap
+
+
+@pytest.mark.parametrize("chunk", [1024, 4096, 32 * 1024,
+                                   complexity.CHUNK_BYTES])
+def test_survey_scores_in_rank_order(chunk, monkeypatch):
+    """The slots keep their winners only if every sequence reaches them once,
+    in strictly rising rank."""
+    ranks = []
+    add = complexity._Slots.add
+
+    def recording_add(self, values, cost, rank):
+        ranks.extend(int(r) for r in rank)
+        add(self, values, cost, rank)
+
+    monkeypatch.setattr(complexity._Slots, "add", recording_add)
+    monkeypatch.setattr(complexity, "CHUNK_BYTES", chunk)
+    for case in _chunk_cases():
+        ranks.clear()
+        res = survey(*case)
+        assert ranks == list(range(res.nodes))
+
+
+def test_walk_stops_at_the_node_budget(monkeypatch):
+    """A budget that ends at a level boundary costs no more gate
+    applications than a length cap at that boundary."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply_gate_block(*args, **kwargs)
+
+    def applications(run):
+        calls.clear()
+        return run(), len(calls)
+
+    monkeypatch.setattr(complexity, "apply_gate_block", counting)
+    a, b = fx.product_plus_random(8, seed=0).pair()
+    states = [a.amplitudes, b.amplitudes]
+    channels = [Channel(ComplexityKind.DISTINGUISHABILITY, 0, 1)]
+    cut, cut_calls = applications(
+        lambda: survey(states, 8, channels, 3, sequence_count(8, 2)))
+    capped, capped_calls = applications(lambda: survey(states, 8, channels, 2))
+    assert cut_calls == capped_calls
+    assert (cut.nodes, cut.truncated) == (capped.nodes, True)
+    assert cut.best[0] == capped.best[0] + [None]
+
+    ghz3 = fx.ghz(3).decomposition
+    cut, cut_calls = applications(lambda: rho_vs_diag_gap(
+        ghz3, 2, 8, max_circuits=sequence_count(3, 1)))
+    capped, capped_calls = applications(lambda: rho_vs_diag_gap(ghz3, 1, 8))
+    assert cut_calls == capped_calls
+    assert cut.circuits_checked == capped.circuits_checked
