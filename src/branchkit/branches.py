@@ -416,12 +416,14 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
 
     Sizes are enumerated minimal fused costs, with cap+1 standing in for
     "not found within the cap". The phase grid must be the full circle so
-    the averaged witness argument applies; p must exceed eps and
+    the averaged witness argument applies; p must exceed eps > 0 and
     eps/sqrt(p) must stay within (0, 1].
     """
     _require_orthogonal([a, b, c])
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if epsilon >= p:
         raise ValueError("the shifted accuracy 1 - eps/p requires eps < p")
     if epsilon / math.sqrt(p) > 1.0:
@@ -485,8 +487,8 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     _require_orthogonal([a, b, c])
     if phase_points < 4:
         raise ValueError("phase grid needs at least 4 points")
-    if 2 * epsilon >= 1.0:
-        raise ValueError("epsilon must stay below 1/2")
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
     grid = 2.0 * np.pi * np.arange(phase_points) / phase_points
     rt2 = math.sqrt(2.0)

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import fixtures as fx
 from .branches import (
@@ -34,7 +35,7 @@ from .codes import (
 from .complexity import ComplexityKind
 from .dynamics import (
     FlowParams,
-    eth_diagnostic,
+    eth_size_sweep,
     integrate_flow,
     magnetization_sector_state,
     mixed_field_ising,
@@ -120,21 +121,22 @@ def build_fixture(args) -> fx.ExampleFixture:
                                       _need_seed(args, name))
     if name == "parity":
         return fx.parity_codewords(args.m1, args.m2).fixture
+    if name not in ("distinguishing", "tensor-separable", "tensor-entangled"):
+        raise ValueError(f"unknown example {name!r}")
+    # these constructors take states drawn here, so the seed is recorded here
+    seed = _need_seed(args, name)
+    left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
     if name == "distinguishing":
-        e0, e1 = fx.deep_random_registers(args.n - 1, args.depth,
-                                          _need_seed(args, name))
-        return fx.distinguishing_qubit_state(e0, e1, args.basis)
-    if name == "tensor-separable":
-        left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
-        return fx.tensor_branches(
-            "separable", left, haar_random_state(args.n - 1,
-                                                 _need_seed(args, name)))
-    if name == "tensor-entangled":
-        left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
-        r0 = haar_random_state(args.n - 1, _need_seed(args, name))
-        r1 = haar_random_state(args.n - 1, args.seed + 1)
-        return fx.tensor_branches("entangled", left, (r0, r1))
-    raise ValueError(f"unknown example {name!r}")
+        e0, e1 = fx.deep_random_registers(args.n - 1, args.depth, seed)
+        fixture = fx.distinguishing_qubit_state(e0, e1, args.basis)
+    elif name == "tensor-separable":
+        fixture = fx.tensor_branches(
+            "separable", left, haar_random_state(args.n - 1, seed))
+    else:
+        fixture = fx.tensor_branches("entangled", left, (
+            haar_random_state(args.n - 1, seed),
+            haar_random_state(args.n - 1, seed + 1)))
+    return replace(fixture, seed=seed)
 
 
 def _emit(args, text: str):
@@ -307,13 +309,11 @@ def cmd_evolve(args) -> int:
         _emit(args, ser.dumps(ser.to_json(rep)))
         return 0
     if args.mode == "eth":
-        sizes = [int(x) for x in args.sizes.split(",")]
-        reports = []
-        for n in sizes:
-            h = mixed_field_ising(n)
-            obs = "I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)
-            reports.append(eth_diagnostic(h, [obs], args.window))
-        _emit(args, ser.dumps(ser.document(sweep=reports)))
+        sweep = eth_size_sweep(
+            [mixed_field_ising(int(x)) for x in args.sizes.split(",")],
+            lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
+            args.window)
+        _emit(args, ser.dumps(ser.document(sweep=sweep.reports)))
         return 0
     raise ValueError(f"unknown mode {args.mode!r}")
 

@@ -277,7 +277,8 @@ def eth_size_sweep(hamiltonians: list[Hamiltonian], observables_for,
     off = [r.per_observable[0].max_offdiag for r in reports]
 
     def fit(ys):
-        if len(ys) < 2 or any(y <= 0 for y in ys):
+        # a slope needs two distinct sizes
+        if len(set(sizes)) < 2 or any(y <= 0 for y in ys):
             return None
         slope = np.polyfit(sizes, np.log(ys), 1)[0]
         return float(-slope)

@@ -223,8 +223,7 @@ def tensor_branches(mode: str, left: tuple[QuantumState, QuantumState],
 
 
 def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
-                               basis: str = "computational",
-                               seed: int | None = None) -> ExampleFixture:
+                               basis: str = "computational") -> ExampleFixture:
     """One extra qubit labels two orthogonal register states; the same parent
     decomposes in the computational or the conjugate labeling."""
     _require_orthogonal((eta0, eta1))
@@ -257,7 +256,6 @@ def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
     }
     return _checked(ExampleFixture(
         name="distinguishing_qubit", source_section="distinguishing-qubit",
-        seed=seed,
         expected={"ci_scaling": "set by the register pair",
                   "cd_scaling": "1", "basis": basis},
         decomposition=dec, known_witnesses=witnesses))

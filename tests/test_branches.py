@@ -235,6 +235,12 @@ class TestMergeBounds:
         with pytest.raises(ValueError, match="orthogonal"):
             merge_bound_check(a, b, b, p=0.5)
 
+    @pytest.mark.parametrize("eps", [-0.1, 0.0])
+    def test_nonpositive_epsilon_rejected(self, eps):
+        a, b, c = random_orthogonal_states(3, 3, 78)
+        with pytest.raises(ValueError, match="epsilon"):
+            merge_bound_check(a, b, c, p=0.5, epsilon=eps)
+
     def test_seeded_triples_hold(self):
         for seed in range(5):
             a, b, c = random_orthogonal_states(3, 3, 500 + seed)
@@ -270,6 +276,12 @@ class TestThreeBranch:
         a, b, c = random_orthogonal_states(2, 3, 1)
         with pytest.raises(ValueError, match="grid"):
             three_branch_compatibility(a, b, c, phase_points=3)
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0])
+    def test_nonpositive_epsilon_rejected(self, eps):
+        a, b, c = random_orthogonal_states(2, 3, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            three_branch_compatibility(a, b, c, epsilon=eps)
 
 
 class TestIrreversibility:

@@ -390,6 +390,10 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     # parity_codewords stops at 12 qubits; the repetition code has the same cap
     ("qec --code repetition --m1 -1", "m1"),
     ("qec --code repetition --m1 13", "m1"),
+    ("props --n 2 --instances 2 --seed 1 --triples 1 --budget 1 "
+     "--epsilon -0.1", "epsilon"),
+    ("props --n 2 --instances 2 --seed 1 --triples 1 --budget 1 "
+     "--epsilon 0.0", "epsilon"),
 ])
 def test_negative_count_fails_validation(argv, name, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -398,6 +402,15 @@ def test_negative_count_fails_validation(argv, name, capsys):
     bad = argv.split()[-1]
     assert doc["type"] == "ValueError"
     assert name in doc["error"] and doc["error"].endswith(f"got {bad}")
+
+
+@pytest.mark.parametrize("example", ["distinguishing", "tensor-separable",
+                                     "tensor-entangled"])
+def test_seeded_example_records_its_seed(example, capsys):
+    code, out, _ = run_cli(f"example --example {example} --n 3 --seed 3"
+                           .split(), capsys)
+    assert code == 0
+    assert json.loads(out)["seed"] == 3
 
 
 def test_zero_node_budget_walks_the_empty_sequence(capsys):

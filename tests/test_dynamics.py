@@ -1,5 +1,6 @@
 """Flow integration, empirical tracking, symmetry freezing, eigenstate stats."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ class TestEth:
         gaps = [r.per_observable[0].median_diag_gap for r in sweep.reports]
         assert gaps[1] < gaps[0]
         assert sweep.diag_decay_rate is not None
+
+    def test_repeated_size_fits_no_rate(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = eth_size_sweep([mixed_field_ising(4) for _ in range(2)],
+                                   lambda n: ["IIZI"], 1 / 3)
+        assert sweep.diag_decay_rate is None
+        assert sweep.offdiag_decay_rate is None
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
