@@ -261,20 +261,19 @@ class _Enumeration:
 
     def grow(self, f: Frontier, level: int, limit: int):
         """The children of a frontier at `level` ranked below `limit`, as
-        frontiers in rank order; one gate application per gate and run."""
+        frontiers in rank order; one gate application per gate in the run's
+        kept range, gathered into the children in one step."""
         dim, _, k = f.kets.shape
         for cols, part, sel, rank, cost, support in self.runs(
                 f, level, limit, dim * k * 16):
             pj, gj = np.nonzero(sel)
             gj += part.start
-            kets = np.empty((dim, len(pj), k), dtype=complex)
-            for j in range(gj.min(), gj.max() + 1):
-                at = gj == j
-                gate = self.gates[j]
-                kets[:, at] = apply_gate_block(
-                    cols, self.n_qubits, gate.targets, gate.matrix
-                ).reshape(dim, -1, k)[:, pj[at]]
-            yield Frontier(kets, cost, support, gj, rank)
+            lo = gj.min()
+            applied = np.stack([
+                apply_gate_block(cols, self.n_qubits, gate.targets, gate.matrix
+                                 ).reshape(dim, -1, k)
+                for gate in self.gates[lo:gj.max() + 1]], axis=1)
+            yield Frontier(applied[:, gj - lo, pj], cost, support, gj, rank)
 
 
 _enumeration = functools.cache(_Enumeration)

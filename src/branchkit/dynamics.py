@@ -43,6 +43,8 @@ class FlowParams:
             raise ValueError("k, rate, and dt must be positive")
         if self.rate_function not in RATE_FUNCTIONS:
             raise ValueError(f"unknown rate function {self.rate_function!r}")
+        if not self.t_end >= 0:
+            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -237,11 +239,14 @@ def eth_diagnostic(h: Hamiltonian, observables: list,
         raise ValueError("full diagonalization is limited to 12 qubits")
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError("window fraction must lie in (0, 1]")
-    vals, vecs = h.eigensystem()
-    dim = vals.shape[0]
+    dim = 2**h.n_qubits
     lo = int(round(dim * (1 - window_fraction) / 2))
     hi = min(dim, lo + max(2, int(round(dim * window_fraction))))
-    basis = vecs[:, lo:hi]
+    if hi - lo < 2:
+        raise ValueError(
+            f"the window fraction {window_fraction} holds {hi - lo} eigenstate "
+            f"of {h.n_qubits} qubits; adjacent gaps need at least 2")
+    basis = h.eigensystem()[1][:, lo:hi]
 
     stats = []
     for obs in observables:

@@ -41,13 +41,43 @@ class ExampleFixture:
         return self.decomposition.components[i][1], self.decomposition.components[j][1]
 
 
-def _checked(fixture: ExampleFixture) -> ExampleFixture:
+def _two_branches(name: str, section: str, expected: dict, branches,
+                  witnesses: dict | None = None, seed: int | None = None
+                  ) -> ExampleFixture:
+    """The validated fixture for w0|s0> + w1|s1>, split into its two
+    branches ((w0, s0), (w1, s1))."""
+    (w0, s0), (w1, s1) = branches
+    parent = QuantumState.from_vector(w0 * s0.amplitudes + w1 * s1.amplitudes)
+    fixture = ExampleFixture(
+        name=name, source_section=section, seed=seed, expected=expected,
+        decomposition=BranchDecomposition(parent, tuple(branches)),
+        known_witnesses=witnesses or {})
     report = validate_decomposition(fixture.decomposition)
     if not report.ok:
         raise ValueError(
-            f"fixture {fixture.name!r} failed validation: {report.worst.detail}"
+            f"fixture {name!r} failed validation: {report.worst.detail}"
         )
     return fixture
+
+
+def _marker(n: int, label: str) -> Circuit:
+    """One `label` gate on qubit 0."""
+    return Circuit(n, (GateOp((0,), GATES_1Q[label], label),))
+
+
+def _circuit_pair(n: int, d0: int, d1: int, seed: int):
+    """Random circuits c0, c1 of depths d0, d1 on two seeds spawned from
+    `seed`; returns them with g0 = c0|0..0>, the overlap <g0|c1|0..0>, and
+    the part of c1|0..0> orthogonal to g0, unnormalized (zero when the two
+    states coincide)."""
+    ss = np.random.SeedSequence(seed).spawn(2)
+    c0 = random_circuit(n, d0, int(ss[0].generate_state(1)[0]))
+    c1 = random_circuit(n, d1, int(ss[1].generate_state(1)[0]))
+    zero = QuantumState.zero(n)
+    g0 = apply_circuit(zero, c0)
+    v1 = apply_circuit(zero, c1).amplitudes
+    overlap = complex(np.vdot(g0.amplitudes, v1))
+    return c0, c1, g0, overlap, v1 - overlap * g0.amplitudes
 
 
 def _weights_ok(alpha: complex, beta: complex):
@@ -63,21 +93,13 @@ def ghz(n: int, alpha: complex = 1 / _RT2, beta: complex = 1 / _RT2
     if not 2 <= n <= 12:
         raise ValueError("ghz supports 2..12 qubits")
     _weights_ok(alpha, beta)
-    zero = QuantumState.basis(n, 0)
-    ones = QuantumState.basis(n, 2**n - 1)
-    parent = QuantumState.from_vector(
-        alpha * zero.amplitudes + beta * ones.amplitudes)
-    dec = BranchDecomposition(parent, ((alpha, zero), (beta, ones)))
-    witnesses = {
-        ComplexityKind.INTERFERENCE: [pair_blocks(list(range(n)), n,
-                                                  GATES_1Q["X"], "X")],
-        ComplexityKind.DISTINGUISHABILITY: [
-            Circuit(n, (GateOp((0,), GATES_1Q["Z"], "Z"),))],
-    }
-    return _checked(ExampleFixture(
-        name="ghz", source_section="ghz",
-        expected={"ci_scaling": "O(N)", "cd_scaling": "1"},
-        decomposition=dec, known_witnesses=witnesses))
+    return _two_branches(
+        "ghz", "ghz", {"ci_scaling": "O(N)", "cd_scaling": "1"},
+        ((alpha, QuantumState.basis(n, 0)),
+         (beta, QuantumState.basis(n, 2**n - 1))),
+        {ComplexityKind.INTERFERENCE: [pair_blocks(list(range(n)), n,
+                                                   GATES_1Q["X"], "X")],
+         ComplexityKind.DISTINGUISHABILITY: [_marker(n, "Z")]})
 
 
 def product_plus_random(n: int, alpha: complex = 1 / _RT2,
@@ -90,18 +112,11 @@ def product_plus_random(n: int, alpha: complex = 1 / _RT2,
     zero = QuantumState.basis(n, 0)
     eta = haar_random_state(n, seed).amplitudes
     eta = eta - eta[0] * zero.amplitudes
-    eta_perp = QuantumState(n, eta / np.linalg.norm(eta))
-    parent = QuantumState.from_vector(
-        alpha * zero.amplitudes + beta * eta_perp.amplitudes)
-    dec = BranchDecomposition(parent, ((alpha, zero), (beta, eta_perp)))
-    witnesses = {
-        ComplexityKind.DISTINGUISHABILITY: [
-            Circuit(n, (GateOp((0,), GATES_1Q["Z"], "Z"),))],
-    }
-    return _checked(ExampleFixture(
-        name="product_plus_random", source_section="product-plus-random",
-        seed=seed, expected={"ci_scaling": "O(exp N)", "cd_scaling": "O(1)"},
-        decomposition=dec, known_witnesses=witnesses))
+    return _two_branches(
+        "product_plus_random", "product-plus-random",
+        {"ci_scaling": "O(exp N)", "cd_scaling": "O(1)"},
+        ((alpha, zero), (beta, QuantumState(n, eta / np.linalg.norm(eta)))),
+        {ComplexityKind.DISTINGUISHABILITY: [_marker(n, "Z")]}, seed=seed)
 
 
 def two_random_circuits(n: int, d1: int, d2: int, seed: int
@@ -110,36 +125,24 @@ def two_random_circuits(n: int, d1: int, d2: int, seed: int
     orthogonalized; the raw overlap is recorded in the metadata)."""
     if n < 4 or n % 2:
         raise ValueError("two_random_circuits needs even n >= 4")
-    ss = np.random.SeedSequence(seed).spawn(2)
-    c1 = random_circuit(n, d1, int(ss[0].generate_state(1)[0]))
-    c2 = random_circuit(n, d2, int(ss[1].generate_state(1)[0]))
-    zero = QuantumState.zero(n)
-    g1 = apply_circuit(zero, c1)
-    g2 = apply_circuit(zero, c2)
-    raw_overlap = complex(np.vdot(g1.amplitudes, g2.amplitudes))
+    c1, c2, g1, raw_overlap, vec = _circuit_pair(n, d1, d2, seed)
     if abs(raw_overlap) > 0.5:
         raise ValueError(
             f"circuit states overlap too strongly (|overlap| = {abs(raw_overlap):.3f})"
         )
-    vec = g2.amplitudes - raw_overlap * g1.amplitudes
-    g2p = QuantumState(n, vec / np.linalg.norm(vec))
     w = 1 / _RT2
-    parent = QuantumState.from_vector(w * g1.amplitudes + w * g2p.amplitudes)
-    dec = BranchDecomposition(parent, ((w, g1), (w, g2p)))
-    z0 = Circuit(n, (GateOp((0,), GATES_1Q["Z"], "Z"),))
-    witnesses = {
-        ComplexityKind.INTERFERENCE: [c1.inverse().then(c2)],
-        ComplexityKind.DISTINGUISHABILITY: [c1.inverse().then(z0).then(c1)],
-    }
-    return _checked(ExampleFixture(
-        name="two_random_circuits", source_section="two-random-circuits",
-        seed=seed,
-        expected={"ci_scaling": "O((D1+D2) N)",
-                  "cd_scaling": "O(min(D1,D2) N)",
-                  "good_when": "max(D1,D2)*N large",
-                  "raw_overlap": [raw_overlap.real, raw_overlap.imag],
-                  "d1": d1, "d2": d2},
-        decomposition=dec, known_witnesses=witnesses))
+    return _two_branches(
+        "two_random_circuits", "two-random-circuits",
+        {"ci_scaling": "O((D1+D2) N)",
+         "cd_scaling": "O(min(D1,D2) N)",
+         "good_when": "max(D1,D2)*N large",
+         "raw_overlap": [raw_overlap.real, raw_overlap.imag],
+         "d1": d1, "d2": d2},
+        ((w, g1), (w, QuantumState(n, vec / np.linalg.norm(vec)))),
+        {ComplexityKind.INTERFERENCE: [c1.inverse().then(c2)],
+         ComplexityKind.DISTINGUISHABILITY: [
+             c1.inverse().then(_marker(n, "Z")).then(c1)]},
+        seed=seed)
 
 
 @dataclass(frozen=True)
@@ -168,24 +171,20 @@ def parity_codewords(m1: int, m2: int) -> ParityCode:
         v0 = np.kron(v0, plus)
         v1 = np.kron(v1, minus)
     s0, s1 = QuantumState(n, v0), QuantumState(n, v1)
-    w = 1 / _RT2
-    parent = QuantumState.from_vector(w * v0 + w * v1)
-    dec = BranchDecomposition(parent, ((w, s0), (w, s1)))
     # one Z on any qubit per block swaps the codewords; X across one block
     # distinguishes them
     z_sites = [b * m1 for b in range(m2)]
     x_sites = list(range(m1))
-    witnesses = {
-        ComplexityKind.INTERFERENCE: [pair_blocks(z_sites, n, GATES_1Q["Z"], "Z")],
-        ComplexityKind.DISTINGUISHABILITY: [
-            pair_blocks(x_sites, n, GATES_1Q["X"], "X")],
-    }
-    fixture = _checked(ExampleFixture(
-        name="parity_codewords", source_section="parity-code",
-        expected={"ci_scaling": f"m2 = {m2} (single-qubit-gate units)",
-                  "cd_scaling": f"m1 = {m1} (single-qubit-gate units)",
-                  "m1": m1, "m2": m2},
-        decomposition=dec, known_witnesses=witnesses))
+    w = 1 / _RT2
+    fixture = _two_branches(
+        "parity_codewords", "parity-code",
+        {"ci_scaling": f"m2 = {m2} (single-qubit-gate units)",
+         "cd_scaling": f"m1 = {m1} (single-qubit-gate units)",
+         "m1": m1, "m2": m2},
+        ((w, s0), (w, s1)),
+        {ComplexityKind.INTERFERENCE: [pair_blocks(z_sites, n, GATES_1Q["Z"], "Z")],
+         ComplexityKind.DISTINGUISHABILITY: [
+             pair_blocks(x_sites, n, GATES_1Q["X"], "X")]})
     return ParityCode(s0, s1, fixture)
 
 
@@ -193,33 +192,25 @@ def tensor_branches(mode: str, left: tuple[QuantumState, QuantumState],
                     right) -> ExampleFixture:
     """Separable mode: (psi_L + phi_L) x R with branches [psi_L x R, phi_L x R].
     Entangled mode: psi_L x psi_R + phi_L x phi_R with product branches."""
-    psi_l, phi_l = left
     _require_orthogonal(left)
     if mode == "separable":
-        r = right if isinstance(right, QuantumState) else right[0]
-        comp0 = np.kron(psi_l.amplitudes, r.amplitudes)
-        comp1 = np.kron(phi_l.amplitudes, r.amplitudes)
+        right = (right, right)
     elif mode == "entangled":
-        psi_r, phi_r = right
-        if psi_r.n_qubits != phi_r.n_qubits:
+        if right[0].n_qubits != right[1].n_qubits:
             raise ValueError("right states must share a qubit count")
-        comp0 = np.kron(psi_l.amplitudes, psi_r.amplitudes)
-        comp1 = np.kron(phi_l.amplitudes, phi_r.amplitudes)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    n = int(round(np.log2(comp0.shape[0])))
+    n = left[0].n_qubits + right[0].n_qubits
     if n > 10:
         raise ValueError("tensor_branches is limited to 10 total qubits")
     w = 1 / _RT2
-    parent = QuantumState.from_vector(w * comp0 + w * comp1)
-    dec = BranchDecomposition(parent, ((w, QuantumState(n, comp0)),
-                                       (w, QuantumState(n, comp1))))
-    return _checked(ExampleFixture(
-        name=f"tensor_{mode}", source_section=f"tensor-{mode}",
-        expected={"ci_scaling": "inherited from the left pair",
-                  "cd_scaling": "inherited from the left pair",
-                  "left_qubits": psi_l.n_qubits},
-        decomposition=dec))
+    return _two_branches(
+        f"tensor_{mode}", f"tensor-{mode}",
+        {"ci_scaling": "inherited from the left pair",
+         "cd_scaling": "inherited from the left pair",
+         "left_qubits": left[0].n_qubits},
+        tuple((w, QuantumState(n, np.kron(lt.amplitudes, rt.amplitudes)))
+              for lt, rt in zip(left, right)))
 
 
 def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
@@ -230,11 +221,9 @@ def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
     n = eta0.n_qubits + 1
     up = np.array([1, 0], dtype=complex)
     dn = np.array([0, 1], dtype=complex)
-    w = 1 / _RT2
     if basis == "computational":
         comp0 = np.kron(up, eta0.amplitudes)
         comp1 = np.kron(dn, eta1.amplitudes)
-        marker = GATES_1Q["Z"]
         label = "Z"
     elif basis == "conjugate":
         plus = (up + dn) / _RT2
@@ -243,32 +232,20 @@ def distinguishing_qubit_state(eta0: QuantumState, eta1: QuantumState,
         eta_m = (eta0.amplitudes - eta1.amplitudes) / _RT2
         comp0 = np.kron(plus, eta_p)
         comp1 = np.kron(minus, eta_m)
-        marker = GATES_1Q["X"]
         label = "X"
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    parent = QuantumState.from_vector(w * comp0 + w * comp1)
-    dec = BranchDecomposition(parent, ((w, QuantumState(n, comp0)),
-                                       (w, QuantumState(n, comp1))))
-    witnesses = {
-        ComplexityKind.DISTINGUISHABILITY: [
-            Circuit(n, (GateOp((0,), marker, label),))],
-    }
-    return _checked(ExampleFixture(
-        name="distinguishing_qubit", source_section="distinguishing-qubit",
-        expected={"ci_scaling": "set by the register pair",
-                  "cd_scaling": "1", "basis": basis},
-        decomposition=dec, known_witnesses=witnesses))
+    w = 1 / _RT2
+    return _two_branches(
+        "distinguishing_qubit", "distinguishing-qubit",
+        {"ci_scaling": "set by the register pair",
+         "cd_scaling": "1", "basis": basis},
+        ((w, QuantumState(n, comp0)), (w, QuantumState(n, comp1))),
+        {ComplexityKind.DISTINGUISHABILITY: [_marker(n, label)]})
 
 
 def deep_random_registers(n_register: int, depth: int, seed: int
                           ) -> tuple[QuantumState, QuantumState]:
     """Two orthogonal register states prepared by seeded random circuits."""
-    ss = np.random.SeedSequence(seed).spawn(2)
-    c0 = random_circuit(n_register, depth, int(ss[0].generate_state(1)[0]))
-    c1 = random_circuit(n_register, depth, int(ss[1].generate_state(1)[0]))
-    zero = QuantumState.zero(n_register)
-    e0 = apply_circuit(zero, c0)
-    v1 = apply_circuit(zero, c1).amplitudes
-    v1 = v1 - np.vdot(e0.amplitudes, v1) * e0.amplitudes
+    _, _, e0, _, v1 = _circuit_pair(n_register, depth, depth, seed)
     return e0, QuantumState(n_register, v1 / np.linalg.norm(v1))

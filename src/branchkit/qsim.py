@@ -67,7 +67,7 @@ class QuantumState:
                 f"{self.n_qubits} qubits"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:  # NaN fails too
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -117,7 +117,7 @@ class GateOp:
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match targets {targets}")
         err = np.max(np.abs(mat.conj().T @ mat - np.eye(dim)))
-        if err > UNITARY_ATOL:
+        if not err <= UNITARY_ATOL:  # NaN fails too
             raise ValueError(f"gate matrix is not unitary (max |U†U - I| = {err:.3e})")
         object.__setattr__(self, "matrix", mat)
 
@@ -338,19 +338,15 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
         if steps is None or steps < 1:
             raise ValueError("trotter evolution requires steps >= 1")
         dt = t / steps
+        # exp(-i theta P)|psi> = cos(theta)|psi> - i sin(theta) P|psi> for a
+        # Pauli string P; each term's angle and action are built once
+        half = [(coeff * dt / 2, *_pauli_action(h.n_qubits, pauli))
+                for coeff, pauli in h.terms]
+        sweep = half + half[::-1]
         amps = state.amplitudes
         for _ in range(steps):
-            for coeff, pauli in h.terms:
-                amps = _pauli_exp(amps, h.n_qubits, pauli, coeff * dt / 2)
-            for coeff, pauli in reversed(h.terms):
-                amps = _pauli_exp(amps, h.n_qubits, pauli, coeff * dt / 2)
+            for theta, src, phase in sweep:
+                amps = np.cos(theta) * amps - 1j * np.sin(theta) * (phase * amps[src])
         amps = amps / np.linalg.norm(amps)
         return QuantumState(state.n_qubits, amps)
     raise ValueError(f"unknown evolution method {method!r}")
-
-
-def _pauli_exp(amps: np.ndarray, n_qubits: int, pauli: str, theta: float) -> np.ndarray:
-    # exp(-i theta P)|psi> = cos(theta)|psi> - i sin(theta) P|psi>, P a Pauli string
-    return np.cos(theta) * amps - 1j * np.sin(theta) * apply_pauli_string(
-        amps, n_qubits, pauli
-    )

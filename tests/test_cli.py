@@ -101,6 +101,21 @@ class TestCommands:
         doc = json.loads(out)
         assert (doc["lower_bound"], doc["upper_bound"]) == (1, 1)
 
+    def test_nan_state_file_fails_validation(self, capsys, tmp_path):
+        # a NaN amplitude gets no certificate, whatever the method
+        amps = [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        (tmp_path / "a.json").write_text(json.dumps(
+            {"n_qubits": 2, "amplitudes": amps}))
+        (tmp_path / "b.json").write_text(
+            ser.dumps(ser.to_json(QuantumState.basis(2, 3))))
+        code, out, err = run_cli(
+            ["estimate", "--kind", "relative", "--budget", "1",
+             "--method", "enumeration",
+             "--a-file", str(tmp_path / "a.json"),
+             "--b-file", str(tmp_path / "b.json")], capsys)
+        assert (code, out) == (2, "")
+        assert "nan" in json.loads(err)["error"]
+
     def test_gap_report(self, capsys):
         code, out, _ = run_cli(["gap", "--example", "ghz", "--n", "3",
                                 "--budget", "2", "--phases", "8"], capsys)
@@ -396,6 +411,7 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
      "--epsilon 0.0", "epsilon"),
     ("props --n 3 --seed 1 --budget 1 --instances -1", "instances"),
     ("props --n 3 --instances 1 --seed 1 --budget 1 --triples -1", "triples"),
+    ("flow --ci0 1 --cd0 1 --t-end -1.0", "t_end"),
 ])
 def test_negative_count_fails_validation(argv, name, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -404,6 +420,15 @@ def test_negative_count_fails_validation(argv, name, capsys):
     bad = argv.split()[-1]
     assert doc["type"] == "ValueError"
     assert name in doc["error"] and doc["error"].endswith(f"got {bad}")
+
+
+def test_eth_window_without_a_gap_fails_validation(capsys):
+    # one qubit has two eigenstates, and the default 1/3 window holds one
+    code, out, err = run_cli("evolve --mode eth --sizes 1".split(), capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError"
+    assert "window" in doc["error"] and "of 1 qubits" in doc["error"]
 
 
 @pytest.mark.parametrize("example", ["distinguishing", "tensor-separable",

@@ -3,7 +3,8 @@
 Each golden file under tests/golden/ holds the stdout of one command line;
 the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead,
 and so is the 23 MB qec document of the 3x3 parity code, which is not a
-README example.
+README example. examples.sha256 pins the `example` stdout of every worked
+example the same way, one `sha256 bytes command` line each.
 """
 import hashlib
 from pathlib import Path
@@ -50,6 +51,21 @@ def test_readme_lists_exactly_the_pinned_examples():
              for line in README.read_text().splitlines()
              if line.startswith("branchkit ")]
     assert [" ".join(words) for words in lines] == list(README_EXAMPLES.values())
+
+
+EXAMPLE_DIGESTS = [line.split(maxsplit=2) for line in
+                   (GOLDEN / "examples.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("sha,size,command", EXAMPLE_DIGESTS,
+                         ids=[d[2] for d in EXAMPLE_DIGESTS])
+def test_worked_example_stdout(sha, size, command, capsys):
+    """Every worked example, each --basis and two two-random sizes, pinned
+    by the SHA-256 and byte count of its `example` stdout."""
+    code = main(command.split())
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
 
 
 def weight_two_paulis(n: int) -> list[str]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchkit.dynamics import mixed_field_ising, xxz_chain
 from branchkit.qsim import (
     CNOT,
     GATES_1Q,
@@ -43,6 +44,12 @@ class TestStates:
         with pytest.raises(ValueError, match="norm"):
             QuantumState(1, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps", [[np.nan, 0], [1, np.nan],
+                                      [complex(0, np.nan), 0]])
+    def test_nan_amplitude_rejected(self, amps):
+        with pytest.raises(ValueError, match="state norm .*nan"):
+            QuantumState(1, np.array(amps))
+
     def test_length_must_match_qubits(self):
         with pytest.raises(ValueError):
             QuantumState(2, np.array([1.0, 0.0]))
@@ -57,6 +64,13 @@ class TestGatesAndCircuits:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             GateOp((0,), np.array([[1, 0], [0, 2]], dtype=complex))
+
+    @pytest.mark.parametrize("targets", [(0,), (0, 1)])
+    def test_nan_matrix_rejected(self, targets):
+        mat = np.eye(2 ** len(targets), dtype=complex)
+        mat[0, -1] = np.nan
+        with pytest.raises(ValueError, match="unitary"):
+            GateOp(targets, mat)
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -262,14 +276,15 @@ def oracle_pauli(amps: np.ndarray, n: int, pauli: str) -> np.ndarray:
 
 
 def oracle_trotter(state: QuantumState, h: Hamiltonian, t: float,
-                   steps: int) -> np.ndarray:
-    """Strang splitting over the terms, each exp(-i theta P) from oracle_pauli."""
+                   steps: int, pauli_op=oracle_pauli) -> np.ndarray:
+    """Strang splitting over the terms, each exp(-i theta P) with P applied by
+    `pauli_op` afresh for every term of every half step."""
     dt, amps = t / steps, state.amplitudes
     for _ in range(steps):
         for coeff, pauli in h.terms + h.terms[::-1]:
             theta = coeff * dt / 2
             amps = (np.cos(theta) * amps - 1j * np.sin(theta)
-                    * oracle_pauli(amps, h.n_qubits, pauli))
+                    * pauli_op(amps, h.n_qubits, pauli))
     return amps / np.linalg.norm(amps)
 
 
@@ -314,6 +329,17 @@ def test_trotter_evolve_matches_the_oracle_loop(case):
     state, h, t, steps = case
     got = evolve(state, h, t, method="trotter", steps=steps).amplitudes
     assert np.array_equal(got, oracle_trotter(state, h, t, steps))
+
+
+@pytest.mark.parametrize("steps", [1, 3, 20])
+@pytest.mark.parametrize("chain", [mixed_field_ising, xxz_chain])
+def test_trotter_evolve_matches_per_term_pauli_strings(chain, steps):
+    # XXZ carries Y letters; each term's action is built once per call, and
+    # the result keeps the bits of applying every term's string afresh
+    state, h = haar_random_state(6, 5), chain(6)
+    got = evolve(state, h, 0.7, method="trotter", steps=steps).amplitudes
+    assert np.array_equal(
+        got, oracle_trotter(state, h, 0.7, steps, apply_pauli_string))
 
 
 @pytest.mark.parametrize("pauli", ["XX", "XXXX", "xii", "IAI"])
