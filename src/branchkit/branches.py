@@ -28,13 +28,16 @@ from .complexity import (
     constructive_estimate,
     level_frontiers,
     node_limit,
-    sequence_at,
     survey,
     variational_upper_bound,
 )
 from .qsim import Circuit, QuantumState, _require_orthogonal, inner_product
 
 GAP_ATOL = 1e-10
+# the accuracies of the irreversibility comparison and the pair properties,
+# and the full-circle phase grid of the merge and three-branch checks
+DELTAS = (0.1, 0.5, 0.9)
+PHASE_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     identically, and the worst equality residual is reported. max_circuits
     is a node budget, as in survey: the first N circuits in level order (see
     node_limit), and nothing grown past them. The largest gap is reported at
-    the tuple-earliest circuit that reaches it.
+    the first circuit in walk order that reaches it, the lowest-ranked one.
     """
     _require_valid(d)
     if phase_points < 1:
@@ -334,7 +337,6 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     terms_at_max: tuple[float, ...] = ()
     max_eq_res = 0.0 if k == 2 else None
     max_violation = -np.inf
-    at_max: tuple[int, ...] = ()
 
     for level in range(circuit_budget + 1):
         for f in level_frontiers(base, n, level, limit):
@@ -368,14 +370,13 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
                     )
                 if k == 2:
                     max_eq_res = max(max_eq_res, float(np.abs(lhs - rhs).max()))
-                # the first circuit of a chunk at its maximum is its
-                # tuple-earliest, since a chunk holds one length in tuple order
+                # chunks come in rank order, so the first maximum of each and
+                # a strict > keep the lowest-ranked circuit at the maximum
                 node = int(lhs.max(axis=1).argmax())
                 flat = int(lhs[node].argmax())
                 gap = float(lhs[node, flat])
-                seq = sequence_at(n, int(f.rank[p0 + node]))
-                if gap > max_gap or (gap == max_gap and seq < at_max):
-                    max_gap, at_max = gap, seq
+                if gap > max_gap:
+                    max_gap = gap
                     rhs_at_max = float(rhs[node, flat])
                     terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
 
@@ -403,8 +404,8 @@ class MergeBoundReport:
 
 
 def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
-                      p: float, epsilon: float = 0.1, max_len: int = 3,
-                      phase_points: int = 8) -> MergeBoundReport:
+                      p: float, epsilon: float = 0.1,
+                      max_len: int = 3) -> MergeBoundReport:
     """Distinguishing/interfering against a merged component bounds the
     single-component quantities at shifted accuracies:
 
@@ -413,9 +414,9 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
                                       size_I(a, sqrt(p) b + e^{i t} sqrt(1-p) c, eps)
 
     Sizes are enumerated minimal fused costs, with cap+1 standing in for
-    "not found within the cap". The phase grid must be the full circle so
-    the averaged witness argument applies; p must exceed eps > 0 and
-    eps/sqrt(p) must stay within (0, 1].
+    "not found within the cap". The phase grid is PHASE_POINTS equally
+    spaced points of the full circle, as the averaged witness argument
+    needs; p must exceed eps > 0 and eps/sqrt(p) must stay within (0, 1].
     """
     _require_orthogonal([a, b, c])
     if not 0.0 < p < 1.0:
@@ -426,10 +427,8 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
         raise ValueError("the shifted accuracy 1 - eps/p requires eps < p")
     if epsilon / math.sqrt(p) > 1.0:
         raise ValueError("eps/sqrt(p) exceeds 1; reduce eps or raise p")
-    if phase_points < 8:
-        raise ValueError("phase grid needs at least 8 equally spaced points")
 
-    grid = 2.0 * np.pi * np.arange(phase_points) / phase_points
+    grid = 2.0 * np.pi * np.arange(PHASE_POINTS) / PHASE_POINTS
     merged = [
         math.sqrt(p) * b.amplitudes + np.exp(1j * t) * math.sqrt(1 - p) * c.amplitudes
         for t in grid
@@ -438,7 +437,7 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
     kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
     d_ab, i_ab = Channel(kD, 0, 1), Channel(kI, 0, 1)
     d_merged = Channel(kD, 0, 2)  # theta = 0 entry
-    i_merged = [Channel(kI, 0, 2 + t) for t in range(phase_points)]
+    i_merged = [Channel(kI, 0, 2 + t) for t in range(PHASE_POINTS)]
     res = survey(states, a.n_qubits, [d_ab, i_ab, d_merged] + i_merged,
                  max_len)
 
@@ -476,19 +475,16 @@ class ThreeBranchReport:
 
 def three_branch_compatibility(a: QuantumState, b: QuantumState,
                                c: QuantumState, epsilon: float = 0.1,
-                               max_len: int = 3, phase_points: int = 8,
-                               ) -> ThreeBranchReport:
+                               max_len: int = 3) -> ThreeBranchReport:
     """Compatibility of the two bipartite splittings of an equal-weight
-    three-component state: the branchiness of [a | b+c] and [a+b | c] lower
-    bounds the pairwise margins at shifted accuracies (sqrt(2) eps and
-    1 - 2 eps)."""
+    three-component state: the branchiness of [a | b+c] and [a+b | c],
+    minimized over a PHASE_POINTS grid of relative phases, lower bounds the
+    pairwise margins at shifted accuracies (sqrt(2) eps and 1 - 2 eps)."""
     _require_orthogonal([a, b, c])
-    if phase_points < 4:
-        raise ValueError("phase grid needs at least 4 points")
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
-    grid = 2.0 * np.pi * np.arange(phase_points) / phase_points
+    grid = 2.0 * np.pi * np.arange(PHASE_POINTS) / PHASE_POINTS
     rt2 = math.sqrt(2.0)
     bc = [(b.amplitudes + np.exp(1j * t) * c.amplitudes) / rt2 for t in grid]
     ab = [(a.amplitudes + np.exp(1j * t) * b.amplitudes) / rt2 for t in grid]
@@ -499,10 +495,10 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     i_pairs = [Channel(kI, i, j) for i, j in pairs]
     d_pairs = [Channel(kD, i, j) for i, j in pairs]
     # (a, (b+c)/sqrt2) and ((a+b)/sqrt2, c), interference over the grid
-    i_bc = [Channel(kI, 0, 3 + t) for t in range(phase_points)]
+    i_bc = [Channel(kI, 0, 3 + t) for t in range(PHASE_POINTS)]
     d_bc = Channel(kD, 0, 3)
-    i_ab = [Channel(kI, 3 + phase_points + t, 2) for t in range(phase_points)]
-    d_ab = Channel(kD, 3 + phase_points, 2)
+    i_ab = [Channel(kI, 3 + PHASE_POINTS + t, 2) for t in range(PHASE_POINTS)]
+    d_ab = Channel(kD, 3 + PHASE_POINTS, 2)
     res = survey(states, a.n_qubits,
                  i_pairs + d_pairs + i_bc + [d_bc] + i_ab + [d_ab], max_len)
 
@@ -518,7 +514,7 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     return ThreeBranchReport(
         b1=b1, b2=b2, margin_ab=m_ab, margin_bc=m_bc, margin_ca=m_ca,
         ok_ab=m_ab >= b1, ok_bc=m_bc >= b2, ok_ca=m_ca >= max(b1, b2),
-        epsilon=epsilon, phase_points=phase_points, max_len=max_len,
+        epsilon=epsilon, phase_points=PHASE_POINTS, max_len=max_len,
     )
 
 
@@ -551,14 +547,13 @@ class IrreversibilityReport:
 
 def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
                           preparation_cost: int = 0,
-                          deltas: tuple[float, ...] = (0.1, 0.5, 0.9),
                           max_len: int = 3) -> IrreversibilityReport:
-    """Compare, per component pair and accuracy, the certified interference
-    cost against the witnessed cost of mapping the parent back to psi0 plus
-    psi0's preparation cost. Each comparison is reported rather than
-    enforced: at small accuracy the mapping side can already be met by the
-    empty circuit while swapping two orthogonal components cannot, so the
-    comparison carries information only near accuracy 1.
+    """Compare, per component pair and accuracy in DELTAS, the certified
+    interference cost against the witnessed cost of mapping the parent back
+    to psi0 plus psi0's preparation cost. Each comparison is reported rather
+    than enforced: at small accuracy the mapping side can already be met by
+    the empty circuit while swapping two orthogonal components cannot, so
+    the comparison carries information only near accuracy 1.
     """
     _require_valid(d)
     if psi0.n_qubits != d.parent.n_qubits:
@@ -574,7 +569,7 @@ def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,
     res = survey(states, psi0.n_qubits, interference + [reverse], max_len)
 
     entries = []
-    for delta in deltas:
+    for delta in DELTAS:
         _, rev_upper, _, _ = res.bounds(reverse,
                                         reverse.kind.threshold(delta))
         for (i, j), channel in zip(pairs, interference):

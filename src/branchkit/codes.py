@@ -69,15 +69,14 @@ class ResidualReport:
         return float(np.max(np.abs(sub)))
 
 
-def beny_oreshkov_residuals(code: CodeSpec,
-                            exact_tol: float = EXACT_TOL) -> ResidualReport:
+def beny_oreshkov_residuals(code: CodeSpec) -> ResidualReport:
     """Fit lambda[m,n] and the residual tensor for the supplied error set.
 
     lambda[m,n] is the mean over codewords of <i|Em†En|i>, the least-squares
     fit of the delta_ij structure, so max|eps| is an honest approximateness
     measure rather than an assumed one. correctable_to is the largest error
     cost L such that every pair of supplied errors of cost <= L passes at
-    exact_tol; the statement is about the supplied set, so it certifies a
+    EXACT_TOL; the statement is about the supplied set, so it certifies a
     complexity floor only when the set is complete for each cost level.
     """
     n = code.n_qubits
@@ -103,12 +102,12 @@ def beny_oreshkov_residuals(code: CodeSpec,
     for lvl in levels:
         idx = [m for m, c in enumerate(costs) if c <= lvl]
         sub = eps[np.ix_(idx, idx)]
-        ok = bool(np.max(np.abs(sub)) <= exact_tol)
+        ok = bool(np.max(np.abs(sub)) <= EXACT_TOL)
         level_pass.append((lvl, ok))
         if ok and all(p for _, p in level_pass):
             correctable_to = lvl
     return ResidualReport(lam, eps, max_eps, correctable_to, costs,
-                          tuple(level_pass), exact_tol)
+                          tuple(level_pass), EXACT_TOL)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,15 @@ RATE_FUNCTIONS = {
     "fast_scrambling": lambda c, k: -math.expm1(-c / k),
 }
 
+# Fixed for every check: the Ising chain's (J, g, h), the XXZ chain's
+# (J_xy, J_z), the rotation commuting with it, the accuracy of the tracked
+# estimates and the distinguishability drift a frozen pair may show
+ISING_J, ISING_G, ISING_H = 1.0, -1.05, 0.5
+XXZ_JXY, XXZ_JZ = 1.0, 0.5
+PHASE_ANGLE = np.pi / 2
+TRACK_EPSILON = 0.1
+FREEZE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -39,12 +48,14 @@ class FlowParams:
     rate_function: str = "saturating"
 
     def __post_init__(self):
-        if self.k <= 0 or self.rate <= 0 or self.dt <= 0:
-            raise ValueError("k, rate, and dt must be positive")
+        for name in ("k", "rate", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.rate_function not in RATE_FUNCTIONS:
             raise ValueError(f"unknown rate function {self.rate_function!r}")
-        if not self.t_end >= 0:
-            raise ValueError(f"t_end must be nonnegative, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,9 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
     C + k ln(C/k) - rate*t relative to its initial value (for the default
     saturating model; zero-start tracks are exact fixed points and flagged).
     """
-    if ci0 < 0 or cd0 < 0:
-        raise ValueError("initial complexities must be nonnegative")
+    for name, c0 in (("ci0", ci0), ("cd0", cd0)):
+        if not (math.isfinite(c0) and c0 >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {c0}")
     f = RATE_FUNCTIONS[p.rate_function]
 
     def deriv(c: float) -> float:
@@ -125,10 +137,11 @@ def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
                                      h: Hamiltonian, witness0: Circuit,
                                      t_grid: list[float],
                                      config: EstimatorConfig | None = None,
-                                     epsilon: float = 0.1) -> Trajectory:
+                                     ) -> Trajectory:
     """Evolve the pair and record (i) the interference objective of the fixed
     initial witness, showing how a stale witness decays, and (ii) fresh
-    enumerated estimates at each time within the configured budget."""
+    enumerated estimates at each time within the configured budget, at
+    accuracy TRACK_EPSILON."""
     if a0.n_qubits > 10:
         raise ValueError("empirical tracking is limited to 10 qubits")
     config = config or EstimatorConfig()
@@ -137,9 +150,10 @@ def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
         at = evolve(a0, h, t)
         bt = evolve(b0, h, t)
         objective = objective_value(ComplexityKind.INTERFERENCE, witness0, at, bt)
-        ci = estimate_pair(ComplexityKind.INTERFERENCE, at, bt, epsilon, config)
+        ci = estimate_pair(ComplexityKind.INTERFERENCE, at, bt, TRACK_EPSILON,
+                           config)
         cd = estimate_pair(ComplexityKind.DISTINGUISHABILITY, at, bt,
-                           1.0 - epsilon, config)
+                           1.0 - TRACK_EPSILON, config)
         samples.append(TrackSample(
             t, float(objective), ci.lower_bound, ci.upper_bound,
             cd.lower_bound, cd.upper_bound, ci.truncated or cd.truncated))
@@ -159,13 +173,12 @@ class FreezeReport:
 
 
 def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
-                          u_sym: Circuit, t_grid: list[float],
-                          tol: float = 1e-6) -> FreezeReport:
+                          u_sym: Circuit, t_grid: list[float]) -> FreezeReport:
     """A circuit commuting with the Hamiltonian keeps distinguishing power
     between its eigenstates at all times: the distinguishability objective of
-    u_sym on the evolved pair must stay constant across the grid, while its
-    interference objective is reported (it cannot map between distinct
-    eigenphase sectors, so it stays near zero)."""
+    u_sym on the evolved pair must stay constant across the grid (within
+    FREEZE_TOL), while its interference objective is reported (it cannot map
+    between distinct eigenphase sectors, so it stays near zero)."""
     u_mat = u_sym.to_matrix()
     h_mat = h.to_matrix()
     comm = float(np.linalg.norm(u_mat @ h_mat - h_mat @ u_mat, 2))
@@ -198,7 +211,7 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
                                      u_sym, at, bt))
     tv = float(max(dvals) - min(dvals)) if dvals else 0.0
     return FreezeReport(comm, phase_a, phase_b, grid,
-                        tuple(dvals), tuple(ivals), tv, tv <= tol)
+                        tuple(dvals), tuple(ivals), tv, tv <= FREEZE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +235,10 @@ class EthReport:
 
 def _observable_matrix(obs, n: int) -> tuple[str, np.ndarray]:
     if isinstance(obs, str):
-        h = Hamiltonian(n, ((1.0, obs),))
-        return obs, h.to_matrix()
-    if isinstance(obs, Circuit):
-        return "circuit", obs.to_matrix()
+        return obs, Hamiltonian(n, ((1.0, obs),)).to_matrix()
     if isinstance(obs, Hamiltonian):
         return "hamiltonian", obs.to_matrix()
-    raise TypeError("observables must be Pauli strings, circuits, or Hamiltonians")
+    raise TypeError("observables must be Pauli strings or Hamiltonians")
 
 
 def eth_diagnostic(h: Hamiltonian, observables: list,
@@ -295,27 +305,27 @@ def eth_size_sweep(hamiltonians: list[Hamiltonian], observables_for,
 # Standard chains
 # ---------------------------------------------------------------------------
 
-def mixed_field_ising(n: int, j: float = 1.0, g: float = -1.05,
-                      h: float = 0.5) -> Hamiltonian:
+def mixed_field_ising(n: int) -> Hamiltonian:
     """Open mixed-field Ising chain, a standard strongly nonintegrable choice:
-    sum_i j Z_i Z_{i+1} + g X_i + h Z_i."""
+    sum_i J Z_i Z_{i+1} + g X_i + h Z_i at (J, g, h) = (1, -1.05, 0.5)."""
     terms = []
     for i in range(n - 1):
-        terms.append((j, "I" * i + "ZZ" + "I" * (n - i - 2)))
+        terms.append((ISING_J, "I" * i + "ZZ" + "I" * (n - i - 2)))
     for i in range(n):
-        terms.append((g, "I" * i + "X" + "I" * (n - i - 1)))
-        terms.append((h, "I" * i + "Z" + "I" * (n - i - 1)))
+        terms.append((ISING_G, "I" * i + "X" + "I" * (n - i - 1)))
+        terms.append((ISING_H, "I" * i + "Z" + "I" * (n - i - 1)))
     return Hamiltonian(n, tuple(terms))
 
 
-def xxz_chain(n: int, jxy: float = 1.0, jz: float = 0.5) -> Hamiltonian:
-    """Open XXZ chain; conserves total Z magnetization."""
+def xxz_chain(n: int) -> Hamiltonian:
+    """Open XXZ chain at (J_xy, J_z) = (1, 0.5); conserves total Z
+    magnetization."""
     terms = []
     for i in range(n - 1):
         pad = "I" * i, "I" * (n - i - 2)
-        terms.append((jxy, pad[0] + "XX" + pad[1]))
-        terms.append((jxy, pad[0] + "YY" + pad[1]))
-        terms.append((jz, pad[0] + "ZZ" + pad[1]))
+        terms.append((XXZ_JXY, pad[0] + "XX" + pad[1]))
+        terms.append((XXZ_JXY, pad[0] + "YY" + pad[1]))
+        terms.append((XXZ_JZ, pad[0] + "ZZ" + pad[1]))
     return Hamiltonian(n, tuple(terms))
 
 
@@ -330,8 +340,9 @@ def magnetization_sector_state(n: int, n_down: int, seed: int) -> QuantumState:
     return QuantumState(n, vec / np.linalg.norm(vec))
 
 
-def phase_rotation_circuit(n: int, angle: float = np.pi / 2) -> Circuit:
-    """Product of single-qubit phase rotations exp(i * angle * Z) on every qubit."""
-    mat = np.array([[np.exp(1j * angle), 0], [0, np.exp(-1j * angle)]],
-                   dtype=complex)
+def phase_rotation_circuit(n: int) -> Circuit:
+    """Product of single-qubit phase rotations exp(i * PHASE_ANGLE * Z) on
+    every qubit."""
+    mat = np.array([[np.exp(1j * PHASE_ANGLE), 0],
+                    [0, np.exp(-1j * PHASE_ANGLE)]], dtype=complex)
     return Circuit(n, tuple(GateOp((q,), mat, "PHZ") for q in range(n)))

@@ -37,8 +37,9 @@ class ExampleFixture:
     decomposition: BranchDecomposition
     known_witnesses: dict = field(default_factory=dict)
 
-    def pair(self, i: int = 0, j: int = 1) -> tuple[QuantumState, QuantumState]:
-        return self.decomposition.components[i][1], self.decomposition.components[j][1]
+    def pair(self) -> tuple[QuantumState, QuantumState]:
+        (_, s0), (_, s1) = self.decomposition.components  # two branches
+        return s0, s1
 
 
 def _two_branches(name: str, section: str, expected: dict, branches,
@@ -248,4 +249,8 @@ def deep_random_registers(n_register: int, depth: int, seed: int
                           ) -> tuple[QuantumState, QuantumState]:
     """Two orthogonal register states prepared by seeded random circuits."""
     _, _, e0, _, v1 = _circuit_pair(n_register, depth, depth, seed)
-    return e0, QuantumState(n_register, v1 / np.linalg.norm(v1))
+    norm = np.linalg.norm(v1)
+    if norm < 1e-8:
+        raise ValueError(f"register states coincide: both depth-{depth} "
+                         f"circuits (seed {seed}) prepare the same state")
+    return e0, QuantumState(n_register, v1 / norm)

@@ -3,10 +3,10 @@
 Each property compares enumerated minimal fused sizes (cap+1 when nothing
 within the cap meets a threshold). A comparison is counted as vacuous when
 both sides sit at the cap, violated when the inequality fails, and checked
-otherwise. The pair properties of one instance share one enumeration walk;
-the triple suite walks once per merge-bound p value plus once for
-three-branch compatibility (three walks per triple by default), and the
-irreversibility check walks once per cat size (two walks).
+otherwise. The pair properties of one instance share one enumeration walk
+and run at the accuracies DELTAS; the triple suite walks once per merge-bound
+p value in MERGE_P plus once for three-branch compatibility (three walks per
+triple), and the irreversibility check walks once per cat size (two walks).
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import fixtures
 from .branches import (
+    DELTAS,
     irreversibility_check,
     merge_bound_check,
     three_branch_compatibility,
@@ -33,6 +34,8 @@ from .qsim import QuantumState
 K_R = ComplexityKind.RELATIVE
 K_D = ComplexityKind.DISTINGUISHABILITY
 K_I = ComplexityKind.INTERFERENCE
+# the weights p of the merged component in the merge-bound checks
+MERGE_P = (0.5, 0.3)
 
 
 @dataclass
@@ -62,10 +65,6 @@ class PropertySuiteReport:
     max_len: int
     properties: dict[str, PropertyStats]
 
-    def total_violations(self, names: tuple[str, ...] | None = None) -> int:
-        keys = names if names is not None else tuple(self.properties)
-        return sum(self.properties[k].violations for k in keys)
-
 
 def random_orthogonal_states(n: int, count: int, seed: int
                              ) -> list[QuantumState]:
@@ -85,7 +84,6 @@ def random_orthogonal_states(n: int, count: int, seed: int
 
 
 def run_pair_properties(n: int, instances: int, seed: int,
-                        deltas: tuple[float, ...] = (0.1, 0.5, 0.9),
                         max_len: int = 3) -> PropertySuiteReport:
     """Monotonicity, symmetry, phase invariance, the interference sandwich,
     the product-state ceiling, the conjugate-basis relation, and the triangle
@@ -119,7 +117,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
                     rev[K_I], *phased.values(), conj, r_za, r_zb, r_bc]
         res = survey(cols, n, channels, max_len)
 
-        for d in deltas:
+        for d in DELTAS:
             # symmetry and phase invariance, all three kinds
             for kind in (K_R, K_D, K_I):
                 s_fwd, s_rev = res.size(fwd[kind], d), res.size(rev[kind], d)
@@ -161,7 +159,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
 
         # monotonicity over the delta grid, all three kinds
         for kind, ch in fwd.items():
-            sizes = [res.size(ch, d) for d in sorted(deltas)]
+            sizes = [res.size(ch, d) for d in DELTAS]
             stats["monotonicity"].note(
                 all(x <= y for x, y in zip(sizes, sizes[1:])),
                 detail=f"inst={inst} {kind.value}: sizes {sizes}")
@@ -184,8 +182,7 @@ def run_pair_properties(n: int, instances: int, seed: int,
                        f"{floor:.4f} or cost {fused_cost(concat.gates)} > "
                        f"{up1}+{up2}")
 
-    return PropertySuiteReport(n, instances, seed, tuple(deltas), max_len,
-                               stats)
+    return PropertySuiteReport(n, instances, seed, DELTAS, max_len, stats)
 
 
 @dataclass
@@ -200,9 +197,7 @@ class TripleSuiteReport:
 
 
 def run_triple_properties(n: int, triples: int, seed: int,
-                          epsilon: float = 0.1,
-                          p_values: tuple[float, ...] = (0.5, 0.3),
-                          max_len: int = 3, phase_points: int = 8,
+                          epsilon: float = 0.1, max_len: int = 3,
                           ) -> TripleSuiteReport:
     """Merge bounds and three-branch compatibility over seeded orthogonal triples."""
     if triples < 0:
@@ -211,14 +206,12 @@ def run_triple_properties(n: int, triples: int, seed: int,
     three = PropertyStats()
     for inst in range(triples):
         a, b, c = random_orthogonal_states(n, 3, seed * 7919 + inst)
-        for p in p_values:
-            rep = merge_bound_check(a, b, c, p, epsilon, max_len,
-                                    phase_points)
+        for p in MERGE_P:
+            rep = merge_bound_check(a, b, c, p, epsilon, max_len)
             merge.note(rep.d_ok and rep.i_ok,
                        detail=f"inst={inst} p={p}: D {rep.d_lhs}<={rep.d_rhs} "
                               f"I {rep.i_lhs}>={rep.i_rhs_min}")
-        rep3 = three_branch_compatibility(a, b, c, epsilon, max_len,
-                                          phase_points)
+        rep3 = three_branch_compatibility(a, b, c, epsilon, max_len)
         three.note(rep3.ok,
                    detail=f"inst={inst}: margins ({rep3.margin_ab},"
                           f"{rep3.margin_bc},{rep3.margin_ca}) vs "
@@ -242,13 +235,12 @@ class FullSuiteReport:
 
 
 def run_property_suite(n: int, instances: int, seed: int,
-                       deltas: tuple[float, ...] = (0.1, 0.5, 0.9),
                        max_len: int = 3, triples: int | None = None,
                        epsilon: float = 0.1) -> FullSuiteReport:
     """The full inequality suite: pair properties on random orthogonal pairs,
     merge/three-branch bounds on random triples, and the irreversibility
     comparison on the standard cat-state instances."""
-    pair_rep = run_pair_properties(n, instances, seed, deltas, max_len)
+    pair_rep = run_pair_properties(n, instances, seed, max_len)
     triple_rep = run_triple_properties(n, triples if triples is not None
                                        else max(1, instances // 2), seed,
                                        epsilon, max_len=max_len)

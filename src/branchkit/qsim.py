@@ -72,16 +72,11 @@ class QuantumState:
         object.__setattr__(self, "amplitudes", amps)
 
     @staticmethod
-    def from_vector(vec: np.ndarray, normalize: bool = False) -> "QuantumState":
+    def from_vector(vec: np.ndarray) -> "QuantumState":
         vec = np.asarray(vec, dtype=complex)
         n = int(round(np.log2(vec.shape[0])))
         if 2**n != vec.shape[0]:
             raise ValueError("vector length is not a power of two")
-        if normalize:
-            nrm = np.linalg.norm(vec)
-            if nrm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            vec = vec / nrm
         return QuantumState(n, vec)
 
     @staticmethod

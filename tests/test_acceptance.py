@@ -286,8 +286,7 @@ def test_criterion_07_outcome_gap_bounds():
 def inequality_reports():
     reports = []
     for n, count, seed in ((2, 50, 820), (3, 50, 821)):
-        reports.append(run_pair_properties(n, count, seed,
-                                           deltas=(0.1, 0.5, 0.9), max_len=3))
+        reports.append(run_pair_properties(n, count, seed, max_len=3))
     return reports
 
 
@@ -337,7 +336,7 @@ def test_criterion_08x_product_state_ceiling(inequality_reports):
 @pytest.fixture(scope="module")
 def triple_report():
     return run_triple_properties(3, triples=50, seed=907, epsilon=0.1,
-                                 p_values=(0.5, 0.3), max_len=3)
+                                 max_len=3)
 
 
 def test_criterion_09_merge_bounds(triple_report):

@@ -269,7 +269,7 @@ class TestThreeBranch:
         a, b = QuantumState.basis(3, 0), QuantumState.basis(3, 7)
         vec = haar_random_state(3, 991).amplitudes.copy()
         vec[0] = vec[7] = 0.0
-        c = QuantumState.from_vector(vec, normalize=True)
+        c = QuantumState.from_vector(vec / np.linalg.norm(vec))
         rep = three_branch_compatibility(a, b, c, epsilon=0.1, max_len=2)
         assert rep.ok
 
@@ -280,11 +280,6 @@ class TestThreeBranch:
         # relabeled margins swap roles but the verdict is identical
         assert fwd.ok == rev.ok
         assert fwd.margin_ab == rev.margin_ca or fwd.margin_ab == rev.margin_ab
-
-    def test_coarse_grid_rejected(self):
-        a, b, c = random_orthogonal_states(2, 3, 1)
-        with pytest.raises(ValueError, match="grid"):
-            three_branch_compatibility(a, b, c, phase_points=3)
 
     @pytest.mark.parametrize("eps", [-0.1, 0.0])
     def test_nonpositive_epsilon_rejected(self, eps):

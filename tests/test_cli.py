@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,18 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     ("props --n 3 --seed 1 --budget 1 --instances -1", "instances"),
     ("props --n 3 --instances 1 --seed 1 --budget 1 --triples -1", "triples"),
     ("flow --ci0 1 --cd0 1 --t-end -1.0", "t_end"),
+    # NaN passes every comparison, and infinities overflow the step count
+    ("flow --ci0 1 --cd0 1 --k nan", "k"),
+    ("flow --ci0 1 --cd0 1 --k inf", "k"),
+    ("flow --ci0 1 --cd0 1 --rate nan", "rate"),
+    ("flow --ci0 1 --cd0 1 --rate inf", "rate"),
+    ("flow --ci0 1 --cd0 1 --dt nan", "dt"),
+    ("flow --ci0 1 --cd0 1 --dt inf", "dt"),
+    ("flow --ci0 1 --cd0 1 --t-end inf", "t_end"),
+    ("flow --cd0 1 --ci0 nan", "ci0"),
+    ("flow --cd0 1 --ci0 inf", "ci0"),
+    ("flow --ci0 1 --cd0 nan", "cd0"),
+    ("flow --ci0 1 --cd0 inf", "cd0"),
 ])
 def test_negative_count_fails_validation(argv, name, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -438,6 +451,18 @@ def test_seeded_example_records_its_seed(example, capsys):
                            .split(), capsys)
     assert code == 0
     assert json.loads(out)["seed"] == 3
+
+
+def test_coinciding_registers_fail_validation(capsys):
+    # at depth 0 both register circuits are empty, so both states are |000>
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("example --example distinguishing --n 4 "
+                                 "--depth 0 --seed 1".split(), capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError"
+    assert "register states coincide" in doc["error"]
 
 
 def test_zero_node_budget_walks_the_empty_sequence(capsys):
