@@ -4,7 +4,9 @@ Each golden file under tests/golden/ holds the stdout of one command line;
 the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead,
 and so is the 23 MB qec document of the 3x3 parity code, which is not a
 README example. examples.sha256 pins the `example` stdout of every worked
-example the same way, one `sha256 bytes command` line each.
+example the same way, one `sha256 bytes command` line each, and
+verdicts.sha256 pins the `verdict` stdout of every worked example and one
+`evolve --mode track` run.
 """
 import hashlib
 from pathlib import Path
@@ -53,8 +55,21 @@ def test_readme_lists_exactly_the_pinned_examples():
     assert [" ".join(words) for words in lines] == list(README_EXAMPLES.values())
 
 
-EXAMPLE_DIGESTS = [line.split(maxsplit=2) for line in
-                   (GOLDEN / "examples.sha256").read_text().splitlines()]
+def digests(name: str) -> list[list[str]]:
+    """The `sha256 bytes command` lines of one digest file."""
+    return [line.split(maxsplit=2)
+            for line in (GOLDEN / name).read_text().splitlines()]
+
+
+def assert_stdout_digest(sha, size, command, capsys):
+    code = main(command.split())
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
+
+
+EXAMPLE_DIGESTS = digests("examples.sha256")
+VERDICT_DIGESTS = digests("verdicts.sha256")
 
 
 @pytest.mark.parametrize("sha,size,command", EXAMPLE_DIGESTS,
@@ -62,10 +77,15 @@ EXAMPLE_DIGESTS = [line.split(maxsplit=2) for line in
 def test_worked_example_stdout(sha, size, command, capsys):
     """Every worked example, each --basis and two two-random sizes, pinned
     by the SHA-256 and byte count of its `example` stdout."""
-    code = main(command.split())
-    out = capsys.readouterr().out.encode()
-    assert code == 0
-    assert (hashlib.sha256(out).hexdigest(), len(out)) == (sha, int(size))
+    assert_stdout_digest(sha, size, command, capsys)
+
+
+@pytest.mark.parametrize("sha,size,command", VERDICT_DIGESTS,
+                         ids=[d[2] for d in VERDICT_DIGESTS])
+def test_verdict_stdout(sha, size, command, capsys):
+    """The verdict of every worked example at --n 4 --seed 1, and a track
+    run, pinned by the SHA-256 and byte count of their stdout."""
+    assert_stdout_digest(sha, size, command, capsys)
 
 
 def weight_two_paulis(n: int) -> list[str]:
