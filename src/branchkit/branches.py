@@ -4,9 +4,10 @@ A decomposition splits a parent state into weighted orthogonal components.
 A pair of components counts as a good branch pair when certified
 interference cost exceeds the witnessed distinguishability cost by a
 configurable margin, and as adversarially robust when the interference cost
-clears an exponential of the distinguishability cost. The module also hosts
-the runnable checks tying decompositions to outcome probabilities (pure
-state versus dephased mixture), the merge bounds for grouped components,
+clears an exponential of the distinguishability cost; one enumeration walk
+serves both costs of a pair (estimate_pair). The module also hosts the
+runnable checks tying decompositions to outcome probabilities (pure state
+versus dephased mixture), the merge bounds for grouped components,
 three-branch compatibility, and the irreversibility comparison.
 """
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .complexity import (
     ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
-    brute_force_estimate,
     combine_estimates,
     constructive_estimate,
+    enumeration_estimate,
     level_frontiers,
     node_limit,
     survey,
@@ -38,6 +39,8 @@ GAP_ATOL = 1e-10
 # and the full-circle phase grid of the merge and three-branch checks
 DELTAS = (0.1, 0.5, 0.9)
 PHASE_POINTS = 8
+# the pair classes, worst first: a decomposition is as good as its worst pair
+CLASS_RANK = ("NotBranch", "Inconclusive", "Good", "Robust")
 
 
 @dataclass(frozen=True)
@@ -147,23 +150,33 @@ class EstimatorConfig:
     seed: int = 0
 
 
-def estimate_pair(kind: ComplexityKind, a: QuantumState, b: QuantumState,
-                  delta: float, config: EstimatorConfig,
-                  candidates: list[Circuit] | None = None) -> ComplexityEstimate:
-    """Pipeline: enumeration, then structural candidates, then variational
+def estimate_pair(a: QuantumState, b: QuantumState, targets: tuple,
+                  config: EstimatorConfig,
+                  candidates: dict[ComplexityKind, list[Circuit]] | None = None,
+                  ) -> tuple[ComplexityEstimate, ...]:
+    """One estimate per (kind, delta) target of the pair (a, b). One
+    enumeration walk, a survey with a channel per kind, serves every target;
+    then, per target, the structural candidates of its kind, and variational
     search if no witness has been found yet; results merged soundly."""
-    query = ComplexityQuery(kind, a, b, delta, config.max_len, config.seed)
-    ests: list[ComplexityEstimate] = []
+    queries = [ComplexityQuery(kind, a, b, delta, config.max_len, config.seed)
+               for kind, delta in targets]
     if config.enumerate_lower:
-        ests.append(brute_force_estimate(query, config.node_budget))
-    if candidates:
-        ests.append(constructive_estimate(query, candidates))
-    if config.use_variational and all(e.upper_bound is None for e in ests):
-        ests.append(variational_upper_bound(
-            query, config.restarts, config.variational_blocks))
-    if not ests:  # no search configured: an empty candidate list knows nothing
-        return constructive_estimate(query, [])
-    return combine_estimates(*ests)
+        channels = dict.fromkeys(Channel(q.kind, 0, 1) for q in queries)
+        res = survey([a.amplitudes, b.amplitudes], a.n_qubits, list(channels),
+                     config.max_len, config.node_budget)
+    candidates = candidates or {}
+    out = []
+    for query in queries:
+        ests = [enumeration_estimate(query, res)] if config.enumerate_lower else []
+        if candidates.get(query.kind):
+            ests.append(constructive_estimate(query, candidates[query.kind]))
+        if config.use_variational and all(e.upper_bound is None for e in ests):
+            ests.append(variational_upper_bound(
+                query, config.restarts, config.variational_blocks))
+        # no search configured: an empty candidate list knows nothing
+        out.append(combine_estimates(*ests) if ests
+                   else constructive_estimate(query, []))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -242,16 +255,13 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
     _require_valid(d)
     config = config or EstimatorConfig()
     lam = resolve_lambda(robustness_lambda, noise_rate)
-    candidates = candidates or {}
+    targets = ((ComplexityKind.INTERFERENCE, epsilon),
+               (ComplexityKind.DISTINGUISHABILITY, 1.0 - epsilon))
 
     pairs = []
     for i, j in itertools.combinations(range(len(d.components)), 2):
-        a, b = d.components[i][1], d.components[j][1]
-        ci = estimate_pair(ComplexityKind.INTERFERENCE, a, b, epsilon, config,
-                           candidates.get(ComplexityKind.INTERFERENCE))
-        cd = estimate_pair(ComplexityKind.DISTINGUISHABILITY, a, b,
-                           1.0 - epsilon, config,
-                           candidates.get(ComplexityKind.DISTINGUISHABILITY))
+        ci, cd = estimate_pair(d.components[i][1], d.components[j][1],
+                               targets, config, candidates)
         classification, margin = _classify(ci, cd, good_threshold, lam)
         witness_margin = None
         if ci.upper_bound is not None and cd.upper_bound is not None:
@@ -259,22 +269,12 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
         ratio = None
         if cd.upper_bound and margin is not None:
             ratio = ci.lower_bound / cd.upper_bound
-        if classification == "Robust":
-            assert margin is not None and margin >= good_threshold
-        if classification == "Good":
+        if classification in ("Good", "Robust"):
             assert margin is not None and margin >= good_threshold
         pairs.append(PairAssessment(i, j, ci, cd, margin, witness_margin,
                                     ratio, classification))
 
-    classes = {p.classification for p in pairs}
-    if classes <= {"Robust"}:
-        overall = "Robust"
-    elif classes <= {"Robust", "Good"}:
-        overall = "Good"
-    elif "NotBranch" in classes:
-        overall = "NotBranch"
-    else:
-        overall = "Inconclusive"
+    overall = min((p.classification for p in pairs), key=CLASS_RANK.index)
     return BranchVerdict(tuple(pairs), overall, epsilon, good_threshold, lam)
 
 

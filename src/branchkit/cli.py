@@ -168,7 +168,7 @@ def cmd_estimate(args) -> int:
     else:
         fixture = build_fixture(args)
         a, b = fixture.pair()
-        candidates = fixture.known_witnesses.get(kind)
+        candidates = fixture.known_witnesses
     config = EstimatorConfig(
         max_len=args.budget,
         node_budget=args.node_budget,
@@ -176,7 +176,7 @@ def cmd_estimate(args) -> int:
         use_variational=args.method in ("variational", "auto"),
         seed=args.seed or 0,
     )
-    est = estimate_pair(kind, a, b, args.delta, config, candidates)
+    est, = estimate_pair(a, b, ((kind, args.delta),), config, candidates)
     _emit(args, ser.dumps(ser.to_json(est)))
     return TRUNCATION_EXIT if args.strict and est.truncated else 0
 

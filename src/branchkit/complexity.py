@@ -179,6 +179,9 @@ _ONE_QUBIT = ("X", "Y", "Z", "H", "S", "SDG", "T", "TDG")
 _ADJOINT = {"S": "SDG", "SDG": "S", "T": "TDG", "TDG": "T"}
 _SCOPE = "alphabet:default"
 _MAX_LEN = 63  # the longest sequences the rank table counts
+# the most sequences one walk may plan; the largest walk of the tests and
+# the benchmark plans 26,131
+MAX_WALK = 10**7
 
 
 class _Enumeration:
@@ -318,11 +321,18 @@ def node_limit(n_qubits: int, max_len: int, budget: int | None,
                name: str) -> tuple[int, int]:
     """(limit, total): a walk of the `total` sequences of at most max_len gates
     covers the first `limit` in level order (shorter first, tuple order within
-    a length). The empty one always counts, so a budget of 0 walks it alone."""
+    a length). The empty one always counts, so a budget of 0 walks it alone.
+    A walk of more than MAX_WALK sequences is refused before it starts."""
     if budget is not None and budget < 0:
         raise ValueError(f"{name} must be >= 0, got {budget}")
     total = sequence_count(n_qubits, max_len)
-    return (total if budget is None else min(total, max(budget, 1))), total
+    limit = total if budget is None else min(total, max(budget, 1))
+    if limit > MAX_WALK:
+        raise ValueError(
+            f"the walk plans {limit:,} sequences of at most {max_len} gates on "
+            f"{n_qubits} qubits, above MAX_WALK = {MAX_WALK:,}; set {name} "
+            f"to at most {MAX_WALK:,} or lower the sequence-length cap")
+    return limit, total
 
 
 class _Slots:
@@ -458,20 +468,15 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
                         limit, limit < total, slots.best(walk))
 
 
-def brute_force_estimate(q: ComplexityQuery,
-                         node_budget: int | None = None) -> ComplexityEstimate:
-    """Exhaustive level-ordered enumeration over the default alphabet.
-
-    Returns lower = upper = the smallest fused cost at which any enumerated
-    sequence meets the threshold (the enumeration itself certifies that no
-    cheaper enumerated circuit does); if nothing meets it, lower = max_size+1
-    and the upper bound is unknown. On budget truncation the result is
-    flagged and the lower bound degrades to 0, never silently wrong.
-    """
-    channel = Channel(q.kind, 0, 1)
-    res = survey([q.a.amplitudes, q.b.amplitudes], q.a.n_qubits, [channel],
-                 q.max_size, node_budget)
-    lower, upper, witness, achieved = res.bounds(channel, q.threshold)
+def enumeration_estimate(q: ComplexityQuery,
+                         res: SurveyResult) -> ComplexityEstimate:
+    """q's certified estimate from a survey of its pair as columns (0, 1):
+    lower = upper = the smallest fused cost at which any enumerated sequence
+    meets the threshold (the enumeration itself certifies that no cheaper
+    enumerated circuit does); if nothing meets it, lower = max_len+1 and the
+    upper bound is unknown. On budget truncation the result is flagged and
+    the lower bound degrades to 0, never silently wrong."""
+    lower, upper, witness, achieved = res.bounds(Channel(q.kind, 0, 1), q.threshold)
     if witness is not None:
         _verify_witness(q, witness, achieved)
     return ComplexityEstimate(
@@ -479,6 +484,13 @@ def brute_force_estimate(q: ComplexityQuery,
         upper_bound=upper, witness=witness, achieved_value=achieved,
         method="enumeration", seed=q.seed, truncated=res.truncated,
     )
+
+
+def brute_force_estimate(q: ComplexityQuery) -> ComplexityEstimate:
+    """Exhaustive enumeration over the default alphabet for one query."""
+    res = survey([q.a.amplitudes, q.b.amplitudes], q.a.n_qubits,
+                 [Channel(q.kind, 0, 1)], q.max_size)
+    return enumeration_estimate(q, res)
 
 
 def combine_estimates(primary: ComplexityEstimate,

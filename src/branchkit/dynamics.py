@@ -37,6 +37,8 @@ XXZ_JXY, XXZ_JZ = 1.0, 0.5
 PHASE_ANGLE = np.pi / 2
 TRACK_EPSILON = 0.1
 FREEZE_TOL = 1e-6
+# the most steps one flow integration may take, 100x the default run's 10,001
+FLOW_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,12 @@ class FlowParams:
             raise ValueError(f"unknown rate function {self.rate_function!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and >= 0, got {self.t_end}")
+        steps = self.t_end / self.dt
+        if math.isinf(steps) or round(steps) > FLOW_MAX_STEPS:
+            raise ValueError(
+                f"t_end / dt = {self.t_end} / {self.dt} plans {steps:.3g} steps, "
+                f"above FLOW_MAX_STEPS = {FLOW_MAX_STEPS:,}; lower t_end or "
+                "raise dt")
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,7 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
     for name, c0 in (("i", ci0), ("d", cd0)):
         if has_invariant and c0 > 0:
             ref[name] = _flow_invariant(c0, p.k, p.rate, 0.0)
+    fixed = ci0 == 0.0 or cd0 == 0.0
     samples = []
     for step in range(n_steps + 1):
         t = step * p.dt
@@ -125,7 +134,6 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
         for name, c in (("i", ci), ("d", cd)):
             if name in ref:
                 drifts.append(abs(_flow_invariant(c, p.k, p.rate, t) - ref[name]))
-        fixed = ci0 == 0.0 or cd0 == 0.0
         samples.append(FlowSample(t, ci, cd, max(drifts, default=0.0), fixed))
         if step < n_steps:
             ci = rk4(ci) if ci > 0 else 0.0
@@ -141,19 +149,18 @@ def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
     """Evolve the pair and record (i) the interference objective of the fixed
     initial witness, showing how a stale witness decays, and (ii) fresh
     enumerated estimates at each time within the configured budget, at
-    accuracy TRACK_EPSILON."""
+    accuracy TRACK_EPSILON, both costs from one estimate_pair call."""
     if a0.n_qubits > 10:
         raise ValueError("empirical tracking is limited to 10 qubits")
     config = config or EstimatorConfig()
+    targets = ((ComplexityKind.INTERFERENCE, TRACK_EPSILON),
+               (ComplexityKind.DISTINGUISHABILITY, 1.0 - TRACK_EPSILON))
     samples = []
     for t in sorted(t_grid):
         at = evolve(a0, h, t)
         bt = evolve(b0, h, t)
         objective = objective_value(ComplexityKind.INTERFERENCE, witness0, at, bt)
-        ci = estimate_pair(ComplexityKind.INTERFERENCE, at, bt, TRACK_EPSILON,
-                           config)
-        cd = estimate_pair(ComplexityKind.DISTINGUISHABILITY, at, bt,
-                           1.0 - TRACK_EPSILON, config)
+        ci, cd = estimate_pair(at, bt, targets, config)
         samples.append(TrackSample(
             t, float(objective), ci.lower_bound, ci.upper_bound,
             cd.lower_bound, cd.upper_bound, ci.truncated or cd.truncated))

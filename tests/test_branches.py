@@ -1,13 +1,19 @@
 """Decomposition validation, verdicts, and the probability/inequality checks."""
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from branchkit import branches
 from branchkit.branches import (
+    CLASS_RANK,
     BranchDecomposition,
     EstimatorConfig,
     assess_branches,
+    estimate_pair,
     irreversibility_check,
     merge_bound_check,
     resolve_lambda,
@@ -15,10 +21,15 @@ from branchkit.branches import (
     three_branch_compatibility,
     validate_decomposition,
 )
-from branchkit.complexity import ComplexityKind, ComplexityQuery, brute_force_estimate
+from branchkit.complexity import (
+    ComplexityKind,
+    ComplexityQuery,
+    brute_force_estimate,
+    survey,
+)
 from branchkit.properties import random_orthogonal_states
 from branchkit import fixtures as fx
-from branchkit.qsim import QuantumState, haar_random_state
+from branchkit.qsim import QuantumState, haar_random_state, random_circuit
 
 K_D = ComplexityKind.DISTINGUISHABILITY
 K_I = ComplexityKind.INTERFERENCE
@@ -31,6 +42,14 @@ def cat_decomposition(n, w0=SQ2, w1=SQ2):
         + w1 * QuantumState.basis(n, 2**n - 1).amplitudes)
     return BranchDecomposition(parent, ((w0, QuantumState.basis(n, 0)),
                                         (w1, QuantumState.basis(n, 2**n - 1))))
+
+
+def three_basis_split():
+    """Equal weights on |000>, |011> and |101>."""
+    states = [QuantumState.basis(3, i) for i in (0, 3, 5)]
+    w = 1 / math.sqrt(3)
+    parent = QuantumState.from_vector(w * sum(s.amplitudes for s in states))
+    return BranchDecomposition(parent, tuple((w, s) for s in states))
 
 
 class TestValidation:
@@ -136,6 +155,34 @@ class TestAssessment:
                             config=EstimatorConfig(max_len=2),
                             good_threshold=1)
         assert v.pairwise[0].ratio == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("classes", [
+        c for r in range(1, 5) for c in itertools.combinations(CLASS_RANK, r)])
+    def test_overall_is_the_worst_pair_class(self, classes, monkeypatch):
+        """The rank order gives the four-way rule it replaced on every
+        non-empty set of pair classes."""
+        def four_way(found):
+            if found <= {"Robust"}:
+                return "Robust"
+            if found <= {"Robust", "Good"}:
+                return "Good"
+            return "NotBranch" if "NotBranch" in found else "Inconclusive"
+
+        # six pairs of four components take every class at least once
+        cycle = itertools.cycle(classes)
+
+        def classify(*args):
+            cls = next(cycle)
+            return cls, 2 if cls in ("Good", "Robust") else 0
+
+        monkeypatch.setattr(branches, "_classify", classify)
+        states = [QuantumState.basis(2, i) for i in range(4)]
+        parent = QuantumState.from_vector(0.5 * sum(s.amplitudes for s in states))
+        d = BranchDecomposition(parent, tuple((0.5, s) for s in states))
+        v = assess_branches(d, config=EstimatorConfig(
+            enumerate_lower=False, use_variational=False))
+        assert {p.classification for p in v.pairwise} == set(classes)
+        assert v.overall == four_way(set(classes))
 
     def test_resolve_lambda_from_noise_rate(self):
         assert resolve_lambda(noise_rate=math.exp(-3)) == pytest.approx(3.0)
@@ -323,11 +370,7 @@ class TestIrreversibility:
 
 class TestMultiComponentVerdict:
     def test_three_component_cat_overall(self):
-        states = [QuantumState.basis(3, i) for i in (0, 3, 5)]
-        w = 1 / math.sqrt(3)
-        parent = QuantumState.from_vector(w * sum(s.amplitudes for s in states))
-        d = BranchDecomposition(parent, tuple((w, s) for s in states))
-        v = assess_branches(d, epsilon=0.1,
+        v = assess_branches(three_basis_split(), epsilon=0.1,
                             config=EstimatorConfig(max_len=2,
                                                    use_variational=False),
                             good_threshold=1)
@@ -335,3 +378,61 @@ class TestMultiComponentVerdict:
         # every pair of basis arms differs on two qubits: one block swaps them
         assert all(p.classification == "NotBranch" for p in v.pairwise)
         assert v.overall == "NotBranch"
+
+
+def test_one_walk_per_pair(monkeypatch):
+    """Both costs of a pair come from one survey: three pairs, three walks."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return survey(*args, **kwargs)
+
+    monkeypatch.setattr(branches, "survey", counted)
+    v = assess_branches(three_basis_split(), config=EstimatorConfig(
+        max_len=1, use_variational=False))
+    assert len(v.pairwise) == len(calls) == 3
+
+
+def assert_same_estimate(e1, e2):
+    for field in dataclasses.fields(e1):
+        x, y = getattr(e1, field.name), getattr(e2, field.name)
+        if field.name == "witness" and x is not None and y is not None:
+            x, y = ([(g.targets, g.label, g.matrix.tobytes()) for g in w.gates]
+                    for w in (x, y))
+        assert x == y, field.name
+
+
+@st.composite
+def pair_questions(draw):
+    """(a, b, targets, config, candidates) on 2-3 qubits: two targets of any
+    kinds, a node budget or none, each search on or off, and structural
+    candidates for some kinds."""
+    n = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**16))
+    a, b = haar_random_state(n, seed), haar_random_state(n, seed + 1)
+    targets = tuple(
+        (draw(st.sampled_from(list(ComplexityKind))),
+         draw(st.sampled_from([None, 0.1, 0.5, 0.9, 1.0])))
+        for _ in range(2))
+    config = EstimatorConfig(
+        max_len=draw(st.integers(0, 2)),
+        node_budget=draw(st.none() | st.integers(0, 60)),
+        enumerate_lower=draw(st.booleans()),
+        use_variational=draw(st.booleans()),
+        variational_blocks=draw(st.integers(0, 2)), restarts=1, seed=seed)
+    kinds = draw(st.sets(st.sampled_from(list(ComplexityKind))))
+    candidates = {kind: [random_circuit(n, depth, seed + depth)
+                         for depth in (1, 2)] for kind in kinds}
+    return a, b, targets, config, candidates
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair_questions())
+def test_two_targets_equal_two_single_target_calls(question):
+    a, b, targets, config, candidates = question
+    both = estimate_pair(a, b, targets, config, candidates)
+    assert len(both) == 2
+    for target, est in zip(targets, both):
+        alone, = estimate_pair(a, b, (target,), config, candidates)
+        assert_same_estimate(est, alone)

@@ -4,6 +4,7 @@ import inspect
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -433,6 +434,21 @@ def test_negative_count_fails_validation(argv, name, capsys):
     bad = argv.split()[-1]
     assert doc["type"] == "ValueError"
     assert name in doc["error"] and doc["error"].endswith(f"got {bad}")
+
+
+@pytest.mark.parametrize("argv, cut", [
+    # 10^10 RK4 steps, and 24,268,003,321 enumerated sequences
+    ("flow --ci0 1 --cd0 1 --t-end 1e7", "dt"),
+    ("estimate --kind interference --example ghz --n 8 --budget 5",
+     "node_budget"),
+])
+def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv.split(), capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError" and cut in doc["error"]
 
 
 def test_eth_window_without_a_gap_fails_validation(capsys):

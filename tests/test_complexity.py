@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+from branchkit.branches import EstimatorConfig, estimate_pair
 from branchkit.complexity import (
+    MAX_WALK,
     Channel,
     ComplexityKind,
     ComplexityQuery,
@@ -11,9 +13,11 @@ from branchkit.complexity import (
     combine_estimates,
     constructive_estimate,
     fused_cost,
+    node_limit,
     objective_value,
     pair_blocks,
     round_robin_pairs,
+    sequence_count,
     survey,
     variational_upper_bound,
 )
@@ -131,11 +135,20 @@ class TestBruteForce:
                (e2.lower_bound, e2.upper_bound, e2.achieved_value)
 
     def test_budget_truncation_flagged(self):
-        q = ComplexityQuery(K_I, QuantumState.basis(3, 0),
-                            QuantumState.basis(3, 7), 0.9, max_size=3)
-        est = brute_force_estimate(q, node_budget=10)
+        config = EstimatorConfig(max_len=3, node_budget=10,
+                                 use_variational=False)
+        est, = estimate_pair(QuantumState.basis(3, 0), QuantumState.basis(3, 7),
+                             ((K_I, 0.9),), config)
         assert est.truncated
         assert est.lower_bound == 0
+
+    def test_planned_walk_is_capped(self):
+        # GHZ(8) at five gates plans 24,268,003,321 sequences
+        assert sequence_count(8, 5) > MAX_WALK
+        with pytest.raises(ValueError, match="node_budget"):
+            node_limit(8, 5, None, "node_budget")
+        assert node_limit(8, 5, MAX_WALK, "node_budget") == (
+            MAX_WALK, sequence_count(8, 5))
 
     def test_monotone_in_delta(self):
         a, b = haar_random_state(2, 5), haar_random_state(2, 6)

@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from branchkit import branches
 from branchkit.branches import EstimatorConfig
-from branchkit.complexity import ComplexityKind, pair_blocks
+from branchkit.complexity import ComplexityKind, pair_blocks, survey
 from branchkit.dynamics import (
+    FLOW_MAX_STEPS,
     FlowParams,
     RATE_FUNCTIONS,
     eth_diagnostic,
@@ -58,6 +60,13 @@ class TestFlow:
         assert traj.samples[-1].c_i > 0.5
         assert all(s.invariant_drift == 0.0 for s in traj.samples)
 
+    def test_step_count_is_capped(self):
+        p = FlowParams(t_end=1000.0)  # the default step: exactly the cap
+        assert round(p.t_end / p.dt) == FLOW_MAX_STEPS
+        for t_end, dt in ((1e7, 1e-3), (10.0, 5e-324)):
+            with pytest.raises(ValueError, match="t_end.*dt"):
+                FlowParams(t_end=t_end, dt=dt)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             FlowParams(k=0.0)
@@ -91,6 +100,22 @@ class TestTracking:
         assert s0.witness_objective == pytest.approx(2.0)
         assert s0.ci_lower == 3  # nothing within the cap at t = 0
         assert s0.cd_upper == 1
+
+    def test_one_walk_per_time_point(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return survey(*args, **kwargs)
+
+        monkeypatch.setattr(branches, "survey", counted)
+        f = ghz(3)
+        a, b = f.pair()
+        traj = track_complexity_under_evolution(
+            a, b, mixed_field_ising(3),
+            f.known_witnesses[ComplexityKind.INTERFERENCE][0],
+            [0.0, 0.5, 1.0], EstimatorConfig(max_len=1, use_variational=False))
+        assert len(traj.samples) == len(calls) == 3
 
     def test_stale_witness_decays_under_chaotic_evolution(self):
         f = ghz(6)
