@@ -138,7 +138,8 @@ class EstimatorConfig:
 
     Enumeration gives certified (alphabet-scoped) lower bounds; constructive
     candidates and the variational search add witness upper bounds. With
-    enumerate_lower=False the assessment runs in witness-only mode.
+    enumerate_lower=False the assessment runs in witness-only mode, and a
+    node_budget, which only cuts the enumeration walk, is refused.
     """
 
     max_len: int = 2
@@ -148,6 +149,12 @@ class EstimatorConfig:
     variational_blocks: int = 4
     restarts: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        if self.node_budget is not None and not self.enumerate_lower:
+            raise ValueError("node_budget cuts the enumeration walk, which "
+                             "enumerate_lower=False skips; got node_budget="
+                             f"{self.node_budget}")
 
 
 def estimate_pair(a: QuantumState, b: QuantumState, targets: tuple,
@@ -284,6 +291,8 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
 
 @dataclass(frozen=True)
 class GapReport:
+    """The gap over every circuit up to the cap; truncated is always false."""
+
     max_gap_found: float
     bound_rhs_at_max: float
     per_pair_terms_at_max: tuple[float, ...]
@@ -295,8 +304,7 @@ class GapReport:
 
 
 def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
-                    phase_points: int = 8,
-                    max_circuits: int | None = None) -> GapReport:
+                    phase_points: int = 8) -> GapReport:
     """Exhaustively compare outcome probabilities of the pure parent (at every
     relative phase on a grid) against the dephased mixture of components.
 
@@ -304,10 +312,9 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     every phase assignment, the probability gap must stay below the pairwise
     sum bound (checked to 1e-10; a violation is raised as an implementation
     bug). With exactly two components the gap equals its single pair term
-    identically, and the worst equality residual is reported. max_circuits
-    is a node budget, as in survey: the first N circuits in level order (see
-    node_limit), and nothing grown past them. The largest gap is reported at
-    the first circuit in walk order that reaches it, the lowest-ranked one.
+    identically, and the worst equality residual is reported. Every circuit
+    of at most circuit_budget gates is checked, so truncated is false; the
+    largest gap is reported at the first one in walk order, the lowest-ranked.
     """
     _require_valid(d)
     if phase_points < 1:
@@ -315,7 +322,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")
-    limit, total = node_limit(n, circuit_budget, max_circuits, "max_circuits")
+    _, total = node_limit(n, circuit_budget, None, None)
 
     k = len(d.components)
     sqrtw = np.array([abs(w) for w, _ in d.components])
@@ -339,7 +346,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     max_violation = -np.inf
 
     for level in range(circuit_budget + 1):
-        for f in level_frontiers(base, n, level, limit):
+        for f in level_frontiers(base, n, level):
             for p0 in range(0, len(f.rank), step):
                 # (m, dim, k), contiguous so each product runs as the same
                 # BLAS call per circuit whatever the chunk size
@@ -381,7 +388,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
                     terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
 
     return GapReport(max_gap, rhs_at_max, terms_at_max, max_eq_res,
-                     max_violation, limit, phase_points, limit < total)
+                     max_violation, total, phase_points, False)
 
 
 # ---------------------------------------------------------------------------

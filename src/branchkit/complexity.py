@@ -304,11 +304,6 @@ def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
         yield from walk.grow(parent, level - 1, limit)
 
 
-def sequence_at(n_qubits: int, rank: int) -> tuple[int, ...]:
-    """The gate-index tuple of the sequence at a level-order rank."""
-    return _enumeration(n_qubits).sequence(rank)
-
-
 def sequence_count(n_qubits: int, max_len: int) -> int:
     """How many alphabet gate sequences have at most max_len gates."""
     if not 0 <= max_len <= _MAX_LEN:
@@ -318,20 +313,21 @@ def sequence_count(n_qubits: int, max_len: int) -> int:
 
 
 def node_limit(n_qubits: int, max_len: int, budget: int | None,
-               name: str) -> tuple[int, int]:
+               name: str | None) -> tuple[int, int]:
     """(limit, total): a walk of the `total` sequences of at most max_len gates
     covers the first `limit` in level order (shorter first, tuple order within
     a length). The empty one always counts, so a budget of 0 walks it alone.
-    A walk of more than MAX_WALK sequences is refused before it starts."""
+    A walk above MAX_WALK is refused, naming the budget `name` unless None."""
     if budget is not None and budget < 0:
         raise ValueError(f"{name} must be >= 0, got {budget}")
     total = sequence_count(n_qubits, max_len)
     limit = total if budget is None else min(total, max(budget, 1))
     if limit > MAX_WALK:
+        way = f"set {name} to at most {MAX_WALK:,} or " if name else ""
         raise ValueError(
             f"the walk plans {limit:,} sequences of at most {max_len} gates on "
-            f"{n_qubits} qubits, above MAX_WALK = {MAX_WALK:,}; set {name} "
-            f"to at most {MAX_WALK:,} or lower the sequence-length cap")
+            f"{n_qubits} qubits, above MAX_WALK = {MAX_WALK:,}; {way}lower the "
+            "sequence-length cap")
     return limit, total
 
 
@@ -614,11 +610,10 @@ def round_robin_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
-                            max_blocks: int | None = None,
+def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
                             sweeps: int = 60) -> ComplexityEstimate:
-    """Witness search over m = 0, 1, ... general 2-qubit unitaries (15 free
-    parameters each) on a round-robin pair schedule, optimized by
+    """Witness search over m = 0, 1, ..., max_blocks general 2-qubit unitaries
+    (15 free parameters each) on a round-robin pair schedule, optimized by
     derivative-free coordinate descent with seeded restarts. Returns the
     smallest m whose best objective reaches the threshold; certifies nothing
     from below. Deterministic for a fixed query seed.
@@ -628,8 +623,6 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int = 3,
     contracts both into b's (16, 4) environment; each of b's 30 coordinate
     probes then costs one 4x4 exponential and one 16x4 contraction, for any n."""
     n = q.a.n_qubits
-    if max_blocks is None:
-        max_blocks = q.max_size
     schedule = round_robin_pairs(n)
     if not schedule:
         raise ValueError("variational search needs at least 2 qubits")

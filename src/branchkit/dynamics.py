@@ -72,7 +72,6 @@ class FlowSample:
     c_i: float
     c_d: float
     invariant_drift: float
-    at_fixed_point: bool
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
 
     Each sample carries the drift of the conserved combination
     C + k ln(C/k) - rate*t relative to its initial value (for the default
-    saturating model; zero-start tracks are exact fixed points and flagged).
+    saturating model; a zero-start track is an exact fixed point and stays 0).
     """
     for name, c0 in (("ci0", ci0), ("cd0", cd0)):
         if not (math.isfinite(c0) and c0 >= 0):
@@ -126,7 +125,6 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
     for name, c0 in (("i", ci0), ("d", cd0)):
         if has_invariant and c0 > 0:
             ref[name] = _flow_invariant(c0, p.k, p.rate, 0.0)
-    fixed = ci0 == 0.0 or cd0 == 0.0
     samples = []
     for step in range(n_steps + 1):
         t = step * p.dt
@@ -134,7 +132,7 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
         for name, c in (("i", ci), ("d", cd)):
             if name in ref:
                 drifts.append(abs(_flow_invariant(c, p.k, p.rate, t) - ref[name]))
-        samples.append(FlowSample(t, ci, cd, max(drifts, default=0.0), fixed))
+        samples.append(FlowSample(t, ci, cd, max(drifts, default=0.0)))
         if step < n_steps:
             ci = rk4(ci) if ci > 0 else 0.0
             cd = rk4(cd) if cd > 0 else 0.0

@@ -58,11 +58,6 @@ class PropertyStats:
 
 @dataclass
 class PropertySuiteReport:
-    n_qubits: int
-    instances: int
-    seed: int
-    deltas: tuple[float, ...]
-    max_len: int
     properties: dict[str, PropertyStats]
 
 
@@ -182,16 +177,11 @@ def run_pair_properties(n: int, instances: int, seed: int,
                        f"{floor:.4f} or cost {fused_cost(concat.gates)} > "
                        f"{up1}+{up2}")
 
-    return PropertySuiteReport(n, instances, seed, DELTAS, max_len, stats)
+    return PropertySuiteReport(stats)
 
 
 @dataclass
 class TripleSuiteReport:
-    n_qubits: int
-    triples: int
-    seed: int
-    epsilon: float
-    max_len: int
     merge: PropertyStats
     three_branch: PropertyStats
 
@@ -216,7 +206,7 @@ def run_triple_properties(n: int, triples: int, seed: int,
                    detail=f"inst={inst}: margins ({rep3.margin_ab},"
                           f"{rep3.margin_bc},{rep3.margin_ca}) vs "
                           f"B1={rep3.b1} B2={rep3.b2}")
-    return TripleSuiteReport(n, triples, seed, epsilon, max_len, merge, three)
+    return TripleSuiteReport(merge, three)
 
 
 @dataclass

@@ -2,6 +2,7 @@
 import argparse
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
@@ -437,10 +438,11 @@ def test_negative_count_fails_validation(argv, name, capsys):
 
 
 @pytest.mark.parametrize("argv, cut", [
-    # 10^10 RK4 steps, and 24,268,003,321 enumerated sequences
+    # 10^10 RK4 steps, and 24,268,003,321 and 36,078,121 enumerated sequences
     ("flow --ci0 1 --cd0 1 --t-end 1e7", "dt"),
     ("estimate --kind interference --example ghz --n 8 --budget 5",
      "node_budget"),
+    ("gap --example ghz --n 6 --budget 4", "sequence-length cap"),
 ])
 def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     start = time.perf_counter()
@@ -449,6 +451,9 @@ def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     assert (code, out) == (2, "")
     doc = json.loads(err)
     assert doc["type"] == "ValueError" and cut in doc["error"]
+    # every setting the message offers is one the command has
+    offered = re.findall(r"set (\w+) to", doc["error"])
+    assert set(offered) <= vars(build_parser().parse_args(argv.split())).keys()
 
 
 def test_eth_window_without_a_gap_fails_validation(capsys):
@@ -479,6 +484,18 @@ def test_coinciding_registers_fail_validation(capsys):
     doc = json.loads(err)
     assert doc["type"] == "ValueError"
     assert "register states coincide" in doc["error"]
+
+
+def test_node_budget_needs_enumeration(capsys):
+    argv = ("estimate --kind interference --example ghz --n 2 --strict "
+            "--node-budget").split()
+    code, out, err = run_cli(argv + ["0", "--method", "variational"], capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError" and "node_budget" in doc["error"]
+    code, out, _ = run_cli(argv + ["5", "--method", "enumeration"], capsys)
+    assert code == 3
+    assert json.loads(out)["truncated"] is True
 
 
 def test_zero_node_budget_walks_the_empty_sequence(capsys):

@@ -147,6 +147,9 @@ class TestBruteForce:
         assert sequence_count(8, 5) > MAX_WALK
         with pytest.raises(ValueError, match="node_budget"):
             node_limit(8, 5, None, "node_budget")
+        # a caller without a budget is pointed at the length cap alone
+        with pytest.raises(ValueError, match="; lower the sequence-length cap$"):
+            node_limit(8, 5, None, None)
         assert node_limit(8, 5, MAX_WALK, "node_budget") == (
             MAX_WALK, sequence_count(8, 5))
 

@@ -45,11 +45,9 @@ def loop_block_unitary(theta):
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
 
 
-def replay_upper_bound(q, restarts=3, max_blocks=None, sweeps=60):
+def replay_upper_bound(q, restarts, max_blocks, sweeps):
     """The search with every probe scored by replaying all m blocks."""
     n = q.a.n_qubits
-    if max_blocks is None:
-        max_blocks = q.max_size
     schedule = round_robin_pairs(n)
     rng = np.random.default_rng(q.seed)
     block0 = np.column_stack([q.a.amplitudes, q.b.amplitudes])

@@ -22,7 +22,6 @@ from branchkit.complexity import (
     _enumeration,
     fused_cost,
     level_frontiers,
-    sequence_at,
     sequence_count,
     survey,
 )
@@ -205,13 +204,13 @@ def test_same_sequences_as_oracle():
     ranks, oracle, g = _walked()
     assert len(oracle) == sequence_count(2, 2) == 1 + g + g * (g - 1)
     assert ranks == list(range(len(oracle)))
-    assert [sequence_at(2, r) for r in ranks] == oracle
+    assert [_enumeration(2).sequence(r) for r in ranks] == oracle
 
 
 @pytest.mark.parametrize("limit", [0, 1, 7, 40, 200])
 def test_truncated_walk_covers_level_order_prefix(limit):
     ranks, oracle, _ = _walked(limit)
-    assert [sequence_at(2, r) for r in ranks] == oracle[:limit]
+    assert [_enumeration(2).sequence(r) for r in ranks] == oracle[:limit]
 
 
 def test_blocks_and_costs_match_replay():
@@ -221,7 +220,7 @@ def test_blocks_and_costs_match_replay():
     block = np.column_stack([s.amplitudes for s in states])
     for f in _walk(block, n, 2):
         for i, rank in enumerate(f.rank):
-            seq = sequence_at(n, int(rank))
+            seq = _enumeration(n).sequence(int(rank))
             circuit = Circuit(n, tuple(gates[gi] for gi in seq))
             assert f.cost[i] == fused_cost(circuit.gates)
             for col, state in enumerate(states):
@@ -394,30 +393,19 @@ def test_walk_stops_at_the_node_budget(monkeypatch):
     assert past_calls == capped_calls + 2
     assert (past.nodes, past.truncated) == (capped.nodes + 1, True)
 
-    ghz3 = fx.ghz(3).decomposition
-    cut, cut_calls = applications(lambda: rho_vs_diag_gap(
-        ghz3, 2, 8, max_circuits=sequence_count(3, 1)))
-    capped, capped_calls = applications(lambda: rho_vs_diag_gap(ghz3, 1, 8))
-    assert cut_calls == capped_calls
-    assert cut.circuits_checked == capped.circuits_checked
-    past, past_calls = applications(lambda: rho_vs_diag_gap(
-        ghz3, 2, 8, max_circuits=sequence_count(3, 1) + 1))
-    assert past_calls == capped_calls + 2
-    assert past.circuits_checked == capped.circuits_checked + 1
-
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_parents_keep_the_sequences_with_a_child_below_the_limit(n):
     """parents(level, limit), clipped to its level, against the parents of
-    the children ranked below the limit, decoded with sequence_at."""
+    the children ranked below the limit, decoded by the walk's sequence."""
     walk = _enumeration(n)
     for level in range(3):
         first, end = walk.offsets[level], walk.offsets[level + 1]
-        rank_of = {sequence_at(n, r): r for r in range(first, end)}
+        rank_of = {walk.sequence(r): r for r in range(first, end)}
         seen = set()
         for limit in range(walk.offsets[level + 2] + 1):
             if limit > end:  # the child ranked limit - 1 is now below it
-                seen.add(rank_of[sequence_at(n, limit - 1)[:-1]])
+                seen.add(rank_of[walk.sequence(limit - 1)[:-1]])
             kept = min(max(walk.parents(level, limit), first), end) - first
             # seen is a subset of the level: its size and maximum pin it
             assert len(seen) == kept
