@@ -27,10 +27,10 @@ from .complexity import (
     combine_estimates,
     constructive_estimate,
     enumeration_estimate,
-    level_frontiers,
     node_limit,
     survey,
     variational_upper_bound,
+    walk_frontiers,
 )
 from .qsim import Circuit, QuantumState, _require_orthogonal, inner_product
 
@@ -313,8 +313,9 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     sum bound (checked to 1e-10; a violation is raised as an implementation
     bug). With exactly two components the gap equals its single pair term
     identically, and the worst equality residual is reported. Every circuit
-    of at most circuit_budget gates is checked, so truncated is false; the
-    largest gap is reported at the first one in walk order, the lowest-ranked.
+    of at most circuit_budget gates is checked, in one walk that grows each
+    level once, so truncated is false; the largest gap is reported at the
+    lowest-ranked circuit that reaches it.
     """
     _require_valid(d)
     if phase_points < 1:
@@ -344,48 +345,50 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     terms_at_max: tuple[float, ...] = ()
     max_eq_res = 0.0 if k == 2 else None
     max_violation = -np.inf
+    rank_at_max = -1
 
-    for level in range(circuit_budget + 1):
-        for f in level_frontiers(base, n, level):
-            for p0 in range(0, len(f.rank), step):
-                # (m, dim, k), contiguous so each product runs as the same
-                # BLAS call per circuit whatever the chunk size
-                block = np.ascontiguousarray(
-                    f.kets[:, p0:p0 + step].transpose(1, 0, 2))
-                m = len(block)
-                amp_w = block * sqrtw  # columns scaled by sqrt(p_i)
-                p_diag = (np.abs(block) ** 2).reshape(-1, k) @ probs
-                # |p_theta - p_diag| in place, p_theta = |amp_w @ phases|^2
-                lhs = np.abs(amp_w.reshape(-1, k) @ phase_mat) ** 2
-                lhs -= p_diag[:, None]
-                lhs = np.abs(lhs, out=lhs).reshape(m, -1)
+    for f in walk_frontiers(base, n, circuit_budget):
+        for p0 in range(0, len(f.rank), step):
+            # (m, dim, k), contiguous so each product runs as the same
+            # BLAS call per circuit whatever the chunk size
+            block = np.ascontiguousarray(
+                f.kets[:, p0:p0 + step].transpose(1, 0, 2))
+            m = len(block)
+            amp_w = block * sqrtw  # columns scaled by sqrt(p_i)
+            p_diag = (np.abs(block) ** 2).reshape(-1, k) @ probs
+            # |p_theta - p_diag| in place, p_theta = |amp_w @ phases|^2
+            lhs = np.abs(amp_w.reshape(-1, k) @ phase_mat) ** 2
+            lhs -= p_diag[:, None]
+            lhs = np.abs(lhs, out=lhs).reshape(m, -1)
 
-                rhs = np.zeros_like(lhs)
-                pair_terms = []
-                for (i, j), rel in zip(pair_list, rels):
-                    cij = np.conj(amp_w[..., i]) * amp_w[..., j]  # (m, dim)
-                    term = np.abs(np.real(cij[..., None] * rel)).reshape(m, -1)
-                    term *= 2.0
-                    pair_terms.append(term)
-                    rhs += term
-                viol = float((lhs - rhs).max())
-                max_violation = max(max_violation, viol)
-                if viol > GAP_ATOL:
-                    raise AssertionError(
-                        f"outcome-probability sum bound violated by {viol:.3e}; "
-                        "this indicates an implementation bug"
-                    )
-                if k == 2:
-                    max_eq_res = max(max_eq_res, float(np.abs(lhs - rhs).max()))
-                # chunks come in rank order, so the first maximum of each and
-                # a strict > keep the lowest-ranked circuit at the maximum
-                node = int(lhs.max(axis=1).argmax())
-                flat = int(lhs[node].argmax())
-                gap = float(lhs[node, flat])
-                if gap > max_gap:
-                    max_gap = gap
-                    rhs_at_max = float(rhs[node, flat])
-                    terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
+            rhs = np.zeros_like(lhs)
+            pair_terms = []
+            for (i, j), rel in zip(pair_list, rels):
+                cij = np.conj(amp_w[..., i]) * amp_w[..., j]  # (m, dim)
+                term = np.abs(np.real(cij[..., None] * rel)).reshape(m, -1)
+                term *= 2.0
+                pair_terms.append(term)
+                rhs += term
+            viol = float((lhs - rhs).max())
+            max_violation = max(max_violation, viol)
+            if viol > GAP_ATOL:
+                raise AssertionError(
+                    f"outcome-probability sum bound violated by {viol:.3e}; "
+                    "this indicates an implementation bug"
+                )
+            if k == 2:
+                max_eq_res = max(max_eq_res, float(np.abs(lhs - rhs).max()))
+            # ranks rise within a chunk, so its first maximum is its
+            # lowest-ranked circuit at the maximum; across chunks a tie at
+            # the maximum goes to the lower rank
+            node = int(lhs.max(axis=1).argmax())
+            flat = int(lhs[node].argmax())
+            gap = float(lhs[node, flat])
+            rank = int(f.rank[p0 + node])
+            if gap > max_gap or (gap == max_gap and rank < rank_at_max):
+                max_gap, rank_at_max = gap, rank
+                rhs_at_max = float(rhs[node, flat])
+                terms_at_max = tuple(float(t[node, flat]) for t in pair_terms)
 
     return GapReport(max_gap, rhs_at_max, terms_at_max, max_eq_res,
                      max_violation, total, phase_points, False)

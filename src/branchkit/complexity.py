@@ -11,11 +11,12 @@ the cost is the number of blocks. (Greedy packing is optimal for contiguous
 partitions and reversal-invariant, which keeps the certified bounds symmetric
 under (a, b) swaps.) Lower bounds come from exhaustive enumeration over a
 discrete gate alphabet, walked level by level in chunks of parent sequences
-whose children are all scored by one GEMM against precomputed g†|s> rows, and
-are certified only relative to that alphabet up to the enumerated sequence
-length; upper bounds come from enumeration witnesses, user-supplied
-constructive circuits, or a derivative-free variational search over general
-2-qubit blocks.
+whose children are all scored by one GEMM against precomputed g†|q> rows of
+an orthonormal basis |q> of the surveyed states' span (the states themselves
+when they are linearly independent), and are certified only relative to that
+alphabet up to the enumerated sequence length; upper bounds come from
+enumeration witnesses, user-supplied constructive circuits, or a
+derivative-free variational search over general 2-qubit blocks.
 """
 from __future__ import annotations
 
@@ -137,14 +138,17 @@ class ComplexityEstimate:
 # Enumeration engine
 # ---------------------------------------------------------------------------
 
-# Every working array of a run of children (the kets it grows, or the
-# overlaps of one GEMM) stays under this many bytes, so peak memory does not
-# grow with the size of a level. A frontier's child table (rank, kept mask,
-# fused cost and last-block support) is (m, gates) for its m sequences; grow
-# makes frontiers whose kets fit this bound, which keeps m, and the table,
-# small.
+# Every working array of a run of children (the kets it grows, the overlaps
+# of one GEMM, or the objectives read off them) stays under this many bytes,
+# so peak memory does not grow with the size of a level. A frontier's child
+# table (rank, kept mask, fused cost and last-block support) is (m, gates)
+# for its m sequences; grow makes frontiers whose kets fit this bound, which
+# keeps m, and the table, small.
 CHUNK_BYTES = 256 * 1024
 _TIE = 1e-12
+# the surveyed states span the dimensions whose singular values exceed
+# max(2**n, k) * _RANK_EPS times the largest
+_RANK_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,11 @@ class Channel:
 class Frontier:
     """A run of consecutive same-length gate sequences in level order.
 
-    kets[:, i, c] is sequence i applied to input column c, shape (2**n, m, k).
-    Per sequence: fused cost, qubit bitmask of its last fused block, last gate
-    index (the gate count for the empty sequence) and level-order rank.
+    kets[:, i, c] is sequence i applied to basis column c, shape (2**n, m, r):
+    the columns of the walked block, which a survey takes from an orthonormal
+    basis of its states' span. Per sequence: fused cost, qubit bitmask of its
+    last fused block, last gate index (the gate count for the empty sequence)
+    and level-order rank.
     """
 
     kets: np.ndarray
@@ -304,6 +310,22 @@ def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
         yield from walk.grow(parent, level - 1, limit)
 
 
+def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int):
+    """The frontiers of level_frontiers(block, n_qubits, level) for every
+    level up to max_len, each grown once: depth first, every frontier right
+    before the frontiers grown from it, so ranks rise within a level but not
+    from one level to the next."""
+    walk = _enumeration(n_qubits)
+
+    def below(f: Frontier, level: int):
+        yield f
+        if level < max_len:
+            for child in walk.grow(f, level, walk.offsets[level + 2]):
+                yield from below(child, level + 1)
+
+    yield from below(next(level_frontiers(block, n_qubits, 0)), 0)
+
+
 def sequence_count(n_qubits: int, max_len: int) -> int:
     """How many alphabet gate sequences have at most max_len gates."""
     if not 0 <= max_len <= _MAX_LEN:
@@ -353,7 +375,8 @@ class _Slots:
         self.records = [[[] for _ in range(max_len + 1)] for _ in channels]
 
     def values(self, overlaps: np.ndarray) -> np.ndarray:
-        """Objectives (channels, ...) of overlaps[r, c, ...] = <s_r|U|s_c>."""
+        """Objectives (channels, ...) of overlaps[r, c, ...] = <s_r|U|s_c>,
+        an array or a _SpanOverlaps."""
         out = np.empty((self.count,) + overlaps.shape[2:])
         for kind, rows, a, b in self.groups:
             out[rows] = kind.objective(overlaps, a, b)
@@ -426,6 +449,35 @@ class SurveyResult:
         return self.bounds(channel, channel.kind.threshold(delta))[0]
 
 
+class _SpanOverlaps:
+    """The overlaps <s_i|U|s_j> = C[:, i]† G C[:, j] of states s = QC, read
+    for index arrays i and j (one product per read) off the basis overlaps
+    G[p * r + q, ...] = <q_p|U|q_q> of an orthonormal basis Q (2**n, r)."""
+
+    def __init__(self, coef: np.ndarray, g: np.ndarray):
+        self.coef, self.g = coef, g
+        self.shape = coef.shape[1:] * 2 + g.shape[1:]
+
+    def __getitem__(self, index):
+        i, j = index
+        rows = self.coef[:, i].conj()[:, None] * self.coef[:, j][None]
+        return rows.reshape(self.g.shape[0], -1).T @ self.g
+
+
+def _span(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(Q, C): the states (2**n, k) themselves and None when they are linearly
+    independent, else an orthonormal basis Q (2**n, r) of their span, r < k,
+    and their coordinates C = Q†S (r, k)."""
+    dim, k = states.shape
+    u, sigma, _ = np.linalg.svd(states, full_matrices=False)
+    cut = max(dim, k) * _RANK_EPS * sigma[0]
+    r = max(1, int(np.count_nonzero(sigma > cut)))
+    if r == k:
+        return states, None
+    basis = np.ascontiguousarray(u[:, :r])
+    return basis, basis.conj().T @ states
+
+
 def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
            max_len: int = 2, node_budget: int | None = None) -> SurveyResult:
     """Score every alphabet gate sequence of length <= max_len (never a gate
@@ -433,33 +485,52 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     objective: on ties within 1e-12, the shortest, then tuple-earliest
     sequence. One walk serves any number of thresholds afterwards.
 
+    The walk runs on an orthonormal basis Q of the states' span, r columns
+    (the states themselves when they are linearly independent, r = k).
     Levels are walked in chunks of parents, and all children of a chunk are
-    scored by one GEMM, <s_r|g p|s_c> = <g† s_r|p s_c>, so the kets of the
-    last level are never built. node_budget keeps the first N sequences in
-    level order (see node_limit), and nothing is grown past it: of each
-    level, only the parents of children ranked below it.
+    scored by one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the
+    last level are never built; with r < k each channel's entries then come
+    from the r x r basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with
+    r == k they are the overlaps themselves. node_budget keeps the first N
+    sequences in level order (see node_limit), and nothing is grown past it:
+    of each level, only the parents of children ranked below it.
     """
     limit, total = node_limit(n_qubits, max_len, node_budget, "node_budget")
     walk = _enumeration(n_qubits)
-    block = np.column_stack(states)  # (2**n, k)
-    dim, k = block.shape
+    basis, coef = _span(np.column_stack(states))
+    dim, r = basis.shape
     slots = _Slots(channels, max_len)
+    # per child, the largest working array of a run: the basis overlaps, one
+    # kind's read of them, or the objectives
+    child_bytes = max(16 * r * r, 8 * slots.count,
+                      16 * max((len(rows) for _, rows, _, _ in slots.groups),
+                               default=0))
+
+    def score(g: np.ndarray, cost: np.ndarray, rank: np.ndarray):
+        """Record the children of basis overlaps g (r, r, children)."""
+        if coef is not None:
+            g = _SpanOverlaps(coef, g.reshape(r * r, -1))
+        slots.add(slots.values(g), cost, rank)
+
     zero = np.zeros(1, dtype=int)
-    slots.add(slots.values((block.conj().T @ block)[:, :, None]), zero, zero)
-    # rows[g] holds the bras <s_r| g = (g†|s_r>)†, shape (gates, k, 2**n)
-    rows = np.empty((len(walk.gates), k, dim), dtype=complex)
+    score((basis.conj().T @ basis)[:, :, None], zero, zero)
+    # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n)
+    rows = np.empty((len(walk.gates), r, dim), dtype=complex)
     for j, gate in enumerate(walk.gates):
-        rows[j] = apply_gate_block(block, n_qubits, gate.targets,
+        rows[j] = apply_gate_block(basis, n_qubits, gate.targets,
                                    gate.matrix.conj().T).conj().T
     for level in range(max_len):
-        for f in level_frontiers(block, n_qubits, level,
+        for f in level_frontiers(basis, n_qubits, level,
                                  walk.parents(level, limit)):
             for cols, part, sel, rank, cost, _ in walk.runs(
-                    f, level, limit, k * k * 16):
-                r = rows[part]
-                overlaps = (r.reshape(-1, dim) @ cols).reshape(
-                    len(r), k, -1, k).transpose(1, 3, 2, 0)
-                slots.add(slots.values(overlaps)[:, sel], cost, rank)
+                    f, level, limit, child_bytes):
+                bras = rows[part]
+                g = (bras.reshape(-1, dim) @ cols).reshape(len(bras), r, -1, r)
+                # (r, r, parents * gates), the children in rank order; each
+                # step drops the array before it
+                g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
+                g = g.reshape(r, r, -1)[:, :, sel.ravel()]
+                score(g, cost, rank)
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
                         limit, limit < total, slots.best(walk))
 

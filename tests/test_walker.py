@@ -169,6 +169,49 @@ def test_survey_matches_depth_first_oracle(case):
     assert_same_survey(*case)
 
 
+@st.composite
+def span_cases(draw):
+    """Up to 8 states in a span of at most 3 dimensions: random complex
+    combinations of 1-3 random states, exact repeats and phase multiples."""
+    n, max_len = draw(st.sampled_from(
+        [(n, length) for n in (1, 2, 3) for length in range(4)
+         if (n, length) != (3, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(1, 3))
+    base = np.column_stack([haar_random_state(n, int(s)).amplitudes
+                            for s in rng.integers(0, 2**31, size=q)])
+    k = draw(st.integers(q + 1, 8))
+    states = []
+    for _ in range(k):
+        how = draw(st.sampled_from(["combination", "repeat", "phase"])
+                   if states else st.just("combination"))
+        if how == "combination":
+            v = base @ (rng.standard_normal(q) + 1j * rng.standard_normal(q))
+            states.append(v / np.linalg.norm(v))
+            continue
+        earlier = states[draw(st.integers(0, len(states) - 1))]
+        if how == "repeat":
+            states.append(earlier)
+        else:
+            states.append(np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+                          * earlier)
+    channels = draw(st.lists(st.builds(
+        Channel, st.sampled_from(list(ComplexityKind)),
+        st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=6))
+    budget = draw(st.none() | st.integers(0, sequence_count(n, max_len) + 3))
+    return states, n, channels, max_len, budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(span_cases())
+def test_span_survey_matches_depth_first_oracle(case):
+    """Linearly dependent states take the span path, and it scores what the
+    oracle scores on the states themselves."""
+    basis, coef = complexity._span(np.column_stack(case[0]))
+    assert coef is not None and basis.shape[1] < len(case[0])
+    assert_same_survey(*case)
+
+
 @pytest.mark.parametrize("style", ["ghz", "basis"])
 def test_survey_ties_match_oracle_at_depth_3(style):
     states = _states(style, 3, 3, 11)
@@ -260,13 +303,46 @@ def _criterion_07_decompositions():
     return {"cat": cat, "two-branch": two, "three-branch": three}
 
 
+def oracle_walk(block, n_qubits, max_len):
+    """Every level's oracle frontiers, level after level: the level order,
+    where the walk it stands in for goes depth first."""
+    for level in range(max_len + 1):
+        yield from oracle_frontiers(block, n_qubits, level)
+
+
 @pytest.mark.parametrize("name", ["cat", "two-branch", "three-branch"])
 def test_gap_report_matches_oracle_walk(name, monkeypatch):
     d = _criterion_07_decompositions()[name]
     walked = rho_vs_diag_gap(d, circuit_budget=2, phase_points=8)
-    monkeypatch.setattr(branches, "level_frontiers", oracle_frontiers)
+    monkeypatch.setattr(branches, "walk_frontiers", oracle_walk)
     replayed = rho_vs_diag_gap(d, circuit_budget=2, phase_points=8)
     assert walked == replayed
+
+
+def _counting_gate_applications(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply_gate_block(*args, **kwargs)
+
+    monkeypatch.setattr(complexity, "apply_gate_block", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, budget, applications", [(3, 3, 840), (4, 2, 220)])
+def test_gap_check_grows_each_level_once(n, budget, applications, monkeypatch):
+    """The gap check grows every level once: as many gate applications as
+    growing its top level alone, which passes through every level below."""
+    calls = _counting_gate_applications(monkeypatch)
+    d = fx.ghz(n).decomposition
+    base = np.column_stack([s.amplitudes for _, s in d.components])
+    for _ in level_frontiers(base, n, budget):
+        pass
+    assert len(calls) == applications
+    calls.clear()
+    rho_vs_diag_gap(d, budget, 8)
+    assert len(calls) == applications
 
 
 def depth_first_gap(d, circuit_budget, phase_points):
@@ -313,7 +389,9 @@ def test_gap_report_matches_depth_first_gap(name):
 
 def _chunk_cases():
     """(states, n, channels, max_len, node_budget) for every kind, at the
-    sizes where the default chunk never splits the gate list."""
+    sizes where the default chunk never splits the gate list. The last case
+    surveys six states in a three-dimensional span: (a+b)/sqrt2, a phase
+    multiple of c and a repeat of a join a, b and c."""
     cases = []
     for n, max_len, k, budget in ((3, 3, 3, None), (3, 3, 5, None),
                                   (4, 2, 3, None), (3, 3, 3, 5000)):
@@ -321,6 +399,11 @@ def _chunk_cases():
         channels = [Channel(kind, a, b) for kind in ComplexityKind
                     for a, b in itertools.permutations(range(k), 2)]
         cases.append((states, n, channels, max_len, budget))
+    a, b, c = (s.amplitudes for s in random_orthogonal_states(3, 3, 17))
+    states = [a, b, c, (a + b) * SQ2, np.exp(0.7j) * c, a]
+    channels = [Channel(kind, i, (i + 1) % 6) for kind in ComplexityKind
+                for i in range(6)]
+    cases.append((states, 3, channels, 3, None))
     return cases
 
 
@@ -364,20 +447,53 @@ def test_survey_scores_in_rank_order(chunk, monkeypatch):
         assert ranks == list(range(res.nodes))
 
 
+def test_span_surveys_make_few_runs_within_chunk_bytes(monkeypatch):
+    """The three-branch survey (19 states) and the merge survey (10 states)
+    span span{a, b, c}. Walked over that basis, they record a tenth of the
+    runs they made over the states themselves (902 and 183 at n=3, L=3),
+    and every per-child working array of a run, the read entries included,
+    stays within CHUNK_BYTES."""
+    adds, arrays = [], []
+    add, values = complexity._Slots.add, complexity._Slots.values
+    read = complexity._SpanOverlaps.__getitem__
+
+    def counting_add(self, *args):
+        adds.append(1)
+        add(self, *args)
+
+    def sized_values(self, overlaps):
+        out = values(self, overlaps)
+        arrays.extend((getattr(overlaps, "g", overlaps).nbytes, out.nbytes))
+        return out
+
+    def sized_read(self, index):
+        out = read(self, index)
+        arrays.append(out.nbytes)
+        return out
+
+    monkeypatch.setattr(complexity._Slots, "add", counting_add)
+    monkeypatch.setattr(complexity._Slots, "values", sized_values)
+    monkeypatch.setattr(complexity._SpanOverlaps, "__getitem__", sized_read)
+    a, b, c = random_orthogonal_states(3, 3, 5)
+    three = lambda: branches.three_branch_compatibility(a, b, c, 0.1, 3)
+    merge = lambda: branches.merge_bound_check(a, b, c, 0.5, 0.1, 3)
+    for check, parent_runs in ((three, 902), (merge, 183)):
+        adds.clear()
+        arrays.clear()
+        check()
+        assert len(adds) <= parent_runs / 10
+        assert max(arrays) <= complexity.CHUNK_BYTES
+
+
 def test_walk_stops_at_the_node_budget(monkeypatch):
     """A budget that ends at a level boundary costs no more gate
     applications than a length cap at that boundary."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return apply_gate_block(*args, **kwargs)
+    calls = _counting_gate_applications(monkeypatch)
 
     def applications(run):
         calls.clear()
         return run(), len(calls)
 
-    monkeypatch.setattr(complexity, "apply_gate_block", counting)
     a, b = fx.product_plus_random(8, seed=0).pair()
     states = [a.amplitudes, b.amplitudes]
     channels = [Channel(ComplexityKind.DISTINGUISHABILITY, 0, 1)]
