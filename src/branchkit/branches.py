@@ -347,7 +347,7 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     max_violation = -np.inf
     rank_at_max = -1
 
-    for f in walk_frontiers(base, n, circuit_budget):
+    for _, f in walk_frontiers(base, n, circuit_budget, total):
         for p0 in range(0, len(f.rank), step):
             # (m, dim, k), contiguous so each product runs as the same
             # BLAS call per circuit whatever the chunk size
@@ -434,7 +434,8 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if epsilon >= p:
-        raise ValueError("the shifted accuracy 1 - eps/p requires eps < p")
+        raise ValueError("the shifted accuracy 1 - eps/p requires eps < p, "
+                         f"got eps = {epsilon} and p = {p}")
     if epsilon / math.sqrt(p) > 1.0:
         raise ValueError("eps/sqrt(p) exceeds 1; reduce eps or raise p")
 

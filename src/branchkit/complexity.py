@@ -10,16 +10,18 @@ left-to-right into blocks whose combined support stays within two qubits, and
 the cost is the number of blocks. (Greedy packing is optimal for contiguous
 partitions and reversal-invariant, which keeps the certified bounds symmetric
 under (a, b) swaps.) Lower bounds come from exhaustive enumeration over a
-discrete gate alphabet, walked level by level in chunks of parent sequences
-whose children are all scored by one GEMM against precomputed g†|q> rows of
-an orthonormal basis |q> of the surveyed states' span (the states themselves
-when they are linearly independent), and are certified only relative to that
-alphabet up to the enumerated sequence length; upper bounds come from
-enumeration witnesses, user-supplied constructive circuits, or a
-derivative-free variational search over general 2-qubit blocks.
+discrete gate alphabet, walked depth first so that each level is grown once,
+in chunks of parent sequences whose children are all scored by one GEMM
+against precomputed g†|q> rows of an orthonormal basis |q> of the surveyed
+states' span (the states themselves when they are linearly independent), and
+are certified only relative to that alphabet up to the enumerated sequence
+length; upper bounds come from enumeration witnesses, user-supplied
+constructive circuits, or a derivative-free variational search over general
+2-qubit blocks.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -162,7 +164,7 @@ class Channel:
 
 @dataclass(frozen=True)
 class Frontier:
-    """A run of consecutive same-length gate sequences in level order.
+    """A run of same-length gate sequences with consecutive level-order ranks.
 
     kets[:, i, c] is sequence i applied to basis column c, shape (2**n, m, r):
     the columns of the walked block, which a survey takes from an orthonormal
@@ -288,42 +290,27 @@ class _Enumeration:
 _enumeration = functools.cache(_Enumeration)
 
 
-def level_frontiers(block: np.ndarray, n_qubits: int, level: int,
-                    limit: int | None = None):
-    """Every alphabet gate sequence of `level` gates (never a gate right after
-    its inverse) applied to the columns of `block` (2**n, k), as frontiers in
-    level order: ranks rise by one from each sequence to the next. With a
-    limit, only the sequences ranked below it, and nothing is grown past it:
-    of the level below, only the parents of those sequences."""
-    walk = _enumeration(n_qubits)
-    if limit is None:
-        limit = walk.offsets[level + 1]
-    if limit <= walk.offsets[level]:
-        return
-    if level == 0:
-        zero = np.zeros(1, dtype=int)
-        yield Frontier(block[:, None, :], zero, zero,
-                       np.array([len(walk.gates)]), zero)
-        return
-    for parent in level_frontiers(block, n_qubits, level - 1,
-                                  walk.parents(level - 1, limit)):
-        yield from walk.grow(parent, level - 1, limit)
-
-
-def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int):
-    """The frontiers of level_frontiers(block, n_qubits, level) for every
-    level up to max_len, each grown once: depth first, every frontier right
-    before the frontiers grown from it, so ranks rise within a level but not
-    from one level to the next."""
+def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
+                   limit: int):
+    """Every alphabet gate sequence of at most max_len gates (never a gate
+    right after its inverse) ranked below `limit`, applied to the columns of
+    `block` (2**n, k), as (level, frontier) pairs. The walk is depth first,
+    every frontier right before the frontiers grown from it, so ranks rise
+    within a level but not from one level to the next. Each level is grown
+    once, and nothing past the limit: only the sequences with a child ranked
+    below it are grown."""
     walk = _enumeration(n_qubits)
 
     def below(f: Frontier, level: int):
-        yield f
+        yield level, f
         if level < max_len:
-            for child in walk.grow(f, level, walk.offsets[level + 2]):
+            for child in walk.grow(f, level, limit):
                 yield from below(child, level + 1)
 
-    yield from below(next(level_frontiers(block, n_qubits, 0)), 0)
+    if limit > 0:
+        zero = np.zeros(1, dtype=int)
+        yield from below(Frontier(block[:, None, :], zero, zero,
+                                  np.array([len(walk.gates)]), zero), 0)
 
 
 def sequence_count(n_qubits: int, max_len: int) -> int:
@@ -354,13 +341,14 @@ def node_limit(n_qubits: int, max_len: int, budget: int | None,
 
 
 class _Slots:
-    """Per (channel, fused cost): the maximum objective seen, and the records
-    (sequences valued above everything scored before them) from the first one
-    within _TIE of the latest. Sequences must arrive in strictly rising rank,
-    the order the walk scores them in. The winner, the lowest-ranked sequence
-    within _TIE of the maximum, beats every earlier sequence, so it is a
-    record; the record that reaches the maximum drops every record before
-    the winner, which then heads the list."""
+    """Per (channel, fused cost, level): the maximum objective seen, and the
+    records (sequences valued above every earlier one of their level) from
+    the first one within _TIE of the latest. Within a level, sequences must
+    arrive in strictly rising rank; levels may interleave. The winner, the
+    lowest-ranked sequence within _TIE of the maximum over all levels, is a
+    record of its level that no later record drops; lower levels rank first,
+    so best takes the first record within _TIE of the maximum, lowest level
+    first."""
 
     def __init__(self, channels: list[Channel], max_len: int):
         self.count = len(channels)
@@ -371,8 +359,9 @@ class _Slots:
                 self.groups.append((kind, np.array(rows),
                                     np.array([channels[i].a for i in rows]),
                                     np.array([channels[i].b for i in rows])))
-        self.top = np.full((self.count, max_len + 1), -np.inf)
-        self.records = [[[] for _ in range(max_len + 1)] for _ in channels]
+        self.top = np.full((self.count, max_len + 1, max_len + 1), -np.inf)
+        self.records = [[[[] for _ in range(max_len + 1)]
+                         for _ in range(max_len + 1)] for _ in channels]
 
     def values(self, overlaps: np.ndarray) -> np.ndarray:
         """Objectives (channels, ...) of overlaps[r, c, ...] = <s_r|U|s_c>,
@@ -382,27 +371,31 @@ class _Slots:
             out[rows] = kind.objective(overlaps, a, b)
         return out
 
-    def add(self, values: np.ndarray, cost: np.ndarray, rank: np.ndarray):
-        """Record values (channels, m) of m sequences given in rank order,
-        all ranked above every sequence added before."""
+    def add(self, values: np.ndarray, cost: np.ndarray, rank: np.ndarray,
+            level: int):
+        """Record values (channels, m) of m sequences of `level` gates given
+        in rank order, all ranked above every sequence of that level added
+        before."""
         for c in range(cost.min(), cost.max() + 1):
             at = cost == c
             v = values[:, at]
-            # run[:, j] is the largest value scored before v[:, j]
+            # run[:, j] is the largest value of the level scored before v[:, j]
             run = np.maximum.accumulate(
-                np.column_stack([self.top[:, c], v]), axis=1)
-            self.top[:, c] = run[:, -1]
+                np.column_stack([self.top[:, c, level], v]), axis=1)
+            self.top[:, c, level] = run[:, -1]
             ranks = rank[at]
             for i, j in zip(*np.nonzero(v > run[:, :-1])):
-                records = self.records[i][c]
+                records = self.records[i][c][level]
                 records.append((int(ranks[j]), float(v[i, j])))
                 while records[0][1] < records[-1][1] - _TIE:
                     del records[0]
 
     def best(self, walk: _Enumeration):
         """best[channel][cost] = (value, gate-index tuple), or None."""
-        return [[(recs[0][1], walk.sequence(recs[0][0])) if recs else None
-                 for recs in row] for row in self.records]
+        return [[next(((v, walk.sequence(r)) for records in levels
+                       for r, v in records if v >= top.max() - _TIE), None)
+                 for top, levels in zip(tops, row)]
+                for tops, row in zip(self.top, self.records)]
 
 
 @dataclass(frozen=True)
@@ -487,13 +480,13 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
 
     The walk runs on an orthonormal basis Q of the states' span, r columns
     (the states themselves when they are linearly independent, r = k).
-    Levels are walked in chunks of parents, and all children of a chunk are
-    scored by one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the
-    last level are never built; with r < k each channel's entries then come
-    from the r x r basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with
-    r == k they are the overlaps themselves. node_budget keeps the first N
-    sequences in level order (see node_limit), and nothing is grown past it:
-    of each level, only the parents of children ranked below it.
+    node_budget keeps the first N sequences in level order (see node_limit);
+    walk_frontiers grows once each the sequences with a child ranked below
+    it, and nothing past them. Their children are scored in runs, each by
+    one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the last level
+    are never built; with r < k each channel's entries then come from the
+    r x r basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with r == k
+    they are the overlaps themselves.
     """
     limit, total = node_limit(n_qubits, max_len, node_budget, "node_budget")
     walk = _enumeration(n_qubits)
@@ -506,31 +499,33 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
                       16 * max((len(rows) for _, rows, _, _ in slots.groups),
                                default=0))
 
-    def score(g: np.ndarray, cost: np.ndarray, rank: np.ndarray):
+    def score(g: np.ndarray, cost: np.ndarray, rank: np.ndarray, level: int):
         """Record the children of basis overlaps g (r, r, children)."""
         if coef is not None:
             g = _SpanOverlaps(coef, g.reshape(r * r, -1))
-        slots.add(slots.values(g), cost, rank)
+        slots.add(slots.values(g), cost, rank, level)
 
     zero = np.zeros(1, dtype=int)
-    score((basis.conj().T @ basis)[:, :, None], zero, zero)
+    score((basis.conj().T @ basis)[:, :, None], zero, zero, 0)
     # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n)
     rows = np.empty((len(walk.gates), r, dim), dtype=complex)
     for j, gate in enumerate(walk.gates):
         rows[j] = apply_gate_block(basis, n_qubits, gate.targets,
                                    gate.matrix.conj().T).conj().T
-    for level in range(max_len):
-        for f in level_frontiers(basis, n_qubits, level,
-                                 walk.parents(level, limit)):
-            for cols, part, sel, rank, cost, _ in walk.runs(
-                    f, level, limit, child_bytes):
-                bras = rows[part]
-                g = (bras.reshape(-1, dim) @ cols).reshape(len(bras), r, -1, r)
-                # (r, r, parents * gates), the children in rank order; each
-                # step drops the array before it
-                g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
-                g = g.reshape(r, r, -1)[:, :, sel.ravel()]
-                score(g, cost, rank)
+    # the limit's last sequence has `top` gates; the parents of the children
+    # ranked below the limit end inside the level below it
+    top = bisect.bisect_left(walk.offsets, limit) - 1
+    parents = walk.parents(top - 1, limit) if top else 0
+    for level, f in walk_frontiers(basis, n_qubits, max_len - 1, parents):
+        for cols, part, sel, rank, cost, _ in walk.runs(
+                f, level, limit, child_bytes):
+            bras = rows[part]
+            g = (bras.reshape(-1, dim) @ cols).reshape(len(bras), r, -1, r)
+            # (r, r, parents * gates), the children in rank order; each
+            # step drops the array before it
+            g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
+            g = g.reshape(r, r, -1)[:, :, sel.ravel()]
+            score(g, cost, rank, level + 1)
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
                         limit, limit < total, slots.best(walk))
 

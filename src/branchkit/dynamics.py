@@ -17,6 +17,7 @@ from .qsim import (
     GateOp,
     Hamiltonian,
     QuantumState,
+    _require_width,
     apply_circuit,
     evolve,
     inner_product,
@@ -184,6 +185,9 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
     u_sym on the evolved pair must stay constant across the grid (within
     FREEZE_TOL), while its interference objective is reported (it cannot map
     between distinct eigenphase sectors, so it stays near zero)."""
+    if h.n_qubits > 12:
+        raise ValueError("the freeze check evolves exactly, which is limited "
+                         f"to 12 qubits, got {h.n_qubits}")
     u_mat = u_sym.to_matrix()
     h_mat = h.to_matrix()
     comm = float(np.linalg.norm(u_mat @ h_mat - h_mat @ u_mat, 2))
@@ -336,6 +340,7 @@ def xxz_chain(n: int) -> Hamiltonian:
 
 def magnetization_sector_state(n: int, n_down: int, seed: int) -> QuantumState:
     """Seeded random state supported on the fixed Hamming-weight sector."""
+    _require_width(n, "magnetization_sector_state")
     if not 0 <= n_down <= n:
         raise ValueError("n_down out of range")
     rng = np.random.default_rng(seed)

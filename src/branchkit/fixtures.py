@@ -20,6 +20,7 @@ from .qsim import (
     GateOp,
     QuantumState,
     _require_orthogonal,
+    _require_width,
     apply_circuit,
     haar_random_state,
     random_circuit,
@@ -71,6 +72,7 @@ def _circuit_pair(n: int, d0: int, d1: int, seed: int):
     `seed`; returns them with g0 = c0|0..0>, the overlap <g0|c1|0..0>, and
     the part of c1|0..0> orthogonal to g0, unnormalized (zero when the two
     states coincide)."""
+    _require_width(n, "a random-circuit register")
     ss = np.random.SeedSequence(seed).spawn(2)
     c0 = random_circuit(n, d0, int(ss[0].generate_state(1)[0]))
     c1 = random_circuit(n, d1, int(ss[1].generate_state(1)[0]))
@@ -110,8 +112,8 @@ def product_plus_random(n: int, alpha: complex = 1 / _RT2,
     if n < 3:
         raise ValueError("product_plus_random needs at least 3 qubits")
     _weights_ok(alpha, beta)
-    zero = QuantumState.basis(n, 0)
     eta = haar_random_state(n, seed).amplitudes
+    zero = QuantumState.basis(n, 0)
     eta = eta - eta[0] * zero.amplitudes
     return _two_branches(
         "product_plus_random", "product-plus-random",

@@ -29,7 +29,7 @@ from .complexity import (
     objective_value,
     survey,
 )
-from .qsim import QuantumState
+from .qsim import QuantumState, _require_width
 
 K_R = ComplexityKind.RELATIVE
 K_D = ComplexityKind.DISTINGUISHABILITY
@@ -64,6 +64,7 @@ class PropertySuiteReport:
 def random_orthogonal_states(n: int, count: int, seed: int
                              ) -> list[QuantumState]:
     """`count` mutually orthogonal Haar-seeded states via Gram-Schmidt."""
+    _require_width(n, "random_orthogonal_states")
     if count > 2**n:
         raise ValueError(f"count must be <= 2**n = {2**n}, got {count}")
     rng_seed = np.random.SeedSequence(seed).spawn(count)
@@ -229,11 +230,12 @@ def run_property_suite(n: int, instances: int, seed: int,
                        epsilon: float = 0.1) -> FullSuiteReport:
     """The full inequality suite: pair properties on random orthogonal pairs,
     merge/three-branch bounds on random triples, and the irreversibility
-    comparison on the standard cat-state instances."""
-    pair_rep = run_pair_properties(n, instances, seed, max_len)
+    comparison on the standard cat-state instances. The triple suite runs
+    first: it alone reads epsilon, and the suites are seeded apart."""
     triple_rep = run_triple_properties(n, triples if triples is not None
                                        else max(1, instances // 2), seed,
                                        epsilon, max_len=max_len)
+    pair_rep = run_pair_properties(n, instances, seed, max_len)
 
     irr = PropertyStats()
     for m in (2, 3):

@@ -202,10 +202,15 @@ def _require_orthogonal(states) -> None:
                              f"(|overlap| = {ov:.3e})")
 
 
+def _require_width(n: int, what: str) -> None:
+    """Refuse n outside 1..14 before `what` builds 2**n amplitudes."""
+    if not 1 <= n <= 14:
+        raise ValueError(f"{what} supports 1..14 qubits, got {n}")
+
+
 def haar_random_state(n: int, seed: int) -> QuantumState:
     """Haar-random n-qubit state: normalized vector of iid standard complex Gaussians."""
-    if not 1 <= n <= 14:
-        raise ValueError(f"haar_random_state supports 1..14 qubits, got {n}")
+    _require_width(n, "haar_random_state")
     rng = np.random.default_rng(seed)
     vec = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return QuantumState(n, vec / np.linalg.norm(vec))

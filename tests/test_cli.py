@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from branchkit import cli
+from branchkit import cli, properties
 from branchkit import serialize as ser
 from branchkit import fixtures as fx
 from branchkit.cli import build_parser, main
@@ -454,6 +454,34 @@ def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     # every setting the message offers is one the command has
     offered = re.findall(r"set (\w+) to", doc["error"])
     assert set(offered) <= vars(build_parser().parse_args(argv.split())).keys()
+
+
+@pytest.mark.parametrize("argv, width", [
+    ("example --example two-random --n 40 --seed 1", 40),
+    ("example --example product-random --n 40 --seed 1", 40),
+    # the distinguishing example's register is one qubit narrower
+    ("example --example distinguishing --n 41 --seed 1", 40),
+    ("props --n 40 --seed 1 --instances 1", 40),
+    ("evolve --mode freeze --n 40 --seed 1", 40),
+])
+def test_width_is_checked_before_allocation(argv, width, capsys):
+    # 2**40 amplitudes take 16 TiB
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["type"] == "ValueError"
+    assert doc["error"].endswith(f"supports 1..14 qubits, got {width}")
+
+
+def test_merge_accuracy_is_checked_before_the_pair_suite(capsys,
+                                                        monkeypatch):
+    # epsilon 0.4 passes p = 0.5 and fails p = 0.3, the second MERGE_P
+    monkeypatch.setattr(properties, "run_pair_properties",
+                        lambda *args: pytest.fail("the pair suite ran"))
+    code, out, err = run_cli("props --n 3 --seed 1 --instances 2 "
+                             "--epsilon 0.4".split(), capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].endswith("got eps = 0.4 and p = 0.3")
 
 
 def test_eth_window_without_a_gap_fails_validation(capsys):

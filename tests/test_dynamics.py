@@ -154,6 +154,20 @@ class TestSymmetryFreeze:
         assert (symmetry_freeze_check(a, b, h, u, [7.0, 0.0, 2.5, 1.0])
                 == symmetry_freeze_check(a, b, h, u, [0.0, 1.0, 2.5, 7.0]))
 
+    def test_more_than_12_qubits_refused_before_dense_matrices(
+            self, monkeypatch):
+        # two dense 2**13 x 2**13 matrices would take 1 GiB each
+        def dense(self):
+            pytest.fail("a dense matrix was built")
+
+        monkeypatch.setattr(Circuit, "to_matrix", dense)
+        monkeypatch.setattr(Hamiltonian, "to_matrix", dense)
+        n = 13
+        a, b = self.setup_pair(n)
+        with pytest.raises(ValueError, match="12 qubits, got 13"):
+            symmetry_freeze_check(a, b, xxz_chain(n),
+                                  phase_rotation_circuit(n), [0.0])
+
     def test_identity_symmetry_trivial(self):
         n = 3
         a = magnetization_sector_state(n, 0, 1)

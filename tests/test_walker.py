@@ -1,10 +1,12 @@
-"""The level-ordered enumeration engine against replay oracles.
+"""The enumeration engine against replay oracles.
 
-`walk_sequences` is the depth-first walker the engine replaced: one gate
-application and one overlap matrix per node, recorded with its streaming
-tie rule. `_all_sequences` lists the same sequences breadth-first, which is
-level order. `depth_first_gap` is the outcome-probability gap check as it
-ran on that walker.
+The engine walks frontiers depth first (`walk_frontiers`), grows each level
+once, and scores each level's sequences in rising rank. `walk_sequences` is
+the depth-first walker it replaced: one gate application and one overlap
+matrix per node, recorded with its streaming tie rule. `_all_sequences`
+lists the same sequences breadth-first, which is level order.
+`depth_first_gap` is the outcome-probability gap check as it ran on that
+walker.
 """
 import itertools
 import math
@@ -21,11 +23,15 @@ from branchkit.complexity import (
     Frontier,
     _enumeration,
     fused_cost,
-    level_frontiers,
     sequence_count,
     survey,
+    walk_frontiers,
 )
-from branchkit.properties import random_orthogonal_states
+from branchkit.properties import (
+    random_orthogonal_states,
+    run_pair_properties,
+    run_triple_properties,
+)
 from branchkit.qsim import (
     Circuit,
     GateOp,
@@ -231,19 +237,26 @@ def test_fused_cost_reversal_invariant(targets):
 
 
 def _walk(block, n, max_len, limit=None):
-    for level in range(max_len + 1):
-        yield from level_frontiers(block, n, level, limit)
+    """walk_frontiers over every sequence of at most max_len gates, unless a
+    limit is given."""
+    return walk_frontiers(block, n, max_len, sequence_count(n, max_len)
+                          if limit is None else limit)
 
 
 def _walked(limit=None):
+    """The ranks walked, level after level, each level's in walk order."""
     gates, inv = _setup(2)
     block = np.column_stack([haar_random_state(2, s).amplitudes
                              for s in (1, 2)])
-    ranks = [int(r) for f in _walk(block, 2, 2, limit) for r in f.rank]
+    levels = {}
+    for level, f in _walk(block, 2, 2, limit):
+        levels.setdefault(level, []).extend(int(r) for r in f.rank)
+    ranks = [r for level in sorted(levels) for r in levels[level]]
     return ranks, list(_all_sequences(gates, inv, 2)), len(gates)
 
 
 def test_same_sequences_as_oracle():
+    """Every sequence once, and each level's in rising rank."""
     ranks, oracle, g = _walked()
     assert len(oracle) == sequence_count(2, 2) == 1 + g + g * (g - 1)
     assert ranks == list(range(len(oracle)))
@@ -261,7 +274,7 @@ def test_blocks_and_costs_match_replay():
     gates, _ = _setup(n)
     states = [haar_random_state(n, s) for s in (3, 4)]
     block = np.column_stack([s.amplitudes for s in states])
-    for f in _walk(block, n, 2):
+    for _, f in _walk(block, n, 2):
         for i, rank in enumerate(f.rank):
             seq = _enumeration(n).sequence(int(rank))
             circuit = Circuit(n, tuple(gates[gi] for gi in seq))
@@ -272,8 +285,9 @@ def test_blocks_and_costs_match_replay():
 
 
 def oracle_frontiers(block, n_qubits, level, limit=None):
-    """The sequences of level_frontiers, one frontier each, replayed from
-    scratch (support is not replayed: the gap check does not read it)."""
+    """The sequences of `level` gates ranked below the limit, one frontier
+    each, replayed from scratch (support is not replayed: the gap check does
+    not read it)."""
     gates, inv = _setup(n_qubits)
     first = sequence_count(n_qubits, level - 1) if level else 0
     seqs = [s for s in _all_sequences(gates, inv, level) if len(s) == level]
@@ -303,11 +317,13 @@ def _criterion_07_decompositions():
     return {"cat": cat, "two-branch": two, "three-branch": three}
 
 
-def oracle_walk(block, n_qubits, max_len):
-    """Every level's oracle frontiers, level after level: the level order,
-    where the walk it stands in for goes depth first."""
+def oracle_walk(block, n_qubits, max_len, limit):
+    """walk_frontiers' (level, frontier) pairs from every level's oracle
+    frontiers, level after level: the level order, where the walk it stands
+    in for goes depth first."""
     for level in range(max_len + 1):
-        yield from oracle_frontiers(block, n_qubits, level)
+        for f in oracle_frontiers(block, n_qubits, level, limit):
+            yield level, f
 
 
 @pytest.mark.parametrize("name", ["cat", "two-branch", "three-branch"])
@@ -335,13 +351,35 @@ def test_gap_check_grows_each_level_once(n, budget, applications, monkeypatch):
     """The gap check grows every level once: as many gate applications as
     growing its top level alone, which passes through every level below."""
     calls = _counting_gate_applications(monkeypatch)
-    d = fx.ghz(n).decomposition
-    base = np.column_stack([s.amplitudes for _, s in d.components])
-    for _ in level_frontiers(base, n, budget):
-        pass
+    rho_vs_diag_gap(fx.ghz(n).decomposition, budget, 8)
     assert len(calls) == applications
-    calls.clear()
-    rho_vs_diag_gap(d, budget, 8)
+
+
+def _gate_count_checks():
+    a, b, c = random_orthogonal_states(3, 3, 5)
+    cat = fx.ghz(3).decomposition
+    return {
+        "three-branch": lambda: branches.three_branch_compatibility(
+            a, b, c, 0.1, 3),
+        "merge": lambda: branches.merge_bound_check(a, b, c, 0.5, 0.1, 3),
+        "pair-suite": lambda: run_pair_properties(3, 1, 1, 3),
+        "irreversibility": lambda: branches.irreversibility_check(
+            QuantumState.zero(3), cat, max_len=3),
+        "triple-suite": lambda: run_triple_properties(3, 5, 1),
+    }
+
+
+@pytest.mark.parametrize("name, applications", [
+    ("three-branch", 120), ("merge", 120), ("pair-suite", 120),
+    ("irreversibility", 90), ("triple-suite", 1800)])
+def test_surveys_grow_each_level_once(name, applications, monkeypatch):
+    """A survey grows each level below its last once. At n=3, L=3 that is
+    the 30 bra rows, 30 applications for level 1 and 30 per run of level-1
+    parents for level 2: 120 for the three-branch, merge and pair-suite
+    surveys (two runs), 90 for the irreversibility survey (one run), and
+    1,800 for the 15 surveys of five triples."""
+    calls = _counting_gate_applications(monkeypatch)
+    _gate_count_checks()[name]()
     assert len(calls) == applications
 
 
@@ -431,20 +469,27 @@ def test_results_do_not_depend_on_chunk_size(chunk, monkeypatch):
                                    complexity.CHUNK_BYTES])
 def test_survey_scores_in_rank_order(chunk, monkeypatch):
     """The slots keep their winners only if every sequence reaches them once,
-    in strictly rising rank."""
-    ranks = []
+    in strictly rising rank within its level. Levels may interleave: when a
+    level is grown in several frontiers, the walk scores everything below
+    one of them before the children of the next."""
+    added = []
     add = complexity._Slots.add
 
-    def recording_add(self, values, cost, rank):
-        ranks.extend(int(r) for r in rank)
-        add(self, values, cost, rank)
+    def recording_add(self, values, cost, rank, level):
+        added.extend((level, int(r)) for r in rank)
+        add(self, values, cost, rank, level)
 
     monkeypatch.setattr(complexity._Slots, "add", recording_add)
     monkeypatch.setattr(complexity, "CHUNK_BYTES", chunk)
     for case in _chunk_cases():
-        ranks.clear()
+        added.clear()
         res = survey(*case)
-        assert ranks == list(range(res.nodes))
+        offsets = _enumeration(case[1]).offsets
+        assert sorted(r for _, r in added) == list(range(res.nodes))
+        for level in range(case[3] + 1):
+            ranks = [r for at, r in added if at == level]
+            assert all(offsets[level] <= r < offsets[level + 1] for r in ranks)
+            assert ranks == sorted(ranks)
 
 
 def test_span_surveys_make_few_runs_within_chunk_bytes(monkeypatch):
@@ -503,10 +548,10 @@ def test_walk_stops_at_the_node_budget(monkeypatch):
     assert cut_calls == capped_calls
     assert (cut.nodes, cut.truncated) == (capped.nodes, True)
     assert cut.best[0] == capped.best[0] + [None]
-    # one sequence past the boundary grows only that sequence's ancestors
+    # one sequence past the boundary grows only that sequence's parent
     past, past_calls = applications(
         lambda: survey(states, 8, channels, 3, sequence_count(8, 2) + 1))
-    assert past_calls == capped_calls + 2
+    assert past_calls == capped_calls + 1
     assert (past.nodes, past.truncated) == (capped.nodes + 1, True)
 
 
@@ -530,30 +575,43 @@ def test_parents_keep_the_sequences_with_a_child_below_the_limit(n):
 
 @st.composite
 def slot_cases(draw):
-    """Values (channels, m) from a few levels, each offset by k * 0.4e-12 so
-    that near-ties fall on both sides of _TIE; costs; rising ranks; and the
-    cut points of the chunks they are added in."""
+    """Values (channels, m), each offset by k * 0.4e-12 so that near-ties
+    fall on both sides of _TIE; costs; distinct ranks of at most max_len
+    gates; and the chunks they are added in, as (level, indices): each
+    level's sequences cut into chunks in rising rank, and the chunks of the
+    levels interleaved."""
     channels, max_len = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    rank = sorted(draw(st.lists(st.integers(0, sequence_count(2, 3) - 1),
+    offsets = _enumeration(2).offsets
+    rank = sorted(draw(st.lists(st.integers(0, offsets[max_len + 1] - 1),
                                 min_size=1, max_size=40, unique=True)))
     m = len(rank)
     values = [[draw(st.sampled_from([0.0, 0.3, 1.0]))
                + draw(st.integers(0, 5)) * 0.4e-12 for _ in range(m)]
               for _ in range(channels)]
     cost = draw(st.lists(st.integers(0, max_len), min_size=m, max_size=m))
-    cuts = sorted(draw(st.sets(st.integers(1, m - 1)))) if m > 1 else []
-    return np.array(values), np.array(cost), np.array(rank), max_len, cuts
+    level = np.searchsorted(offsets, rank, side="right") - 1
+    chunks = []
+    for at in (np.flatnonzero(level == lv) for lv in range(max_len + 1)):
+        cuts = (sorted(draw(st.sets(st.integers(1, len(at) - 1))))
+                if len(at) > 1 else [])
+        chunks.append(np.split(at, cuts) if len(at) else [])
+    # the levels interleave; each level's chunks keep their order
+    order = draw(st.permutations([lv for lv, parts in enumerate(chunks)
+                                  for _ in parts]))
+    queues = [iter(parts) for parts in chunks]
+    return (np.array(values), np.array(cost), np.array(rank), max_len,
+            [(lv, next(queues[lv])) for lv in order])
 
 
 @settings(max_examples=200, deadline=None)
 @given(slot_cases())
 def test_slots_keep_the_first_sequence_within_tie_of_the_maximum(case):
-    values, cost, rank, max_len, cuts = case
+    values, cost, rank, max_len, chunks = case
     walk = _enumeration(2)
     slots = complexity._Slots(
         [Channel(ComplexityKind.RELATIVE, 0, 1)] * len(values), max_len)
-    for part in np.split(np.arange(len(rank)), cuts):
-        slots.add(values[:, part], cost[part], rank[part])
+    for level, part in chunks:
+        slots.add(values[:, part], cost[part], rank[part], level)
     for i, row in enumerate(slots.best(walk)):
         for c, got in enumerate(row):
             at = np.flatnonzero(cost == c)
