@@ -15,9 +15,13 @@ in chunks of parent sequences whose children are all scored by one GEMM
 against precomputed g†|q> rows of an orthonormal basis |q> of the surveyed
 states' span (the states themselves when they are linearly independent), and
 are certified only relative to that alphabet up to the enumerated sequence
-length; upper bounds come from enumeration witnesses, user-supplied
-constructive circuits, or a derivative-free variational search over general
-2-qubit blocks.
+length. A sequence whose product, up to a global phase, an earlier-ranked
+sequence of the same fused cost already gives (gates on disjoint qubits in
+the other order, SS = Z, XZ ∝ ZX, ...) scores what that twin scores, so
+the survey skips it: it covers every rank but scores about a third of the
+sequences at n=3, L=3. Upper bounds come from enumeration witnesses,
+user-supplied constructive circuits, or a derivative-free variational
+search over general 2-qubit blocks.
 """
 from __future__ import annotations
 
@@ -170,7 +174,9 @@ class Frontier:
     the columns of the walked block, which a survey takes from an orthonormal
     basis of its states' span. Per sequence: fused cost, qubit bitmask of its
     last fused block, last gate index (the gate count for the empty sequence)
-    and level-order rank.
+    and level-order rank; and, for the twin tables, the bitmask of the last
+    fused block before the last gate (0 when there is none) and the gate
+    before the last (the gate count when there is none).
     """
 
     kets: np.ndarray
@@ -178,6 +184,14 @@ class Frontier:
     support: np.ndarray
     last: np.ndarray
     rank: np.ndarray
+    before: np.ndarray
+    prev: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "Frontier":
+        """The sequences selected by a boolean mask, in the same order."""
+        return Frontier(self.kets[:, rows], self.cost[rows], self.support[rows],
+                        self.last[rows], self.rank[rows], self.before[rows],
+                        self.prev[rows])
 
 
 # The enumeration alphabet: these gates on every qubit, label-major, then
@@ -190,6 +204,8 @@ _MAX_LEN = 63  # the longest sequences the rank table counts
 # the most sequences one walk may plan; the largest walk of the tests and
 # the benchmark plans 26,131
 MAX_WALK = 10**7
+# twin-table entries other than a gate index (see _Enumeration.twin_table)
+_NO_TWIN, _ANY = -2, -1
 
 
 class _Enumeration:
@@ -216,6 +232,7 @@ class _Enumeration:
         self.offsets = list(itertools.accumulate(
             (g * (g - 1) ** (length - 1) if length else 1
              for length in range(_MAX_LEN + 1)), initial=0))
+        self._twin_tables = {}
 
     def sequence(self, rank: int) -> tuple[int, ...]:
         """The gate-index tuple at a level-order rank."""
@@ -239,18 +256,12 @@ class _Enumeration:
         fan = len(self.gates) - (level > 0)
         return self.offsets[level] - (self.offsets[level + 1] - limit) // fan
 
-    def runs(self, f: Frontier, level: int, limit: int, child_bytes: int):
-        """The children of a frontier at `level` ranked below `limit`, in runs
-        of parents x gate slice sized so that child_bytes per child stay
-        within CHUNK_BYTES. Runs come in rank order, and so do the children
-        within a run: a run that slices the gates has one parent. Per run:
-        the parents' kets as columns (2**n, m * k), the gate slice, the mask
-        (m, gates in the slice) of the children walked, and their rank,
-        fused cost and last-block support in rank order."""
-        dim, m, _ = f.kets.shape
+    def children(self, f: Frontier, level: int, limit: int):
+        """Per sequence of a frontier at `level` and per gate, arrays (m,
+        gates): the child's level-order rank, whether the walk keeps it (it
+        is ranked below `limit` and puts no gate right after its inverse),
+        its fused cost and its last-block support."""
         g = len(self.gates)
-        gates = max(1, min(g, CHUNK_BYTES // child_bytes))
-        parents = max(1, CHUNK_BYTES // (gates * child_bytes))
         gate = np.arange(g)
         skip = self.inverse[f.last][:, None]
         rank = (self.offsets[level + 1] + gate - (gate > skip)
@@ -260,23 +271,34 @@ class _Enumeration:
         fused = (np.bitwise_count(union) <= 2) & (level > 0)
         cost = f.cost[:, None] + ~fused
         support = np.where(fused, union, self.support)
+        return rank, keep, cost, support
+
+    def runs(self, f: Frontier, child_bytes: int):
+        """The children of a frontier in runs of parents x gate slice, sized
+        so that child_bytes per child stay within CHUNK_BYTES. Runs come in
+        rank order, and so do the children within a run: a run that slices
+        the gate list has one parent. Per run: the parents' slice, the gate
+        slice and the parents' kets as columns (2**n, m * k)."""
+        dim, m, _ = f.kets.shape
+        g = len(self.gates)
+        gates = max(1, min(g, CHUNK_BYTES // child_bytes))
+        parents = max(1, CHUNK_BYTES // (gates * child_bytes))
         for p0 in range(0, m, parents):
             rows = slice(p0, p0 + parents)
             cols = f.kets[:, rows].reshape(dim, -1)
             for g0 in range(0, g, gates):
-                part = slice(g0, g0 + gates)
-                sel = keep[rows, part]
-                if sel.any():
-                    yield (cols, part, sel, rank[rows, part][sel],
-                           cost[rows, part][sel], support[rows, part][sel])
+                yield rows, slice(g0, g0 + gates), cols
 
     def grow(self, f: Frontier, level: int, limit: int):
         """The children of a frontier at `level` ranked below `limit`, as
         frontiers in rank order; one gate application per gate in the run's
         kept range, gathered into the children in one step."""
         dim, _, k = f.kets.shape
-        for cols, part, sel, rank, cost, support in self.runs(
-                f, level, limit, dim * k * 16):
+        rank, keep, cost, support = self.children(f, level, limit)
+        for rows, part, cols in self.runs(f, dim * k * 16):
+            sel = keep[rows, part]
+            if not sel.any():
+                continue
             pj, gj = np.nonzero(sel)
             gj += part.start
             lo = gj.min()
@@ -284,10 +306,152 @@ class _Enumeration:
                 apply_gate_block(cols, self.n_qubits, gate.targets, gate.matrix
                                  ).reshape(dim, -1, k)
                 for gate in self.gates[lo:gj.max() + 1]], axis=1)
-            yield Frontier(applied[:, gj - lo, pj], cost, support, gj, rank)
+            parent = pj + rows.start
+            yield Frontier(applied[:, gj - lo, pj], cost[rows, part][sel],
+                           support[rows, part][sel], gj, rank[rows, part][sel],
+                           f.support[parent], f.last[parent])
+
+    @functools.cached_property
+    def twin_words(self) -> np.ndarray:
+        """Rows (l, g, w0, w1) of _local_twins on every set of at most four
+        of the n qubits, in this alphabet's gate indices (w1 = the gate count
+        for one-gate words)."""
+        n = self.n_qubits
+        labels = {label: i for i, label in enumerate(
+            dict.fromkeys(g.label for g in self.gates))}
+        # at[label, target, second target or n]: the gate's index
+        at = np.zeros((len(labels), n, n + 1), dtype=int)
+        for i, gate in enumerate(self.gates):
+            at[(labels[gate.label], *gate.targets, n)[:3]] = i
+        parts = []
+        for k in range(1, min(n, 4) + 1):
+            local = _enumeration(k).gates
+            label = [labels[g.label] for g in local]
+            first = [g.targets[0] for g in local]
+            second = [(*g.targets, k)[1] for g in local]
+            # each k-subset of the qubits, and n for "no second target"
+            qubits = np.array([(*c, n) for c in
+                               itertools.combinations(range(n), k)])
+            glob = at[label, qubits[:, first], qubits[:, second]]
+            glob = np.column_stack([glob, np.full(len(glob), len(self.gates))])
+            parts.append(glob[:, _local_twins(k)].reshape(-1, 4))
+        return np.concatenate(parts)
+
+    def twin_table(self, before: int) -> tuple[np.ndarray, np.ndarray]:
+        """(twin, kin), each (gates, gates), for the children p·l·g of a
+        sequence p·l whose p ends in a fused block on the qubit bitmask
+        `before` (0 when p is empty); built once per bitmask.
+
+        twin[l, g] says when an earlier-ranked sequence p·w of the walk, w of
+        at most two gates on the qubits of l and g, has the product of p·l·g
+        up to a global phase and the same fused cost: never (_NO_TWIN),
+        always (_ANY), or unless p ends in the gate it holds (p·w would then
+        put a gate right after its inverse). kin[l, g] says when such a p·w
+        also has the same last-block support, so that every child p·l·g·x
+        has the twin p·w·x, and the one child that p·w·x leaves out, x the
+        inverse of w's last gate, has the twin p·w less that gate at the same
+        fused cost."""
+        if before not in self._twin_tables:
+            gates = len(self.gates)
+            l, g, w0, w1 = self.twin_words.T
+            support = np.append(self.support, 0)  # w1 == gates: no gate
+
+            def step(s, x):
+                """(blocks added, last-block support) when gate x follows a
+                last block on the qubits s (0: none)."""
+                union = s | support[x]
+                fused = (s != 0) & (np.bitwise_count(union) <= 2)
+                return 1 - fused, np.where(fused, union, support[x])
+
+            # fused costs over p's, and last-block supports, of p·l·g and p·w
+            add_l, s_l = step(before, l)
+            add_g, s_lg = step(s_l, g)
+            add_w0, s_w0 = step(before, w0)
+            add_w1, s_w = step(s_w0, w1)
+            cost = add_l + add_g
+            twin = cost == add_w0 + add_w1
+            undo = self.inverse[np.where(w1 == gates, w0, w1)]
+            add_undo, _ = step(s_lg, undo)
+            kin = twin & (s_lg == s_w) & (
+                (undo == self.inverse[g])
+                | (cost + add_undo == np.where(w1 == gates, 0, add_w0)))
+            key = l * gates + g
+            tables = []
+            for match in (twin, kin):
+                # a twin p·w that starts with l is in the walk whatever p
+                # ends in; any other only unless p ends in w0's inverse.
+                # `some` keeps one such w0 per (l, g); where another twin
+                # starts differently, p's last gate cannot refuse both
+                tied = match & (w0 != l)
+                some = np.full(gates * gates, -1)
+                some[key[tied]] = w0[tied]
+                table = np.where(some >= 0, self.inverse[some], _NO_TWIN)
+                table[key[tied & (w0 != some[key])]] = _ANY
+                table[key[match & (w0 == l)]] = _ANY
+                tables.append(table.astype(np.int16).reshape(gates, gates))
+            self._twin_tables[before] = tuple(tables)
+        return self._twin_tables[before]
+
+    def twins(self, f: Frontier) -> tuple[np.ndarray, np.ndarray]:
+        """(twin, kin) masks (m, gates) over the children of a frontier, from
+        twin_table: the child has an earlier-ranked twin of the same fused
+        cost in the walk, and (kin) so has each of its children. Children of
+        the empty sequence have none."""
+        m, gates = len(f.rank), len(self.gates)
+        masks = np.zeros((2, m, gates), dtype=bool)
+        grown = f.last < gates
+        for before in set(f.before[grown].tolist()):
+            rows = grown & (f.before == before)
+            prev = f.prev[rows, None]
+            for mask, table in zip(masks, self.twin_table(before)):
+                entry = table[f.last[rows]]
+                mask[rows] = (entry != prev) & (entry != _NO_TWIN)
+        return masks[0], masks[1]
 
 
 _enumeration = functools.cache(_Enumeration)
+
+
+def _phase_free(ops: np.ndarray) -> list[bytes]:
+    """One key per matrix of ops (m, d, d), equal for matrices equal up to a
+    global phase: each is turned to make its first nonzero entry real and
+    positive, then rounded."""
+    flat = ops.reshape(len(ops), -1)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-6, axis=1)]
+    flat = np.round(flat * (np.abs(lead) / lead)[:, None], 8) + 0.0  # no -0.0
+    return [row.tobytes() for row in flat]
+
+
+@functools.cache
+def _local_twins(k: int) -> np.ndarray:
+    """Rows (l, g, w0, w1) over the k-qubit alphabet: each two-gate word
+    (l, g) on all k qubits, once per word w = (w0, w1), or w = (w0,) with w1
+    the gate count, that is ranked before it, acts on all k qubits too, and
+    whose product equals g·l up to a global phase. (A product of two of
+    these gates acts on every qubit of its gates, unless it is the identity,
+    so no twin acts on fewer.) Putting these gates on any k of n qubits
+    keeps qubit order, and so gate order and rank order: the rows hold
+    there too."""
+    walk = _enumeration(k)
+    g, full = len(walk.gates), 2**k - 1
+    ops = []
+    for gate in walk.gates:
+        rest = [q for q in range(k) if q not in gate.targets]
+        op = np.kron(gate.matrix, np.eye(2 ** len(rest))).reshape((2,) * 2 * k)
+        axes = [(list(gate.targets) + rest).index(q) for q in range(k)]
+        ops.append(op.transpose(*axes, *(a + k for a in axes)).reshape(2**k, 2**k))
+    words = [(a,) for a in range(g) if walk.support[a] == full]
+    words += [(a, b) for a in range(g) for b in range(g)
+              if b != walk.inverse[a] and walk.support[a] | walk.support[b] == full]
+    keys = _phase_free(np.array([ops[w[-1]] @ ops[w[0]] if len(w) == 2
+                                 else ops[w[0]] for w in words]))
+    earlier, rows = {}, []
+    for word, key in zip(words, keys):  # in rank order
+        same = earlier.setdefault(key, [])
+        if len(word) == 2:
+            rows += [word + (w + (g,))[:2] for w in same]
+        same.append(word)
+    return np.array(rows, dtype=int).reshape(-1, 4)
 
 
 def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
@@ -308,9 +472,9 @@ def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
                 yield from below(child, level + 1)
 
     if limit > 0:
-        zero = np.zeros(1, dtype=int)
-        yield from below(Frontier(block[:, None, :], zero, zero,
-                                  np.array([len(walk.gates)]), zero), 0)
+        zero, none = np.zeros(1, dtype=int), np.array([len(walk.gates)])
+        yield from below(Frontier(block[:, None, :], zero, zero, none, zero,
+                                  zero, none), 0)
 
 
 def sequence_count(n_qubits: int, max_len: int) -> int:
@@ -405,9 +569,10 @@ class SurveyResult:
     Results are read by channel: bounds() and size() look it up in
     `channels` and raise ValueError for one that was not surveyed.
     best[i][cost] is channels[i]'s (value, gate-index tuple), or None when
-    no enumerated sequence has that cost. `nodes` counts the sequences
-    scored, the empty one included; `truncated` says a node budget cut them
-    short.
+    no enumerated sequence has that cost. `nodes` counts the sequences the
+    walk covers, the empty one included, and `scored` those it scored: the
+    others have a scored twin (see survey). `truncated` says a node budget
+    cut the walk short.
     """
 
     n_qubits: int
@@ -415,6 +580,7 @@ class SurveyResult:
     gates: list[GateOp]
     max_len: int
     nodes: int
+    scored: int
     truncated: bool
     best: list[list[tuple[float, tuple[int, ...]] | None]]
 
@@ -484,9 +650,18 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     walk_frontiers grows once each the sequences with a child ranked below
     it, and nothing past them. Their children are scored in runs, each by
     one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the last level
-    are never built; with r < k each channel's entries then come from the
-    r x r basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with r == k
-    they are the overlaps themselves.
+    are never built, and each bra row g†|q_p> is built when a run first
+    reads it; with r < k each channel's entries then come from the r x r
+    basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with r == k they
+    are the overlaps themselves.
+
+    Twins are skipped (_Enumeration.twin_table): a child p·l·g is not
+    scored when an earlier-ranked sequence p·w of the walk, w of at most
+    two gates, has its product up to phase and its fused cost, since the
+    twin then wins any tie. A parent of the last level whose twin also has
+    its last-block support, and whose children all have twins that way, is
+    not walked at all. `nodes` still counts every rank covered; `scored`
+    counts the sequences scored.
     """
     limit, total = node_limit(n_qubits, max_len, node_budget, "node_budget")
     walk = _enumeration(n_qubits)
@@ -507,27 +682,54 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
 
     zero = np.zeros(1, dtype=int)
     score((basis.conj().T @ basis)[:, :, None], zero, zero, 0)
-    # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n)
+    scored = 1
+    # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n),
+    # each built when a scored run first reads it
     rows = np.empty((len(walk.gates), r, dim), dtype=complex)
-    for j, gate in enumerate(walk.gates):
-        rows[j] = apply_gate_block(basis, n_qubits, gate.targets,
-                                   gate.matrix.conj().T).conj().T
+    built = np.zeros(len(walk.gates), dtype=bool)
     # the limit's last sequence has `top` gates; the parents of the children
     # ranked below the limit end inside the level below it
     top = bisect.bisect_left(walk.offsets, limit) - 1
     parents = walk.parents(top - 1, limit) if top else 0
+    # dropped[rank - first]: a parent of the last level whose children all
+    # have twins (twin_table's kin), among the children of the latest
+    # frontier one level up, which the depth-first walk yields next
+    first, dropped = 0, np.zeros(1, dtype=bool)
     for level, f in walk_frontiers(basis, n_qubits, max_len - 1, parents):
-        for cols, part, sel, rank, cost, _ in walk.runs(
-                f, level, limit, child_bytes):
+        if level == max_len - 1:
+            drop = dropped[f.rank - first]
+            if drop.any():
+                f = f.take(~drop)
+        rank, keep, cost, _ = walk.children(f, level, limit)
+        twin, kin = walk.twins(f)
+        if level == max_len - 2:
+            first = rank.min()
+            dropped = np.zeros(rank.max() + 1 - first, dtype=bool)
+            dropped[rank[keep & kin] - first] = True
+        for run, part, cols in walk.runs(f, child_bytes):
+            # the bras from the run's first walked gate to its last
+            walked = np.flatnonzero(keep[run, part].any(axis=0)) + part.start
+            if not len(walked):
+                continue
+            part = slice(walked[0], walked[-1] + 1)
+            sel = keep[run, part] & ~twin[run, part]
+            if not sel.any():
+                continue
+            for j in np.flatnonzero(~built[part]) + part.start:
+                gate = walk.gates[j]
+                rows[j] = apply_gate_block(basis, n_qubits, gate.targets,
+                                           gate.matrix.conj().T).conj().T
+            built[part] = True
             bras = rows[part]
             g = (bras.reshape(-1, dim) @ cols).reshape(len(bras), r, -1, r)
             # (r, r, parents * gates), the children in rank order; each
             # step drops the array before it
             g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
             g = g.reshape(r, r, -1)[:, :, sel.ravel()]
-            score(g, cost, rank, level + 1)
+            score(g, cost[run, part][sel], rank[run, part][sel], level + 1)
+            scored += g.shape[2]
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
-                        limit, limit < total, slots.best(walk))
+                        limit, scored, limit < total, slots.best(walk))
 
 
 def enumeration_estimate(q: ComplexityQuery,

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -158,17 +159,24 @@ class Circuit:
         return u
 
 
+@functools.cache
+def _gate_axes(n_qubits: int, targets: tuple[int, ...]):
+    """(perm, inverse): perm brings the target axes of a (2,)*n + (cols,)
+    block to the front, the other axes after them in order; inverse undoes it."""
+    perm = targets + tuple(a for a in range(n_qubits + 1) if a not in targets)
+    return perm, tuple(perm.index(a) for a in range(n_qubits + 1))
+
+
 def apply_gate_block(block: np.ndarray, n_qubits: int, targets: tuple[int, ...],
                      matrix: np.ndarray) -> np.ndarray:
     """Apply a 1- or 2-qubit matrix to every column of `block` (shape (2**n, k) or (2**n,))."""
     single = block.ndim == 1
     cols = 1 if single else block.shape[1]
-    k = len(targets)
-    psi = block.reshape((2,) * n_qubits + (cols,))
-    mat = matrix.reshape((2,) * (2 * k))
-    psi = np.tensordot(mat, psi, axes=(tuple(range(k, 2 * k)), targets))
-    psi = np.moveaxis(psi, tuple(range(k)), targets)
-    out = psi.reshape(2**n_qubits, cols)
+    perm, inverse = _gate_axes(n_qubits, tuple(targets))
+    psi = block.reshape((2,) * n_qubits + (cols,)).transpose(perm)
+    # the 2-D product np.tensordot(matrix, psi) makes, without its bookkeeping
+    psi = np.dot(matrix, psi.reshape(len(matrix), -1)).reshape(psi.shape)
+    out = psi.transpose(inverse).reshape(2**n_qubits, cols)
     return out[:, 0] if single else out
 
 

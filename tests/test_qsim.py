@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchkit.complexity import _enumeration
 from branchkit.dynamics import mixed_field_ising, xxz_chain
 from branchkit.qsim import (
     CNOT,
@@ -123,6 +124,36 @@ class TestGatesAndCircuits:
         out = apply_gate_block(block, 2, (0,), GATES_1Q["X"])
         assert np.allclose(out[:, 0], QuantumState.basis(2, 2).amplitudes)
         assert np.allclose(out[:, 1], QuantumState.basis(2, 1).amplitudes)
+
+
+def tensordot_gate_block(block, n_qubits, targets, matrix):
+    """apply_gate_block as np.tensordot and np.moveaxis write it."""
+    single = block.ndim == 1
+    cols = 1 if single else block.shape[1]
+    k = len(targets)
+    psi = block.reshape((2,) * n_qubits + (cols,))
+    psi = np.tensordot(matrix.reshape((2,) * (2 * k)), psi,
+                       axes=(tuple(range(k, 2 * k)), targets))
+    out = np.moveaxis(psi, tuple(range(k)), targets).reshape(2**n_qubits, cols)
+    return out[:, 0] if single else out
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_gate_kernel_is_bitwise_the_tensordot_product(n):
+    """Every alphabet gate and its adjoint (a Fortran-ordered matrix), and a
+    random 4x4 on (0, n-1) in both target orders, on 1-D and 2-D blocks."""
+    rng = np.random.default_rng(n)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4))
+                        + 1j * rng.standard_normal((4, 4)))
+    gates = [(g.targets, g.matrix) for g in _enumeration(n).gates]
+    gates += [((0, n - 1), u), ((n - 1, 0), u)]
+    for shape in ((2**n,), (2**n, 1), (2**n, 3)):
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for targets, matrix in gates:
+            for m in (matrix, matrix.conj().T):
+                assert np.array_equal(
+                    apply_gate_block(block, n, targets, m),
+                    tensordot_gate_block(block, n, targets, m))
 
 
 class TestInnerProduct:

@@ -1,13 +1,15 @@
 """The enumeration engine against replay oracles.
 
 The engine walks frontiers depth first (`walk_frontiers`), grows each level
-once, and scores each level's sequences in rising rank. `walk_sequences` is
-the depth-first walker it replaced: one gate application and one overlap
-matrix per node, recorded with its streaming tie rule. `_all_sequences`
+once, and scores each level's sequences in rising rank, skipping twins.
+`walk_sequences` is the depth-first walker it replaced: one gate application
+and one overlap matrix per node, recorded with its streaming tie rule, and
+no sequence skipped (`oracle_survey` is the unpruned reference). `_all_sequences`
 lists the same sequences breadth-first, which is level order.
 `depth_first_gap` is the outcome-probability gap check as it ran on that
 walker.
 """
+import functools
 import itertools
 import math
 
@@ -218,6 +220,40 @@ def test_span_survey_matches_depth_first_oracle(case):
     assert_same_survey(*case)
 
 
+@st.composite
+def deep_cases(draw):
+    """n=3, L=3, where twins are skipped at both levels that have them: two
+    or three random states, alone (the independent-states path) or with
+    complex combinations of them (the span path), and a node budget or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.integers(2, 3))
+    states = [haar_random_state(3, int(s)).amplitudes
+              for s in rng.integers(0, 2**31, size=q)]
+    span = draw(st.booleans())
+    if span:
+        for _ in range(draw(st.integers(1, 3))):
+            v = np.column_stack(states[:q]) @ (rng.standard_normal(q)
+                                               + 1j * rng.standard_normal(q))
+            states.append(v / np.linalg.norm(v))
+    k = len(states)
+    channels = draw(st.lists(st.builds(
+        Channel, st.sampled_from(list(ComplexityKind)),
+        st.integers(0, k - 1), st.integers(0, k - 1)), min_size=1, max_size=6))
+    budget = draw(st.none() | st.integers(0, sequence_count(3, 3) + 3))
+    return span, (states, 3, channels, 3, budget)
+
+
+@settings(max_examples=10, deadline=None)
+@given(deep_cases())
+def test_twin_free_survey_matches_depth_first_oracle(drawn):
+    """Every best entry of a survey that skips twins, on either path, equals
+    the unpruned oracle's: the same sequence, the value within 1e-12."""
+    span, case = drawn
+    _, coef = complexity._span(np.column_stack(case[0]))
+    assert (coef is not None) == span
+    assert_same_survey(*case)
+
+
 @pytest.mark.parametrize("style", ["ghz", "basis"])
 def test_survey_ties_match_oracle_at_depth_3(style):
     states = _states(style, 3, 3, 11)
@@ -286,8 +322,8 @@ def test_blocks_and_costs_match_replay():
 
 def oracle_frontiers(block, n_qubits, level, limit=None):
     """The sequences of `level` gates ranked below the limit, one frontier
-    each, replayed from scratch (support is not replayed: the gap check does
-    not read it)."""
+    each, replayed from scratch (the supports and the gate before the last
+    are not replayed: the gap check does not read them)."""
     gates, inv = _setup(n_qubits)
     first = sequence_count(n_qubits, level - 1) if level else 0
     seqs = [s for s in _all_sequences(gates, inv, level) if len(s) == level]
@@ -298,11 +334,11 @@ def oracle_frontiers(block, n_qubits, level, limit=None):
         for gi in seq:
             out = apply_gate_block(out, n_qubits, gates[gi].targets,
                                    gates[gi].matrix)
+        zero = np.zeros(1, dtype=int)
         yield Frontier(out[:, None, :],
                        np.array([fused_cost([gates[gi] for gi in seq])]),
-                       np.zeros(1, dtype=int),
-                       np.array([seq[-1] if seq else len(gates)]),
-                       np.array([rank]))
+                       zero, np.array([seq[-1] if seq else len(gates)]),
+                       np.array([rank]), zero, zero)
 
 
 def _criterion_07_decompositions():
@@ -465,13 +501,31 @@ def test_results_do_not_depend_on_chunk_size(chunk, monkeypatch):
     assert rho_vs_diag_gap(ghz3, 2, 8) == default_gap
 
 
+@functools.cache
+def _products(n, max_len):
+    """Per rank of the sequences of at most max_len gates on n qubits: a key
+    equal for sequences whose Circuit.to_matrix products are equal up to a
+    global phase, and the fused cost."""
+    walk = _enumeration(n)
+    keys, costs = [], []
+    for rank in range(sequence_count(n, max_len)):
+        gates = tuple(walk.gates[i] for i in walk.sequence(rank))
+        u = Circuit(n, gates).to_matrix().ravel()
+        lead = u[np.argmax(np.abs(u) > 1e-6)]
+        keys.append((np.round(u * abs(lead) / lead, 9) + 0.0).tobytes())
+        costs.append(fused_cost(gates))
+    return keys, costs
+
+
 @pytest.mark.parametrize("chunk", [1024, 4096, 32 * 1024,
                                    complexity.CHUNK_BYTES])
 def test_survey_scores_in_rank_order(chunk, monkeypatch):
-    """The slots keep their winners only if every sequence reaches them once,
-    in strictly rising rank within its level. Levels may interleave: when a
-    level is grown in several frontiers, the walk scores everything below
-    one of them before the children of the next."""
+    """The slots keep their winners only if every sequence they score
+    reaches them once, in strictly rising rank within its level, and every
+    sequence the walk covers but does not score has a scored, earlier-ranked
+    twin: the same product up to phase and the same fused cost. Levels may
+    interleave: when a level is grown in several frontiers, the walk scores
+    everything below one of them before the children of the next."""
     added = []
     add = complexity._Slots.add
 
@@ -484,12 +538,21 @@ def test_survey_scores_in_rank_order(chunk, monkeypatch):
     for case in _chunk_cases():
         added.clear()
         res = survey(*case)
-        offsets = _enumeration(case[1]).offsets
-        assert sorted(r for _, r in added) == list(range(res.nodes))
-        for level in range(case[3] + 1):
+        n, max_len = case[1], case[3]
+        offsets = _enumeration(n).offsets
+        scored = {r for _, r in added}
+        assert len(scored) == len(added) == res.scored
+        for level in range(max_len + 1):
             ranks = [r for at, r in added if at == level]
             assert all(offsets[level] <= r < offsets[level + 1] for r in ranks)
-            assert ranks == sorted(ranks)
+            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        keys, costs = _products(n, max_len)
+        first = {}
+        for r in sorted(scored):
+            first.setdefault((keys[r], costs[r]), r)
+        assert max(scored) < res.nodes
+        for r in set(range(res.nodes)) - scored:
+            assert first.get((keys[r], costs[r]), r) < r
 
 
 def test_span_surveys_make_few_runs_within_chunk_bytes(monkeypatch):
@@ -528,6 +591,37 @@ def test_span_surveys_make_few_runs_within_chunk_bytes(monkeypatch):
         check()
         assert len(adds) <= parent_runs / 10
         assert max(arrays) <= complexity.CHUNK_BYTES
+
+
+def _three_states():
+    return [s.amplitudes for s in random_orthogonal_states(3, 3, 5)]
+
+
+def test_scored_counts_the_sequences_scored():
+    """nodes counts the ranks covered, scored the sequences scored: at n=3,
+    L=3, 9,324 of 26,131 once twins are skipped; below level 2 no sequence
+    has a twin."""
+    channels = [Channel(ComplexityKind.INTERFERENCE, 0, 1)]
+    res = survey(_three_states(), 3, channels, 3)
+    assert (res.nodes, res.scored, res.truncated) == (26131, 9324, False)
+    for max_len in (0, 1):
+        for budget in (None, 0, 5, 40):
+            res = survey(_three_states(), 3, channels, max_len, budget)
+            assert res.scored == res.nodes
+
+
+@pytest.mark.parametrize("max_len, budget, applications", [
+    (0, None, 0), (3, 0, 0), (3, 1, 0), (3, 2, 1), (3, 12, 11), (3, 30, 29)])
+def test_survey_builds_only_the_bras_it_reads(max_len, budget, applications,
+                                              monkeypatch):
+    """A survey that scores the empty sequence alone applies no gate, and a
+    node budget that ends inside level 1 builds the bras of the level-1
+    children it scores and no others."""
+    calls = _counting_gate_applications(monkeypatch)
+    res = survey(_three_states(), 3,
+                 [Channel(ComplexityKind.RELATIVE, 0, 1)], max_len, budget)
+    assert res.scored == res.nodes == max(budget or 1, 1)
+    assert len(calls) == applications
 
 
 def test_walk_stops_at_the_node_budget(monkeypatch):
