@@ -39,6 +39,9 @@ GAP_ATOL = 1e-10
 # and the full-circle phase grid of the merge and three-branch checks
 DELTAS = (0.1, 0.5, 0.9)
 PHASE_POINTS = 8
+# the most phase assignments T per gap-check circuit: its four complex
+# (2^n, T) working arrays stay within 64 MiB at n = 6 whatever phase_points is
+MAX_PHASE_GRID = 2**14
 # the pair classes, worst first: a decomposition is as good as its worst pair
 CLASS_RANK = ("NotBranch", "Inconclusive", "Good", "Robust")
 
@@ -318,8 +321,10 @@ def rho_vs_diag_gap(d: BranchDecomposition, circuit_budget: int = 2,
     lowest-ranked circuit that reaches it.
     """
     _require_valid(d)
-    if phase_points < 1:
-        raise ValueError(f"phase_points must be >= 1, got {phase_points}")
+    if (phase_points < 1
+            or phase_points ** (len(d.components) - 1) > MAX_PHASE_GRID):
+        raise ValueError(f"phase_points must be >= 1 with phase_points ** "
+                         f"(components - 1) <= {MAX_PHASE_GRID}, got {phase_points}")
     n = d.parent.n_qubits
     if n > 6:
         raise ValueError("exhaustive gap check is limited to 6 qubits")

@@ -11,6 +11,7 @@ good codes and good branches mutually exclusive.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +141,22 @@ class SurfaceCodeModel:
             raise ValueError("need long_cycle >= short_cycle >= 1")
         if not 0.0 < self.p < 0.5:
             raise ValueError("the rate formula holds for 0 < p < 1/2")
+        # the rate turns the exact int l! * L into a float
+        l, most = self.short_cycle, 0
+        if math.lgamma(l + 1) < math.log(sys.float_info.max):  # l <= 170
+            most = int(sys.float_info.max) // math.factorial(l)
+        if self.long_cycle > most:
+            raise ValueError(f"long_cycle * short_cycle! must fit in a float: "
+                             f"long_cycle <= {most}, got {self.long_cycle}")
 
     def robust_l_min(self, c_const: float) -> float:
         """Long-cycle length above which interference stays infeasible even
         under active correction: e^{c * l * ln(1/p)}."""
-        return math.exp(c_const * self.short_cycle * math.log(1.0 / self.p))
+        exponent = c_const * self.short_cycle * math.log(1.0 / self.p)
+        if not exponent <= math.log(sys.float_info.max):  # NaN fails too
+            raise ValueError(f"c_const must keep e^(c_const * short_cycle * "
+                             f"ln(1/p)) a finite float, got {c_const}")
+        return math.exp(exponent)
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,22 @@
 One rule encodes every JSON document. A dataclass becomes an object of its
 fields in declaration order, under their own names except for the keys in
 RENAMED, and opens with schema_version unless it is one of the inner parts in
-UNVERSIONED. Complex numbers become [re, im] pairs and complex arrays flat,
-row-major lists of such pairs; real arrays and tuples become lists, enums
-their value. Three shapes are spelled out in `_parts`. Floats are emitted via
-Python's shortest round-trip repr, so identical inputs produce byte-identical
-output.
+UNVERSIONED. Complex numbers become [re, im] pairs and complex arrays real
+(-1, 2) arrays of such pairs; other arrays stay arrays, tuples become lists,
+enums their value. Three shapes are spelled out in `_parts`. Floats are
+emitted via Python's shortest round-trip repr, so identical inputs produce
+byte-identical output.
 
-`dumps` writes the text itself, in exactly the layout, byte for byte, of
-`json.dumps(doc, indent=2, allow_nan=True)` plus a newline. The standard
-library encodes indented output in pure Python; here a regular nested list of
-floats, such as a residual tensor, is written in one join.
+`dumps` writes the text, an array as its `tolist()`, in exactly the layout,
+byte for byte, of `json.dumps(doc, indent=2, allow_nan=True)` plus a newline.
+The standard library encodes indented output in pure Python; here a float64
+array, such as a residual tensor, is written in one join.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
 import json
-import math
-from itertools import chain
 
 import numpy as np
 
@@ -63,8 +61,8 @@ def _encode(obj):
         return {_encode(k): _encode(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
-            return np.stack((obj.real, obj.imag), -1).reshape(-1, 2).tolist()
-        return obj.tolist()
+            return np.stack((obj.real, obj.imag), -1).reshape(-1, 2)
+        return obj
     if isinstance(obj, complex):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, enum.Enum):
@@ -78,12 +76,8 @@ def _encode(obj):
 
 
 def document(**parts) -> dict:
-    """A JSON document: schema_version, then `parts` in order, encoded. A
-    part that is already a document (it has a schema_version) is kept as
-    is, so residual_report_to_json's large output is not walked twice."""
-    return {"schema_version": SCHEMA_VERSION, **{
-        k: v if isinstance(v, dict) and "schema_version" in v else _encode(v)
-        for k, v in parts.items()}}
+    """A JSON document: schema_version, then `parts` in order, encoded."""
+    return {"schema_version": SCHEMA_VERSION, **_encode(parts)}
 
 
 def to_json(obj, **head) -> dict:
@@ -173,9 +167,11 @@ def _key(k) -> str:
 
 
 def _write(o, level: int, out: list[str]) -> None:
+    if isinstance(o, np.ndarray):
+        if o.dtype == np.float64 and o.size:
+            return _write_tensor(o, level, out)
+        o = o.tolist()
     if isinstance(o, (list, tuple)):
-        if type(o) is list and o and _write_tensor(o, level, out):
-            return
         brackets, items = "[]", (("", v) for v in o)
     elif isinstance(o, dict):
         brackets, items = "{}", ((_key(k) + ": ", v) for k, v in o.items())
@@ -194,24 +190,11 @@ def _write(o, level: int, out: list[str]) -> None:
     out.append("\n" + "  " * level + brackets[1])
 
 
-def _write_tensor(o: list, level: int, out: list[str]) -> bool:
-    """Write `o` if it is a regular nested list whose leaves are all exactly
-    float, and say whether it was."""
-    dims, flat = [len(o)], o
-    while True:
-        kinds = set(map(type, flat))
-        if kinds == {float}:
-            break
-        if kinds != {list}:
-            return False
-        lengths = set(map(len, flat))
-        if len(lengths) != 1 or 0 in lengths:
-            return False
-        dims.append(lengths.pop())
-        flat = list(chain.from_iterable(flat))
-    depth = len(dims)
-    texts = list(map(float.__repr__, flat))
-    if not math.isfinite(sum(flat)):
+def _write_tensor(a: np.ndarray, level: int, out: list[str]) -> None:
+    """Write a non-empty float64 array."""
+    dims, depth = a.shape, a.ndim
+    texts = list(map(float.__repr__, a.ravel().tolist()))
+    if not np.isfinite(a).all():
         texts = [_NONFINITE.get(t, t) for t in texts]
     ind = ["\n" + "  " * (level + d) for d in range(depth + 1)]
     # seps[r] closes the r innermost lists, writes the comma, opens r again
@@ -220,16 +203,15 @@ def _write_tensor(o: list, level: int, out: list[str]) -> bool:
             + "".join("[" + ind[d] for d in range(depth - r + 1, depth + 1))
             for r in range(depth)]
     # before leaf i > 0, r counts the trailing axes whose index rolls over
-    index = np.arange(1, len(flat))
-    rolls = np.zeros(len(flat) - 1, dtype=np.intp)
+    index = np.arange(1, a.size)
+    rolls = np.zeros(a.size - 1, dtype=np.intp)
     stride = 1
     for size in dims[:0:-1]:
         stride *= size
         rolls += index % stride == 0
-    parts = [""] * (2 * len(flat) - 1)
+    parts = [""] * (2 * a.size - 1)
     parts[::2] = texts
     parts[1::2] = np.array(seps, dtype=object)[rolls].tolist()
     out.append("".join("[" + ind[d] for d in range(1, depth + 1)))
     out.extend(parts)
     out.append("".join(ind[d] + "]" for d in range(depth - 1, -1, -1)))
-    return True

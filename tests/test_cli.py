@@ -405,6 +405,13 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     ("verdict --example ghz --n 2 --node-budget -1", "node_budget"),
     ("gap --example ghz --n 3 --phases 0", "phase_points"),
     ("gap --example ghz --n 3 --phases -2", "phase_points"),
+    # 10^5 phase points: the grid is refused before it is built
+    ("gap --example ghz --n 3 --phases 100000", "phase_points"),
+    # l! * L and e^(c l ln(1/p)) are refused before they overflow a float
+    ("surface -l 170 --p 0.1 -L 1000", "long_cycle"),
+    ("surface -l 171 --p 0.1 -L 1000", "long_cycle"),
+    ("surface -L 5 -l 3 --p 0.1 --c-const 1000000.0", "c_const"),
+    ("surface -L 5 -l 3 --p 0.1 --c-const nan", "c_const"),
     # parity_codewords stops at 12 qubits; the repetition code has the same cap
     ("qec --code repetition --m1 -1", "m1"),
     ("qec --code repetition --m1 13", "m1"),

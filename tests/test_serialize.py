@@ -1,8 +1,9 @@
 """`serialize.dumps` against the standard library's indent-2 JSON layout.
 
-The writer walks the document itself and writes regular nested float lists
-in one step, so every tree shape it can meet is checked against
-`json.dumps(doc, indent=2, allow_nan=True) + "\\n"`, byte for byte.
+The writer walks the document itself and writes float64 arrays in one
+step, so every tree shape it can meet is checked against
+`json.dumps(doc, indent=2, allow_nan=True) + "\\n"`, byte for byte, with an
+array taken as its `tolist()`.
 """
 import json
 import math
@@ -15,7 +16,8 @@ from branchkit.cli import main
 
 
 def reference(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=True,
+                      default=np.ndarray.tolist) + "\n"
 
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7]
@@ -48,8 +50,33 @@ def tensors(draw):
     return tree
 
 
+@st.composite
+def arrays(draw):
+    """A numpy array: float64 with 0-4 axes, one with a zero-length axis, an
+    int or a bool array, or a complex array as `_encode` gives it."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=4))
+    size = math.prod(shape)
+    kind = draw(st.sampled_from(["float", "empty", "int", "bool", "complex"]))
+    if kind == "empty":
+        shape.insert(draw(st.integers(0, len(shape))), 0)
+        return np.zeros(shape)
+    if kind == "int":
+        ints = st.integers(-2**63, 2**63 - 1)
+        return np.array(draw(st.lists(ints, min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+    if kind == "bool":
+        return np.array(draw(st.lists(st.booleans(), min_size=size,
+                                      max_size=size))).reshape(shape)
+    leaves = st.lists(floats, min_size=size, max_size=size)
+    re = np.array(draw(leaves), dtype=float).reshape(shape)
+    if kind == "float":
+        return re
+    z = np.array(list(map(complex, re.ravel(), draw(leaves)))).reshape(shape)
+    return ser._encode(z)
+
+
 trees = st.recursive(
-    scalars | tensors(),
+    scalars | tensors() | arrays(),
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=3).map(tuple)
                       | st.dictionaries(keys, children, max_size=4)),
