@@ -141,6 +141,13 @@ class SurfaceCodeModel:
             raise ValueError("need long_cycle >= short_cycle >= 1")
         if not 0.0 < self.p < 0.5:
             raise ValueError("the rate formula holds for 0 < p < 1/2")
+        # the rate and its binomial-tail oracle are both at least
+        # p^ceil(l/2); a normal float there keeps both above 0
+        half_up = math.ceil(self.short_cycle / 2)
+        if not self.p**half_up >= sys.float_info.min:
+            least = sys.float_info.min ** (1 / half_up)
+            raise ValueError(f"p ** ceil(short_cycle / 2) must not underflow "
+                             f"a float: p >= {least:.3g}, got {self.p}")
         # the rate turns the exact int l! * L into a float
         l, most = self.short_cycle, 0
         if math.lgamma(l + 1) < math.log(sys.float_info.max):  # l <= 170

@@ -19,6 +19,7 @@ from .qsim import (
     QuantumState,
     _require_width,
     apply_circuit,
+    apply_pauli_string,
     evolve,
     inner_product,
 )
@@ -242,18 +243,12 @@ class EthReport:
     per_observable: tuple[ObservableStats, ...]
 
 
-def _observable_matrix(obs, n: int) -> tuple[str, np.ndarray]:
-    if isinstance(obs, str):
-        return obs, Hamiltonian(n, ((1.0, obs),)).to_matrix()
-    if isinstance(obs, Hamiltonian):
-        return "hamiltonian", obs.to_matrix()
-    raise TypeError("observables must be Pauli strings or Hamiltonians")
-
-
 def eth_diagnostic(h: Hamiltonian, observables: list,
                    window_fraction: float = 1 / 3) -> EthReport:
     """Adjacent-eigenstate diagonal gaps and off-diagonal magnitudes of the
-    given observables over the middle fraction of the spectrum."""
+    given observables over the middle fraction of the spectrum. Each
+    observable's Pauli terms act on the window's eigenvectors; no dense
+    observable matrix is built."""
     if h.n_qubits > 12:
         raise ValueError("full diagonalization is limited to 12 qubits")
     if not 0.0 < window_fraction <= 1.0:
@@ -269,8 +264,15 @@ def eth_diagnostic(h: Hamiltonian, observables: list,
 
     stats = []
     for obs in observables:
-        name, mat = _observable_matrix(obs, h.n_qubits)
-        inw = basis.conj().T @ mat @ basis
+        if isinstance(obs, str):
+            name, terms = obs, ((1.0, obs),)
+        elif isinstance(obs, Hamiltonian):
+            name, terms = "hamiltonian", obs.terms
+        else:
+            raise TypeError("observables must be Pauli strings or Hamiltonians")
+        image = sum((c * apply_pauli_string(basis, h.n_qubits, p)
+                     for c, p in terms), np.zeros_like(basis))
+        inw = basis.conj().T @ image
         diag = np.real(np.diagonal(inw))
         gaps = np.abs(np.diff(diag))
         off = np.abs(inw - np.diag(np.diagonal(inw)))

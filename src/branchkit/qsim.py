@@ -275,10 +275,19 @@ class Hamiltonian:
         return cached
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors), computed once and cached per Hamiltonian."""
+        """(eigenvalues, eigenvectors), computed once and cached per Hamiltonian.
+
+        A Hamiltonian is real when every term has an even number of Y letters
+        (i^{#Y} is then +-1, so every matrix element is real). Its spectrum is
+        taken by a real-symmetric `eigh` and the eigenvectors are float64;
+        any odd-Y term makes them complex128, from a complex Hermitian `eigh`.
+        """
         cached = getattr(self, "_eig", None)
         if cached is None:
-            vals, vecs = np.linalg.eigh(self.to_matrix())
+            mat = self.to_matrix()
+            if all(p.count("Y") % 2 == 0 for _, p in self.terms):
+                mat = mat.real
+            vals, vecs = np.linalg.eigh(mat)
             vals.setflags(write=False)
             vecs.setflags(write=False)
             cached = (vals, vecs)
@@ -298,11 +307,15 @@ def _pauli_action(n_qubits: int, pauli: str) -> tuple[np.ndarray, np.ndarray]:
     zy = sum(1 << q for q, ch in enumerate(reversed(pauli)) if ch in "ZY")
     src = np.arange(2**n_qubits) ^ flip
     sign = np.where(np.bitwise_count(src & zy) & 1, -1.0, 1.0)
-    return src, 1j ** pauli.count("Y") * sign
+    ys = pauli.count("Y")
+    # i^{#Y} is real for an even count: a real block then stays real
+    return src, (1j ** ys if ys % 2 else (-1.0) ** (ys // 2)) * sign
 
 
 def apply_pauli_string(amps: np.ndarray, n_qubits: int, pauli: str) -> np.ndarray:
-    """Apply a Pauli string (e.g. "IXZ") to an amplitude vector or (2**n, k) block."""
+    """Apply a Pauli string (e.g. "IXZ") to an amplitude vector or (2**n, k) block.
+
+    A real block stays real under a string with an even number of Y letters."""
     _require_pauli(n_qubits, pauli)
     if amps.shape[0] != 2**n_qubits:
         raise ValueError(f"{amps.shape[0]} amplitudes do not match {n_qubits} qubits")
@@ -322,6 +335,15 @@ def expectation(h: Hamiltonian, state: QuantumState) -> float:
     return float(acc)
 
 
+def _eigvec_product(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """mat @ amps. A real mat multiplies the complex amps viewed as (2**n, 2)
+    [re, im] rows, one real GEMM; casting mat to complex would be slower."""
+    if np.iscomplexobj(mat):
+        return mat @ amps
+    pairs = np.ascontiguousarray(amps).view(np.float64).reshape(-1, 2)
+    return (mat @ pairs).view(np.complex128).ravel()
+
+
 def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
            steps: int | None = None) -> QuantumState:
     """e^{-iHt}|state>.
@@ -339,8 +361,8 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
                 "exact evolution is limited to 12 qubits; use method='trotter'"
             )
         vals, vecs = h.eigensystem()
-        coeffs = vecs.conj().T @ state.amplitudes
-        amps = vecs @ (np.exp(-1j * vals * t) * coeffs)
+        coeffs = _eigvec_product(vecs.conj().T, state.amplitudes)
+        amps = _eigvec_product(vecs, np.exp(-1j * vals * t) * coeffs)
         return QuantumState(state.n_qubits, amps)
     if method == "trotter":
         if steps is None or steps < 1:

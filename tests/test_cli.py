@@ -412,6 +412,8 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     ("surface -l 171 --p 0.1 -L 1000", "long_cycle"),
     ("surface -L 5 -l 3 --p 0.1 --c-const 1000000.0", "c_const"),
     ("surface -L 5 -l 3 --p 0.1 --c-const nan", "c_const"),
+    # and p^ceil(l/2) before the rate and its oracle underflow to 0
+    ("surface -L 5 -l 3 --p 1e-200", "underflow"),
     # parity_codewords stops at 12 qubits; the repetition code has the same cap
     ("qec --code repetition --m1 -1", "m1"),
     ("qec --code repetition --m1 13", "m1"),

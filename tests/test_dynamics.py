@@ -241,6 +241,31 @@ class TestEth:
         with pytest.raises(ValueError):
             eth_diagnostic(mixed_field_ising(3), ["ZII"], 0.0)
 
+    @pytest.mark.parametrize("h", [
+        mixed_field_ising(5),
+        Hamiltonian(5, mixed_field_ising(5).terms + ((0.3, "IYIII"),)),
+    ], ids=["real-basis", "complex-basis"])
+    @pytest.mark.parametrize("obs", ["IIZII", "XIIXI", "IYZII", "hamiltonian"])
+    def test_pauli_action_matches_the_dense_projection(self, h, obs):
+        # a Z string, an X string, one Y (a complex action on a real basis)
+        # and a Hamiltonian with YY terms, against basis^H M basis
+        if obs == "hamiltonian":
+            obs = xxz_chain(5)
+            mat = obs.to_matrix()
+        else:
+            mat = Hamiltonian(5, ((1.0, obs),)).to_matrix()
+        got = eth_diagnostic(h, [obs], 1 / 3)
+        lo, hi = got.window
+        basis = h.eigensystem()[1][:, lo:hi]
+        inw = basis.conj().T @ mat @ basis
+        gaps = np.abs(np.diff(np.real(np.diagonal(inw))))
+        off = np.abs(inw - np.diag(np.diagonal(inw)))
+        stats = got.per_observable[0]
+        assert stats.max_diag_gap == pytest.approx(gaps.max(), rel=0, abs=1e-12)
+        assert stats.median_diag_gap == pytest.approx(np.median(gaps), rel=0,
+                                                      abs=1e-12)
+        assert stats.max_offdiag == pytest.approx(off.max(), rel=0, abs=1e-12)
+
 
 class TestChains:
     def test_ising_terms(self):

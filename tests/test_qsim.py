@@ -298,6 +298,72 @@ def test_to_matrix_is_bitwise_the_kron_sum(h):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def is_even_y(h: Hamiltonian) -> bool:
+    return all(p.count("Y") % 2 == 0 for _, p in h.terms)
+
+
+def even_y(h: Hamiltonian) -> Hamiltonian:
+    """h with the first Y of every odd-Y term read as X: a real Hamiltonian."""
+    return Hamiltonian(h.n_qubits, tuple(
+        (c, p.replace("Y", "X", 1) if p.count("Y") % 2 else p)
+        for c, p in h.terms))
+
+
+def spectral_scale(h: Hamiltonian) -> float:
+    """An upper bound on the operator norm, at least 1."""
+    return max(1.0, sum(abs(c) for c, _ in h.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums().map(even_y))
+def test_even_y_sums_take_a_real_eigh(h):
+    mat, scale = h.to_matrix(), spectral_scale(h)
+    vals, vecs = h.eigensystem()
+    assert vecs.dtype == np.float64
+    assert np.allclose(vals, np.linalg.eigvalsh(mat), rtol=0, atol=1e-10 * scale)
+    assert np.allclose(vecs.T @ vecs, np.eye(len(vals)), rtol=0, atol=1e-10)
+    assert np.allclose((vecs * vals) @ vecs.T, mat, rtol=0, atol=1e-10 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pauli_sums().filter(lambda h: not is_even_y(h)))
+def test_odd_y_sums_keep_the_complex_eigh(h):
+    mat, scale = h.to_matrix(), spectral_scale(h)
+    vals, vecs = h.eigensystem()
+    assert vecs.dtype == np.complex128
+    assert np.allclose((vecs * vals) @ vecs.conj().T, mat, rtol=0,
+                       atol=1e-10 * scale)
+    # the complex path is a plain eigh of the dense matrix, bit for bit
+    want_vals, want_vecs = np.linalg.eigh(mat)
+    assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+    state = haar_random_state(h.n_qubits, 3)
+    want = want_vecs @ (np.exp(-0.9j * want_vals)
+                        * (want_vecs.conj().T @ state.amplitudes))
+    assert np.array_equal(evolve(state, h, 0.9).amplitudes, want)
+
+
+def test_real_chains_keep_real_arithmetic():
+    # the real eigh is about 8x faster at n=10: a complex dtype here means
+    # the real path was lost
+    for h in (mixed_field_ising(6), xxz_chain(6)):
+        assert h.eigensystem()[1].dtype == np.float64
+    one_y = Hamiltonian(2, ((0.5, "ZZ"), (1.0, "YI")))
+    assert one_y.eigensystem()[1].dtype == np.complex128
+    block = np.random.default_rng(2).standard_normal((8, 3))
+    assert apply_pauli_string(block, 3, "YZY").dtype == np.float64
+    assert apply_pauli_string(block, 3, "XYZ").dtype == np.complex128
+
+
+@pytest.mark.parametrize("chain", [mixed_field_ising, xxz_chain])
+def test_exact_evolve_on_real_eigenvectors_matches_the_complex_formula(chain):
+    h, state = chain(6), haar_random_state(6, 11)
+    vals, vecs = np.linalg.eigh(h.to_matrix())
+    for t in (0.0, 0.7, -2.5):
+        want = vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ state.amplitudes))
+        got = evolve(state, h, t).amplitudes
+        assert np.allclose(got, want, rtol=0, atol=1e-10)
+
+
 def oracle_pauli(amps: np.ndarray, n: int, pauli: str) -> np.ndarray:
     """A Pauli string applied letter by letter as single-qubit gates."""
     for q, ch in enumerate(pauli):
