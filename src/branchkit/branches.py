@@ -218,6 +218,13 @@ def _branch_quality(ci_lower: int, cd_upper: int, good_threshold: int,
     return good, good and ci_lower > math.exp(lam * cd_upper)
 
 
+def _require_threshold(good_threshold: int) -> None:
+    """Refuse a branch threshold below 1: it would grade a margin of 0, or
+    a negative one, a good branch."""
+    if good_threshold < 1:
+        raise ValueError(f"good_threshold must be >= 1, got {good_threshold}")
+
+
 def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
               good_threshold: int, lam: float) -> tuple[str, int | None]:
     if cd.upper_bound is None or (ci.truncated and ci.lower_bound == 0):
@@ -235,8 +242,12 @@ def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
 def resolve_lambda(robustness_lambda: float | None = None,
                    noise_rate: float | None = None) -> float:
     """Robustness exponent: lambda = ln(1/p) for noise rate p, or an
-    explicit value; defaults to 1 when neither is given."""
+    explicit value, finite and > 0 as ln(1/p) is; defaults to 1 when
+    neither is given."""
     if robustness_lambda is not None:
+        if not (math.isfinite(robustness_lambda) and robustness_lambda > 0):
+            raise ValueError("robustness_lambda must be finite and > 0, "
+                             f"got {robustness_lambda}")
         return float(robustness_lambda)
     if noise_rate is not None:
         if not 0.0 < noise_rate < 1.0:
@@ -263,6 +274,7 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
     if not 0.0 < epsilon <= 0.25:
         raise ValueError("epsilon must lie in (0, 0.25]")
     _require_valid(d)
+    _require_threshold(good_threshold)
     config = config or EstimatorConfig()
     lam = resolve_lambda(robustness_lambda, noise_rate)
     targets = ((ComplexityKind.INTERFERENCE, epsilon),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import _branch_quality
+from .branches import _branch_quality, _require_threshold, resolve_lambda
 from .qsim import (QuantumState, _require_orthogonal, _require_pauli,
                    apply_pauli_string)
 
@@ -63,11 +63,15 @@ class ResidualReport:
     exact_tol: float
 
     def max_eps_up_to_cost(self, cost: int) -> float:
-        idx = [m for m, c in enumerate(self.error_costs) if c <= cost]
-        if not idx:
-            return 0.0
-        sub = self.eps_mnij[np.ix_(idx, idx)]
-        return float(np.max(np.abs(sub)))
+        return _max_eps_up_to(self.eps_mnij, self.error_costs, cost)
+
+
+def _max_eps_up_to(eps: np.ndarray, costs: tuple[int, ...], cost: int) -> float:
+    """max |eps[m, n, i, j]| over the errors m, n of cost <= `cost`; 0 if none."""
+    idx = [m for m, c in enumerate(costs) if c <= cost]
+    if not idx:
+        return 0.0
+    return float(np.max(np.abs(eps[np.ix_(idx, idx)])))
 
 
 def beny_oreshkov_residuals(code: CodeSpec) -> ResidualReport:
@@ -97,18 +101,12 @@ def beny_oreshkov_residuals(code: CodeSpec) -> ResidualReport:
         raise AssertionError(f"fitted lambda is not Hermitian ({herm_err:.3e})")
 
     costs = tuple(pauli_cost(e) for e in code.errors)
-    levels = sorted(set(costs))
-    level_pass = []
-    correctable_to = 0
-    for lvl in levels:
-        idx = [m for m, c in enumerate(costs) if c <= lvl]
-        sub = eps[np.ix_(idx, idx)]
-        ok = bool(np.max(np.abs(sub)) <= EXACT_TOL)
-        level_pass.append((lvl, ok))
-        if ok and all(p for _, p in level_pass):
-            correctable_to = lvl
+    level_pass = tuple((lvl, _max_eps_up_to(eps, costs, lvl) <= EXACT_TOL)
+                       for lvl in sorted(set(costs)))
+    # the cost sets are nested, so no level passes above a failed one
+    correctable_to = max((lvl for lvl, ok in level_pass if ok), default=0)
     return ResidualReport(lam, eps, max_eps, correctable_to, costs,
-                          tuple(level_pass), EXACT_TOL)
+                          level_pass, EXACT_TOL)
 
 
 @dataclass(frozen=True)
@@ -209,9 +207,10 @@ def classify_region(ci_lower: int, cd_upper: int, code_floor_threshold: int,
     `assess_branches`: a robust branch is a good branch first."""
     if min(ci_lower, cd_upper) < 0:
         raise ValueError("complexity bounds must be nonnegative")
+    _require_threshold(good_threshold)
     is_code = min(ci_lower, cd_upper) >= code_floor_threshold
     is_branch, is_robust = _branch_quality(ci_lower, cd_upper, good_threshold,
-                                           robustness_lambda)
+                                           resolve_lambda(robustness_lambda))
     if is_code and is_branch:
         return "Both"
     if is_robust:

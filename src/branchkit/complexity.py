@@ -187,12 +187,6 @@ class Frontier:
     before: np.ndarray
     prev: np.ndarray
 
-    def take(self, rows: np.ndarray) -> "Frontier":
-        """The sequences selected by a boolean mask, in the same order."""
-        return Frontier(self.kets[:, rows], self.cost[rows], self.support[rows],
-                        self.last[rows], self.rank[rows], self.before[rows],
-                        self.prev[rows])
-
 
 # The enumeration alphabet: these gates on every qubit, label-major, then
 # CNOT on every ordered pair. S, T and their adjoints invert each other;
@@ -222,9 +216,9 @@ class _Enumeration:
                       for label in _ONE_QUBIT for q in range(n_qubits)]
         self.gates += [GateOp(pair, CNOT, "CNOT")
                        for pair in itertools.permutations(range(n_qubits), 2)]
-        index = {(g.label, g.targets): i for i, g in enumerate(self.gates)}
+        self.index = {(g.label, g.targets): i for i, g in enumerate(self.gates)}
         # the empty sequence's last gate is len(gates), which excludes nothing
-        self.inverse = np.array([index[_ADJOINT.get(g.label, g.label), g.targets]
+        self.inverse = np.array([self.index[_ADJOINT.get(g.label, g.label), g.targets]
                                  for g in self.gates] + [len(self.gates)])
         self.support = np.array([sum(1 << q for q in g.targets) for g in self.gates])
         g = len(self.gates)
@@ -232,7 +226,6 @@ class _Enumeration:
         self.offsets = list(itertools.accumulate(
             (g * (g - 1) ** (length - 1) if length else 1
              for length in range(_MAX_LEN + 1)), initial=0))
-        self._twin_tables = {}
 
     def sequence(self, rank: int) -> tuple[int, ...]:
         """The gate-index tuple at a level-order rank."""
@@ -289,12 +282,14 @@ class _Enumeration:
             for g0 in range(0, g, gates):
                 yield rows, slice(g0, g0 + gates), cols
 
-    def grow(self, f: Frontier, level: int, limit: int):
-        """The children of a frontier at `level` ranked below `limit`, as
+    def grow(self, f: Frontier, level: int, limit: int, skip: np.ndarray):
+        """The children of a frontier at `level` ranked below `limit`, less
+        those `skip` (m, gates) marks (a survey's kin parents, see survey), as
         frontiers in rank order; one gate application per gate in the run's
-        kept range, gathered into the children in one step."""
+        grown range, gathered into the children in one step."""
         dim, _, k = f.kets.shape
         rank, keep, cost, support = self.children(f, level, limit)
+        keep &= ~skip
         for rows, part, cols in self.runs(f, dim * k * 16):
             sel = keep[rows, part]
             if not sel.any():
@@ -316,27 +311,17 @@ class _Enumeration:
         """Rows (l, g, w0, w1) of _local_twins on every set of at most four
         of the n qubits, in this alphabet's gate indices (w1 = the gate count
         for one-gate words)."""
-        n = self.n_qubits
-        labels = {label: i for i, label in enumerate(
-            dict.fromkeys(g.label for g in self.gates))}
-        # at[label, target, second target or n]: the gate's index
-        at = np.zeros((len(labels), n, n + 1), dtype=int)
-        for i, gate in enumerate(self.gates):
-            at[(labels[gate.label], *gate.targets, n)[:3]] = i
         parts = []
-        for k in range(1, min(n, 4) + 1):
-            local = _enumeration(k).gates
-            label = [labels[g.label] for g in local]
-            first = [g.targets[0] for g in local]
-            second = [(*g.targets, k)[1] for g in local]
-            # each k-subset of the qubits, and n for "no second target"
-            qubits = np.array([(*c, n) for c in
-                               itertools.combinations(range(n), k)])
-            glob = at[label, qubits[:, first], qubits[:, second]]
-            glob = np.column_stack([glob, np.full(len(glob), len(self.gates))])
+        for k in range(1, min(self.n_qubits, 4) + 1):
+            # per k-subset of the qubits: each k-qubit gate there, then "no gate"
+            glob = np.array([[self.index[g.label, tuple(qubits[t] for t in g.targets)]
+                              for g in _enumeration(k).gates] + [len(self.gates)]
+                             for qubits in itertools.combinations(
+                                 range(self.n_qubits), k)])
             parts.append(glob[:, _local_twins(k)].reshape(-1, 4))
         return np.concatenate(parts)
 
+    @functools.cache
     def twin_table(self, before: int) -> tuple[np.ndarray, np.ndarray]:
         """(twin, kin), each (gates, gates), for the children p·l·g of a
         sequence p·l whose p ends in a fused block on the qubit bitmask
@@ -351,46 +336,44 @@ class _Enumeration:
         has the twin p·w·x, and the one child that p·w·x leaves out, x the
         inverse of w's last gate, has the twin p·w less that gate at the same
         fused cost."""
-        if before not in self._twin_tables:
-            gates = len(self.gates)
-            l, g, w0, w1 = self.twin_words.T
-            support = np.append(self.support, 0)  # w1 == gates: no gate
+        gates = len(self.gates)
+        l, g, w0, w1 = self.twin_words.T
+        support = np.append(self.support, 0)  # w1 == gates: no gate
 
-            def step(s, x):
-                """(blocks added, last-block support) when gate x follows a
-                last block on the qubits s (0: none)."""
-                union = s | support[x]
-                fused = (s != 0) & (np.bitwise_count(union) <= 2)
-                return 1 - fused, np.where(fused, union, support[x])
+        def step(s, x):
+            """(blocks added, last-block support) when gate x follows a
+            last block on the qubits s (0: none)."""
+            union = s | support[x]
+            fused = (s != 0) & (np.bitwise_count(union) <= 2)
+            return 1 - fused, np.where(fused, union, support[x])
 
-            # fused costs over p's, and last-block supports, of p·l·g and p·w
-            add_l, s_l = step(before, l)
-            add_g, s_lg = step(s_l, g)
-            add_w0, s_w0 = step(before, w0)
-            add_w1, s_w = step(s_w0, w1)
-            cost = add_l + add_g
-            twin = cost == add_w0 + add_w1
-            undo = self.inverse[np.where(w1 == gates, w0, w1)]
-            add_undo, _ = step(s_lg, undo)
-            kin = twin & (s_lg == s_w) & (
-                (undo == self.inverse[g])
-                | (cost + add_undo == np.where(w1 == gates, 0, add_w0)))
-            key = l * gates + g
-            tables = []
-            for match in (twin, kin):
-                # a twin p·w that starts with l is in the walk whatever p
-                # ends in; any other only unless p ends in w0's inverse.
-                # `some` keeps one such w0 per (l, g); where another twin
-                # starts differently, p's last gate cannot refuse both
-                tied = match & (w0 != l)
-                some = np.full(gates * gates, -1)
-                some[key[tied]] = w0[tied]
-                table = np.where(some >= 0, self.inverse[some], _NO_TWIN)
-                table[key[tied & (w0 != some[key])]] = _ANY
-                table[key[match & (w0 == l)]] = _ANY
-                tables.append(table.astype(np.int16).reshape(gates, gates))
-            self._twin_tables[before] = tuple(tables)
-        return self._twin_tables[before]
+        # fused costs over p's, and last-block supports, of p·l·g and p·w
+        add_l, s_l = step(before, l)
+        add_g, s_lg = step(s_l, g)
+        add_w0, s_w0 = step(before, w0)
+        add_w1, s_w = step(s_w0, w1)
+        cost = add_l + add_g
+        twin = cost == add_w0 + add_w1
+        undo = self.inverse[np.where(w1 == gates, w0, w1)]
+        add_undo, _ = step(s_lg, undo)
+        kin = twin & (s_lg == s_w) & (
+            (undo == self.inverse[g])
+            | (cost + add_undo == np.where(w1 == gates, 0, add_w0)))
+        key = l * gates + g
+        tables = []
+        for match in (twin, kin):
+            # a twin p·w that starts with l is in the walk whatever p
+            # ends in; any other only unless p ends in w0's inverse.
+            # `some` keeps one such w0 per (l, g); where another twin
+            # starts differently, p's last gate cannot refuse both
+            tied = match & (w0 != l)
+            some = np.full(gates * gates, -1)
+            some[key[tied]] = w0[tied]
+            table = np.where(some >= 0, self.inverse[some], _NO_TWIN)
+            table[key[tied & (w0 != some[key])]] = _ANY
+            table[key[match & (w0 == l)]] = _ANY
+            tables.append(table.astype(np.int16).reshape(gates, gates))
+        return tuple(tables)
 
     def twins(self, f: Frontier) -> tuple[np.ndarray, np.ndarray]:
         """(twin, kin) masks (m, gates) over the children of a frontier, from
@@ -434,12 +417,7 @@ def _local_twins(k: int) -> np.ndarray:
     there too."""
     walk = _enumeration(k)
     g, full = len(walk.gates), 2**k - 1
-    ops = []
-    for gate in walk.gates:
-        rest = [q for q in range(k) if q not in gate.targets]
-        op = np.kron(gate.matrix, np.eye(2 ** len(rest))).reshape((2,) * 2 * k)
-        axes = [(list(gate.targets) + rest).index(q) for q in range(k)]
-        ops.append(op.transpose(*axes, *(a + k for a in axes)).reshape(2**k, 2**k))
+    ops = [Circuit(k, (gate,)).to_matrix() for gate in walk.gates]
     words = [(a,) for a in range(g) if walk.support[a] == full]
     words += [(a, b) for a in range(g) for b in range(g)
               if b != walk.inverse[a] and walk.support[a] | walk.support[b] == full]
@@ -462,13 +440,14 @@ def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
     every frontier right before the frontiers grown from it, so ranks rise
     within a level but not from one level to the next. Each level is grown
     once, and nothing past the limit: only the sequences with a child ranked
-    below it are grown."""
+    below it are grown, kin parents too (survey grows its last parents'
+    level itself, without them)."""
     walk = _enumeration(n_qubits)
 
     def below(f: Frontier, level: int):
         yield level, f
         if level < max_len:
-            for child in walk.grow(f, level, limit):
+            for child in walk.grow(f, level, limit, np.False_):
                 yield from below(child, level + 1)
 
     if limit > 0:
@@ -647,8 +626,8 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     The walk runs on an orthonormal basis Q of the states' span, r columns
     (the states themselves when they are linearly independent, r = k).
     node_budget keeps the first N sequences in level order (see node_limit);
-    walk_frontiers grows once each the sequences with a child ranked below
-    it, and nothing past them. Their children are scored in runs, each by
+    the sequences with a child ranked below it are grown once each, and
+    nothing past them. Their children are scored in runs, each by
     one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the last level
     are never built, and each bra row g†|q_p> is built when a run first
     reads it; with r < k each channel's entries then come from the r x r
@@ -659,9 +638,11 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     scored when an earlier-ranked sequence p·w of the walk, w of at most
     two gates, has its product up to phase and its fused cost, since the
     twin then wins any tie. A parent of the last level whose twin also has
-    its last-block support, and whose children all have twins that way, is
-    not walked at all. `nodes` still counts every rank covered; `scored`
-    counts the sequences scored.
+    its last-block support, and whose children all have twins that way (a
+    kin parent), is never grown: walk_frontiers walks the levels below the
+    last parents' level, and the survey grows that one itself, passing the
+    kin mask to _Enumeration.grow. `nodes` still counts every rank covered;
+    `scored` counts the sequences scored.
     """
     limit, total = node_limit(n_qubits, max_len, node_budget, "node_budget")
     walk = _enumeration(n_qubits)
@@ -676,36 +657,17 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
 
     def score(g: np.ndarray, cost: np.ndarray, rank: np.ndarray, level: int):
         """Record the children of basis overlaps g (r, r, children)."""
+        nonlocal scored
+        scored += g.shape[2]
         if coef is not None:
             g = _SpanOverlaps(coef, g.reshape(r * r, -1))
         slots.add(slots.values(g), cost, rank, level)
 
-    zero = np.zeros(1, dtype=int)
-    score((basis.conj().T @ basis)[:, :, None], zero, zero, 0)
-    scored = 1
-    # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n),
-    # each built when a scored run first reads it
-    rows = np.empty((len(walk.gates), r, dim), dtype=complex)
-    built = np.zeros(len(walk.gates), dtype=bool)
-    # the limit's last sequence has `top` gates; the parents of the children
-    # ranked below the limit end inside the level below it
-    top = bisect.bisect_left(walk.offsets, limit) - 1
-    parents = walk.parents(top - 1, limit) if top else 0
-    # dropped[rank - first]: a parent of the last level whose children all
-    # have twins (twin_table's kin), among the children of the latest
-    # frontier one level up, which the depth-first walk yields next
-    first, dropped = 0, np.zeros(1, dtype=bool)
-    for level, f in walk_frontiers(basis, n_qubits, max_len - 1, parents):
-        if level == max_len - 1:
-            drop = dropped[f.rank - first]
-            if drop.any():
-                f = f.take(~drop)
+    def score_children(f: Frontier, level: int) -> np.ndarray:
+        """Score the children of a frontier at `level` that have no twin;
+        return the kin mask (m, gates): children whose children all have twins."""
         rank, keep, cost, _ = walk.children(f, level, limit)
         twin, kin = walk.twins(f)
-        if level == max_len - 2:
-            first = rank.min()
-            dropped = np.zeros(rank.max() + 1 - first, dtype=bool)
-            dropped[rank[keep & kin] - first] = True
         for run, part, cols in walk.runs(f, child_bytes):
             # the bras from the run's first walked gate to its last
             walked = np.flatnonzero(keep[run, part].any(axis=0)) + part.start
@@ -727,7 +689,24 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
             g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
             g = g.reshape(r, r, -1)[:, :, sel.ravel()]
             score(g, cost[run, part][sel], rank[run, part][sel], level + 1)
-            scored += g.shape[2]
+        return kin
+
+    scored = 0
+    zero = np.zeros(1, dtype=int)
+    score((basis.conj().T @ basis)[:, :, None], zero, zero, 0)
+    # rows[g] holds the bras <q_p| g = (g†|q_p>)†, shape (gates, r, 2**n),
+    # each built when a scored run first reads it
+    rows = np.empty((len(walk.gates), r, dim), dtype=complex)
+    built = np.zeros(len(walk.gates), dtype=bool)
+    # the limit's last sequence has `top` gates; the parents of the children
+    # ranked below the limit end inside the level below it
+    top = bisect.bisect_left(walk.offsets, limit) - 1
+    parents = walk.parents(top - 1, limit) if top else 0
+    for level, f in walk_frontiers(basis, n_qubits, max(max_len - 2, 0), parents):
+        kin = score_children(f, level)
+        if level == max_len - 2:  # the last parents' level, grown without kin
+            for child in walk.grow(f, level, parents, kin):
+                score_children(child, level + 1)
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
                         limit, scored, limit < total, slots.best(walk))
 

@@ -256,6 +256,7 @@ class Hamiltonian:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
+        _require_width(self.n_qubits, "Hamiltonian")
         terms = tuple((float(c), str(p)) for c, p in self.terms)
         for _, p in terms:
             _require_pauli(self.n_qubits, p)

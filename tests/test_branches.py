@@ -191,6 +191,18 @@ class TestAssessment:
         assert resolve_lambda() == 1.0
         with pytest.raises(ValueError):
             resolve_lambda(noise_rate=1.5)
+        for lam in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="robustness_lambda"):
+                resolve_lambda(robustness_lambda=lam)
+
+    def test_grades_are_checked_before_any_estimate(self, monkeypatch):
+        monkeypatch.setattr(branches, "estimate_pair",
+                            lambda *args: pytest.fail("a pair was estimated"))
+        d = cat_decomposition(3)
+        with pytest.raises(ValueError, match="good_threshold"):
+            assess_branches(d, good_threshold=0)
+        with pytest.raises(ValueError, match="robustness_lambda"):
+            assess_branches(d, robustness_lambda=math.nan)
 
 
 class TestSeparableAndEntangled:

@@ -436,6 +436,13 @@ def test_out_of_range_budget_fails_validation(argv, capsys):
     ("flow --cd0 1 --ci0 inf", "ci0"),
     ("flow --ci0 1 --cd0 nan", "cd0"),
     ("flow --ci0 1 --cd0 inf", "cd0"),
+    # a threshold below 1 grades a margin of 0 Good
+    ("verdict --example parity --m1 2 --m2 1 --threshold 0", "threshold"),
+    ("verdict --example parity --m1 2 --m2 1 --threshold -4", "threshold"),
+    ("verdict --example parity --m1 2 --m2 1 --lambda -1.0", "lambda"),
+    ("verdict --example parity --m1 2 --m2 1 --lambda 0.0", "lambda"),
+    ("verdict --example parity --m1 2 --m2 1 --lambda nan", "lambda"),
+    ("verdict --example parity --m1 2 --m2 1 --lambda inf", "lambda"),
 ])
 def test_negative_count_fails_validation(argv, name, capsys):
     code, out, err = run_cli(argv.split(), capsys)
@@ -472,6 +479,8 @@ def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     ("example --example distinguishing --n 41 --seed 1", 40),
     ("props --n 40 --seed 1 --instances 1", 40),
     ("evolve --mode freeze --n 40 --seed 1", 40),
+    ("evolve --mode eth --sizes -1", -1),
+    ("evolve --mode eth --sizes 40", 40),
 ])
 def test_width_is_checked_before_allocation(argv, width, capsys):
     # 2**40 amplitudes take 16 TiB

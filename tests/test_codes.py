@@ -212,3 +212,8 @@ class TestRegions:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             classify_region(-1, 0, 1, 1, 1.0)
+        # a threshold below 1, or an exponent not finite and > 0, grades nothing
+        for threshold, lam in ((0, 1.0), (-4, 1.0), (2, 0.0), (2, -1.0),
+                               (2, math.nan), (2, math.inf)):
+            with pytest.raises(ValueError):
+                classify_region(4, 2, 5, threshold, lam)

@@ -406,17 +406,39 @@ def _gate_count_checks():
 
 
 @pytest.mark.parametrize("name, applications", [
-    ("three-branch", 120), ("merge", 120), ("pair-suite", 120),
-    ("irreversibility", 90), ("triple-suite", 1800)])
+    ("three-branch", 119), ("merge", 119), ("pair-suite", 119),
+    ("irreversibility", 90), ("triple-suite", 1785)])
 def test_surveys_grow_each_level_once(name, applications, monkeypatch):
     """A survey grows each level below its last once. At n=3, L=3 that is
-    the 30 bra rows, 30 applications for level 1 and 30 per run of level-1
-    parents for level 2: 120 for the three-branch, merge and pair-suite
-    surveys (two runs), 90 for the irreversibility survey (one run), and
-    1,800 for the 15 surveys of five triples."""
+    the 30 bra rows, 30 applications for level 1 and up to 30 per run of
+    level-1 parents for level 2. In the first of two runs every child that
+    ends in X on qubit 0 is a kin parent or puts X right after X, so that
+    gate is not applied: 119 for the three-branch, merge and pair-suite
+    surveys, 90 for the irreversibility survey (one run), and 1,785 for the
+    15 surveys of five triples."""
     calls = _counting_gate_applications(monkeypatch)
     _gate_count_checks()[name]()
     assert len(calls) == applications
+
+
+def test_survey_gathers_no_kin_parent(monkeypatch):
+    """The three-state n=3, L=3 survey gathers the kets of 552 level-2
+    parents: of the 870 with a child to score, those whose children all have
+    kin twins are dropped before their kets are gathered."""
+    gathered = []
+    grow = complexity._Enumeration.grow
+
+    def counting(self, f, level, *args):
+        for child in grow(self, f, level, *args):
+            if level == 1:
+                gathered.append(child.kets.shape[1])
+            yield child
+
+    monkeypatch.setattr(complexity._Enumeration, "grow", counting)
+    res = survey(_three_states(), 3,
+                 [Channel(ComplexityKind.INTERFERENCE, 0, 1)], 3)
+    assert (res.nodes, res.scored) == (26131, 9324)
+    assert sum(gathered) == 552
 
 
 def depth_first_gap(d, circuit_budget, phase_points):
