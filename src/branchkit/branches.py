@@ -213,9 +213,13 @@ class BranchVerdict:
 def _branch_quality(ci_lower: int, cd_upper: int, good_threshold: int,
                     lam: float) -> tuple[bool, bool]:
     """(good, robust): good when the margin ci - cd reaches good_threshold,
-    robust when it is good and ci > exp(lam * cd)."""
+    robust when it is good and ci > exp(lam * cd); an exp(lam * cd) past
+    the float range leaves it not robust."""
     good = ci_lower - cd_upper >= good_threshold
-    return good, good and ci_lower > math.exp(lam * cd_upper)
+    try:
+        return good, good and ci_lower > math.exp(lam * cd_upper)
+    except OverflowError:
+        return good, False
 
 
 def _require_threshold(good_threshold: int) -> None:
@@ -241,9 +245,9 @@ def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
 
 def resolve_lambda(robustness_lambda: float | None = None,
                    noise_rate: float | None = None) -> float:
-    """Robustness exponent: lambda = ln(1/p) for noise rate p, or an
-    explicit value, finite and > 0 as ln(1/p) is; defaults to 1 when
-    neither is given."""
+    """Robustness exponent: lambda = ln(1/p) for noise rate p (-ln p when
+    1/p overflows), or an explicit value, finite and > 0 as ln(1/p) is;
+    defaults to 1 when neither is given."""
     if robustness_lambda is not None:
         if not (math.isfinite(robustness_lambda) and robustness_lambda > 0):
             raise ValueError("robustness_lambda must be finite and > 0, "
@@ -252,7 +256,9 @@ def resolve_lambda(robustness_lambda: float | None = None,
     if noise_rate is not None:
         if not 0.0 < noise_rate < 1.0:
             raise ValueError("noise rate must lie in (0, 1)")
-        return math.log(1.0 / noise_rate)
+        inverse = 1.0 / noise_rate  # inf for p below about 5.6e-309
+        return (math.log(inverse) if inverse < math.inf
+                else -math.log(noise_rate))
     return 1.0
 
 

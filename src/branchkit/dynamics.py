@@ -189,6 +189,8 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
     if h.n_qubits > 12:
         raise ValueError("the freeze check evolves exactly, which is limited "
                          f"to 12 qubits, got {h.n_qubits}")
+    if not t_grid:
+        raise ValueError("the freeze check needs at least one time in t_grid")
     u_mat = u_sym.to_matrix()
     h_mat = h.to_matrix()
     comm = float(np.linalg.norm(u_mat @ h_mat - h_mat @ u_mat, 2))
@@ -219,7 +221,7 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
                                      u_sym, at, bt))
         ivals.append(objective_value(ComplexityKind.INTERFERENCE,
                                      u_sym, at, bt))
-    tv = float(max(dvals) - min(dvals)) if dvals else 0.0
+    tv = float(max(dvals) - min(dvals))
     return FreezeReport(comm, phase_a, phase_b, grid,
                         tuple(dvals), tuple(ivals), tv, tv <= FREEZE_TOL)
 

@@ -9,10 +9,10 @@ enums their value. Three shapes are spelled out in `_parts`. Floats are
 emitted via Python's shortest round-trip repr, so identical inputs produce
 byte-identical output.
 
-`dumps` writes the text, an array as its `tolist()`, in exactly the layout,
-byte for byte, of `json.dumps(doc, indent=2, allow_nan=True)` plus a newline.
-The standard library encodes indented output in pure Python; here a float64
-array, such as a residual tensor, is written in one join.
+`dumps` lets `json.dumps(doc, indent=2, allow_nan=True)` write each document,
+an array as its `tolist()`. It encodes indented output one Python call per
+value, so `_write_tensor` splices in only the non-empty float64 arrays, such
+as a residual tensor, each written in one join with the same bytes.
 """
 from __future__ import annotations
 
@@ -146,48 +146,35 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 def dumps(doc: dict) -> str:
     """Canonical JSON text: fixed key order as built, 2-space indent, the
     bytes of `json.dumps(doc, indent=2, allow_nan=True) + "\\n"`."""
-    out: list[str] = []
-    _write(doc, 0, out)
+    tensors: list[np.ndarray] = []
+
+    def park(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            "is not JSON serializable")
+        if o.dtype != np.float64 or not o.size:
+            return o.tolist()
+        tensors.append(o)
+        return _TENSOR
+
+    pieces = json.dumps(doc, indent=2, allow_nan=True,
+                        default=park).split(_QUOTED_TENSOR)
+    if len(pieces) != len(tensors) + 1:
+        raise ValueError(f"the document holds the string {_TENSOR!r}, "
+                         "which stands in for a float64 array")
+    out = [pieces[0]]
+    for a, piece in zip(tensors, pieces[1:]):
+        line = out[-1].rpartition("\n")[2]
+        _write_tensor(a, (len(line) - len(line.lstrip(" "))) // 2, out)
+        out.append(piece)
     out.append("\n")
     return "".join(out)
 
 
-_escape = json.encoder.encode_basestring_ascii
+# what json.dumps writes in place of a float64 array, for _write_tensor
+_TENSOR = "branchkit.serialize: float64 array"
+_QUOTED_TENSOR = json.dumps(_TENSOR)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _key(k) -> str:
-    """A key as `json` writes it: other scalars as their JSON text, quoted."""
-    if isinstance(k, str):
-        return _escape(k)
-    if k is None or isinstance(k, (int, float)):
-        return _escape(json.dumps(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
-
-
-def _write(o, level: int, out: list[str]) -> None:
-    if isinstance(o, np.ndarray):
-        if o.dtype == np.float64 and o.size:
-            return _write_tensor(o, level, out)
-        o = o.tolist()
-    if isinstance(o, (list, tuple)):
-        brackets, items = "[]", (("", v) for v in o)
-    elif isinstance(o, dict):
-        brackets, items = "{}", ((_key(k) + ": ", v) for k, v in o.items())
-    else:
-        out.append(json.dumps(o))  # a leaf, through json's own C encoder
-        return
-    if not o:
-        out.append(brackets)
-        return
-    inner = "\n" + "  " * (level + 1)
-    sep = brackets[0] + inner
-    for head, v in items:
-        out.append(sep + head)
-        _write(v, level + 1, out)
-        sep = "," + inner
-    out.append("\n" + "  " * level + brackets[1])
 
 
 def _write_tensor(a: np.ndarray, level: int, out: list[str]) -> None:

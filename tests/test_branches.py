@@ -195,6 +195,13 @@ class TestAssessment:
             with pytest.raises(ValueError, match="robustness_lambda"):
                 resolve_lambda(robustness_lambda=lam)
 
+    def test_resolve_lambda_finite_for_every_noise_rate(self):
+        # ln(1/p) bit for bit wherever 1/p is finite, -ln p where it is not
+        for p in (0.5, 1e-3, math.exp(-3), 1e-300):
+            assert resolve_lambda(noise_rate=p) == math.log(1.0 / p)
+        assert resolve_lambda(noise_rate=1e-320) == 736.8272408909739
+        assert math.isfinite(resolve_lambda(noise_rate=5e-324))
+
     def test_grades_are_checked_before_any_estimate(self, monkeypatch):
         monkeypatch.setattr(branches, "estimate_pair",
                             lambda *args: pytest.fail("a pair was estimated"))

@@ -74,6 +74,31 @@ class TestCommands:
         assert doc["pairs"][0]["margin"] >= 1
         assert doc["schema_version"] == "1"
 
+    @pytest.mark.parametrize("lam", ["1000", "1e308"])
+    def test_verdict_exponent_past_float_range_is_not_robust(self, lam,
+                                                             capsys):
+        # exp(lambda * cd) overflows a float: no ci exceeds it, so the good
+        # pair is graded Good, not Robust
+        code, out, _ = run_cli(["verdict", "--example", "ghz", "--n", "4",
+                                "--seed", "1", "--threshold", "1",
+                                "--lambda", lam], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["overall_class"] == "Good"
+        assert [p["class"] for p in doc["pairs"]] == ["Good"]
+
+    def test_verdict_subnormal_noise_rate_gives_finite_lambda(self, capsys):
+        # 1 / 1e-320 overflows to inf; lambda is -ln p instead
+        code, out, _ = run_cli(["verdict", "--example", "parity", "--m1", "2",
+                                "--m2", "1", "--noise-rate", "1e-320"], capsys)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["lambda"] == 736.8272408909739
+
     def test_flow_invariant_column(self, capsys):
         code, out, _ = run_cli(["flow", "--k", "1", "--rate", "1",
                                 "--ci0", "5", "--cd0", "1",
@@ -239,6 +264,14 @@ class TestExtendedCommands:
         doc = json.loads(out)
         assert doc["commutator_norm"] <= 1e-8
         assert doc["total_variation"] <= 1e-5
+
+    def test_evolve_freeze_refuses_an_empty_grid(self, capsys):
+        # a grid with no times checks no freeze, so it certifies none
+        code, out, err = run_cli(["evolve", "--mode", "freeze", "--n", "4",
+                                  "--seed", "1", "--t-grid", ","], capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "ValueError" and "t_grid" in doc["error"]
 
     def test_evolve_eth_json(self, capsys):
         code, out, _ = run_cli(

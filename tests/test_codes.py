@@ -199,6 +199,11 @@ class TestRegions:
     def test_plain_good_branch(self):
         assert classify_region(4, 2, 5, 2, 3.0) == "GoodBranch"
 
+    def test_exponent_past_float_range_is_not_robust(self):
+        # exp(1000 * 1) overflows a float, and no ci exceeds it
+        assert classify_region(5, 1, 10, 1, 1000.0) == "GoodBranch"
+        assert classify_region(5, 0, 10, 1, 1000.0) == "RobustBranch"
+
     def test_robust_requires_the_margin(self):
         # ci > exp(cd) holds, but the margin 2 - 0 misses the good threshold
         # 3, so this is no branch: the verdict assess_branches gives

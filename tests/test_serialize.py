@@ -1,7 +1,8 @@
 """`serialize.dumps` against the standard library's indent-2 JSON layout.
 
-The writer walks the document itself and writes float64 arrays in one
-step, so every tree shape it can meet is checked against
+`json.dumps` writes each document, and `_write_tensor` splices every
+non-empty float64 array in at the indentation of the line that holds it, so
+every tree shape it can meet is checked against
 `json.dumps(doc, indent=2, allow_nan=True) + "\\n"`, byte for byte, with an
 array taken as its `tolist()`.
 """
@@ -9,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchkit import serialize as ser
@@ -104,3 +106,31 @@ def test_qec_parity_document_matches_json(monkeypatch, capsys):
     (doc,) = written
     assert np.asarray(doc["residuals"]["eps_mnij"]).ndim == 4
     assert out == reference(doc)
+
+
+TENSOR = np.array([[1.5, -0.0], [math.nan, 1e-7]])
+PLACEHOLDER = "branchkit.serialize: float64 array"  # stands in for a TENSOR
+
+
+@pytest.mark.parametrize("doc", [
+    TENSOR,
+    (1, TENSOR, [TENSOR[0]]),
+    {"\u03b5\u2081": TENSOR, "k": {"\U0001d4c8": [np.float64(2.0), TENSOR]}},
+    [np.zeros((2, 0)), np.arange(3), np.array(7.0), np.array([True])],
+], ids=["top-level", "in-a-tuple", "non-ascii-key", "0d-empty-int-bool"])
+def test_dumps_places_each_float64_array(doc):
+    assert ser.dumps(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"a": PLACEHOLDER},
+    {PLACEHOLDER: 1.0, "b": TENSOR},
+], ids=["string-value", "dict-key"])
+def test_dumps_refuses_the_array_placeholder(doc):
+    with pytest.raises(ValueError, match="float64 array"):
+        ser.dumps(doc)
+
+
+def test_dumps_refuses_what_json_cannot_write():
+    with pytest.raises(TypeError, match="Object of type complex is not JSON"):
+        ser.dumps({"z": 1j})
