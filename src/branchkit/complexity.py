@@ -820,6 +820,13 @@ def pair_blocks(indices: list[int], n_qubits: int, matrix: np.ndarray,
 
 # the 15 non-identity two-qubit Paulis P (x) Q, stacked (15, 4, 4)
 _GENS = np.array([np.kron(PAULI[p], PAULI[q]) for p in "IXYZ" for q in "IXYZ"][1:])
+# the same as real (15, 32) rows: thetas @ _GEN_ROWS, viewed complex, is h
+_GEN_ROWS = np.ascontiguousarray(_GENS.reshape(15, 16)).view(float)
+_RUN = 4  # coordinates whose +/- probes _scan_block scores in one batch
+# _PICK[r, j] says what coordinate j of a run holds in probe r: 0 its start,
+# 1 the + step, 2 the - step, 3 the value a rejected coordinate is left at
+_PICK = np.array([[0 if r < 2 * j else min(r - 2 * j + 1, 3)
+                   for j in range(_RUN)] for r in range(2 * _RUN)])
 
 
 def _block_unitary(theta: np.ndarray) -> np.ndarray:
@@ -841,6 +848,43 @@ def _environment(kets: np.ndarray, bras: np.ndarray, n_qubits: int,
 
     e = np.tensordot(front(bras).conj(), front(kets), axes=(1, 1))  # (i, r, j, c)
     return e.transpose(0, 2, 1, 3).reshape(16, k * k)
+
+
+def _scan_block(theta_b: np.ndarray, env: np.ndarray, kind: ComplexityKind,
+                val: float, step: float) -> tuple[float, int]:
+    """One coordinate-descent visit to a block: try theta_b[i] + step, then
+    - step, for i = 0..14, and keep the first probe that beats val by 1e-12.
+    Returns the final value and the number of accepted probes; theta_b is
+    updated in place. The probes of the next _RUN coordinates are scored in
+    one batch, each assuming the ones before it were rejected, and the scan
+    resumes after the first accepted one. A rejected coordinate is left at
+    t + s - s - s + s, as subtracting each step again leaves it: the ulp
+    that can leave is part of the pinned search path."""
+    accepts, i = 0, 0
+    while i < 15:
+        t = theta_b[i:i + _RUN]
+        k = t.size
+        up = t + step
+        down = up - step - step
+        probes = np.empty((2 * k, 15))
+        probes[:] = theta_b
+        probes[:, i:i + k] = np.choose(_PICK[:2 * k, :k],
+                                       (t, up, down, down + step))
+        h = (probes @ _GEN_ROWS).view(complex).reshape(-1, 4, 4)
+        vals, vecs = np.linalg.eigh(h)
+        u = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        scores = kind.objective((u.reshape(-1, 16) @ env).T.reshape(2, 2, -1))
+        better = scores > val + 1e-12
+        if better.any():
+            r = int(better.argmax())  # the first, in probe order
+            theta_b[:] = probes[r]
+            val = float(scores[r])
+            accepts += 1
+            i += r // 2 + 1
+        else:
+            theta_b[i:i + k] = down + step
+            i += k
+    return val, accepts
 
 
 def round_robin_pairs(n: int) -> list[tuple[int, int]]:
@@ -867,8 +911,11 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
 
     On reaching block b, a sweep applies the earlier blocks to |a>, |b> and
     the later ones' adjoints to the bras, m - 1 gate applications, and
-    contracts both into b's (16, 4) environment; each of b's 30 coordinate
-    probes then costs one 4x4 exponential and one 16x4 contraction, for any n."""
+    contracts both into b's (16, 4) environment. b's 30 coordinate probes are
+    then scored in runs from the last accepted point (see _scan_block): the
+    8 probes of a run cost one stacked 4x4 exponential and one GEMM against
+    the environment, for any n, and change no accept decision of scoring
+    them one at a time."""
     n = q.a.n_qubits
     schedule = round_robin_pairs(n)
     if not schedule:
@@ -885,10 +932,6 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
             bras = apply_gate_block(bras, n, pair, _block_unitary(t).conj().T)
         return _environment(kets, bras, n, pairs[b])
 
-    def probe(theta_b: np.ndarray, env: np.ndarray) -> float:
-        g = (_block_unitary(theta_b).reshape(16) @ env).reshape(2, 2)
-        return float(q.kind.objective(g))
-
     for m in range(max_blocks + 1):
         pairs = [schedule[i % len(schedule)] for i in range(m)]
         if m == 0:
@@ -898,23 +941,17 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
             best_val, best_theta = -1.0, None
             for _ in range(restarts):
                 theta = rng.uniform(-np.pi, np.pi, size=(m, 15))
-                val = probe(theta[0], environment(theta, pairs, 0))
+                g = (_block_unitary(theta[0]).reshape(16)
+                     @ environment(theta, pairs, 0)).reshape(2, 2)
+                val = float(q.kind.objective(g))
                 step = 0.8
                 for _ in range(sweeps):
                     improved = False
                     for b in range(m):
-                        env, theta_b = environment(theta, pairs, b), theta[b]
-                        for i in range(15):
-                            for delta in (step, -step):
-                                theta_b[i] += delta
-                                cand = probe(theta_b, env)
-                                if cand > val + 1e-12:
-                                    val = cand
-                                    improved = True
-                                    break
-                                # subtract, not restore: the ulp this can leave
-                                # is part of the pinned search path
-                                theta_b[i] -= delta
+                        val, accepts = _scan_block(
+                            theta[b], environment(theta, pairs, b), q.kind,
+                            val, step)
+                        improved |= accepts > 0
                     if val >= q.threshold + 1e-9:
                         break
                     if not improved:

@@ -141,6 +141,17 @@ def integrate_flow(ci0: float, cd0: float, p: FlowParams) -> Trajectory:
     return Trajectory(tuple(samples), "flow")
 
 
+def _time_grid(t_grid: list[float], check: str) -> tuple[float, ...]:
+    """The sorted times of t_grid; refuses an empty grid and a time that is
+    not finite, before anything is evolved."""
+    if not t_grid:
+        raise ValueError(f"{check} needs at least one time in t_grid")
+    for t in t_grid:
+        if not math.isfinite(t):
+            raise ValueError(f"t_grid times must be finite, got {t}")
+    return tuple(sorted(t_grid))
+
+
 def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
                                      h: Hamiltonian, witness0: Circuit,
                                      t_grid: list[float],
@@ -152,11 +163,12 @@ def track_complexity_under_evolution(a0: QuantumState, b0: QuantumState,
     accuracy TRACK_EPSILON, both costs from one estimate_pair call."""
     if a0.n_qubits > 10:
         raise ValueError("empirical tracking is limited to 10 qubits")
+    grid = _time_grid(t_grid, "tracking")
     config = config or EstimatorConfig()
     targets = ((ComplexityKind.INTERFERENCE, TRACK_EPSILON),
                (ComplexityKind.DISTINGUISHABILITY, 1.0 - TRACK_EPSILON))
     samples = []
-    for t in sorted(t_grid):
+    for t in grid:
         at = evolve(a0, h, t)
         bt = evolve(b0, h, t)
         objective = objective_value(ComplexityKind.INTERFERENCE, witness0, at, bt)
@@ -189,8 +201,7 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
     if h.n_qubits > 12:
         raise ValueError("the freeze check evolves exactly, which is limited "
                          f"to 12 qubits, got {h.n_qubits}")
-    if not t_grid:
-        raise ValueError("the freeze check needs at least one time in t_grid")
+    grid = _time_grid(t_grid, "the freeze check")
     u_mat = u_sym.to_matrix()
     h_mat = h.to_matrix()
     comm = float(np.linalg.norm(u_mat @ h_mat - h_mat @ u_mat, 2))
@@ -212,7 +223,6 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
         return float(np.angle(ov))
 
     phase_a, phase_b = eigenphase(a), eigenphase(b)
-    grid = tuple(sorted(t_grid))
     dvals, ivals = [], []
     for t in grid:
         at = evolve(a, h, t)

@@ -265,13 +265,25 @@ class TestExtendedCommands:
         assert doc["commutator_norm"] <= 1e-8
         assert doc["total_variation"] <= 1e-5
 
-    def test_evolve_freeze_refuses_an_empty_grid(self, capsys):
-        # a grid with no times checks no freeze, so it certifies none
-        code, out, err = run_cli(["evolve", "--mode", "freeze", "--n", "4",
-                                  "--seed", "1", "--t-grid", ","], capsys)
+    # a grid with no times checks nothing, so it certifies nothing; a time
+    # that is not finite is refused before anything is evolved
+    @pytest.mark.parametrize("argv, value", [
+        pytest.param("--mode freeze --n 4 --seed 1 --t-grid ,", "",
+                     id="freeze-empty"),
+        pytest.param("--mode track --example ghz --n 4 --seed 1 --t-grid ,",
+                     "", id="track-empty"),
+        pytest.param("--mode freeze --n 4 --seed 1 --t-grid nan", "nan",
+                     id="freeze-nan"),
+        pytest.param("--mode track --example ghz --n 4 --seed 1 --t-grid inf",
+                     "inf", id="track-inf"),
+    ])
+    def test_evolve_refuses_a_grid_without_finite_times(self, argv, value,
+                                                        capsys):
+        code, out, err = run_cli(["evolve", *argv.split()], capsys)
         assert (code, out) == (2, "")
         doc = json.loads(err)
-        assert doc["type"] == "ValueError" and "t_grid" in doc["error"]
+        assert doc["type"] == "ValueError"
+        assert "t_grid" in doc["error"] and value in doc["error"]
 
     def test_evolve_eth_json(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from branchkit import branches
+from branchkit import branches, dynamics
 from branchkit.branches import EstimatorConfig
 from branchkit.complexity import ComplexityKind, pair_blocks, survey
 from branchkit.dynamics import (
@@ -115,6 +115,28 @@ class TestTracking:
             f.known_witnesses[ComplexityKind.INTERFERENCE][0],
             [0.0, 0.5, 1.0], EstimatorConfig(max_len=1, use_variational=False))
         assert len(traj.samples) == len(calls) == 3
+
+    @pytest.mark.parametrize("grid, value", [
+        ([], ""), ([0.0, math.nan], "nan"), ([math.inf], "inf")])
+    def test_refuses_a_grid_without_finite_times(self, grid, value,
+                                                 monkeypatch):
+        def evolve(*args):
+            pytest.fail("a state was evolved")
+
+        monkeypatch.setattr(dynamics, "evolve", evolve)
+        f = ghz(3)
+        a, b = f.pair()
+        witness = f.known_witnesses[ComplexityKind.INTERFERENCE][0]
+        with pytest.raises(ValueError, match=f"t_grid.*{value}"):
+            track_complexity_under_evolution(
+                a, b, mixed_field_ising(3), witness, grid,
+                EstimatorConfig(max_len=1, use_variational=False))
+        n = 3
+        with pytest.raises(ValueError, match=f"t_grid.*{value}"):
+            symmetry_freeze_check(
+                magnetization_sector_state(n, 1, 5),
+                magnetization_sector_state(n, 2, 6), xxz_chain(n),
+                phase_rotation_circuit(n), grid)
 
     def test_stale_witness_decays_under_chaotic_evolution(self):
         f = ghz(6)

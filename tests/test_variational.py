@@ -6,6 +6,10 @@ the whole circuit on the (a, b) block. Moving theta by the same exact steps,
 the two searches accept the same probes unless a candidate lands within
 rounding of the acceptance margin, so on the pinned queries below they must
 agree bit for bit.
+
+`loop_scan_block` is one block visit as the search made it before its probes
+were scored in batches: one probe at a time. The batched `_scan_block` must
+take the same accept decisions, so leave theta in the same bits.
 """
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from branchkit.complexity import (
     ComplexityQuery,
     _block_unitary,
     _environment,
+    _scan_block,
     _verify_witness,
     _witness_only,
     round_robin_pairs,
@@ -188,3 +193,52 @@ def test_environment_contracts_the_gate(case):
     got = (u.reshape(16) @ _environment(kets, bras, n, pair)).reshape(k, k)
     want = bras.conj().T @ apply_gate_block(kets, n, pair, u)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1, abs(want).max()))
+
+
+def loop_scan_block(theta_b, env, kind, val, step):
+    """A block visit as the search made it before batching: one probe at a
+    time, each rejected step subtracted again."""
+    accepts = 0
+    for i in range(15):
+        for delta in (step, -step):
+            theta_b[i] += delta
+            g = (_block_unitary(theta_b).reshape(16) @ env).reshape(2, 2)
+            cand = float(kind.objective(g))
+            if cand > val + 1e-12:
+                val = cand
+                accepts += 1
+                break
+            theta_b[i] -= delta
+    return val, accepts
+
+
+@st.composite
+def block_visits(draw):
+    n = draw(st.integers(2, 5))
+    q0, q1 = draw(st.permutations(range(n)))[:2]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def states():
+        return np.column_stack([haar_random_state(n, int(s)).amplitudes
+                                for s in rng.integers(0, 2**32, 2)])
+
+    env = _environment(states(), states(), n, (q0, q1))
+    kind = draw(st.sampled_from(ComplexityKind))
+    theta = rng.uniform(-np.pi, np.pi, size=15)
+    # the steps the search takes, 0.8 halved down to 1e-4
+    step = draw(st.sampled_from([0.8 * 0.5**k for k in range(13)]))
+    g = (_block_unitary(theta).reshape(16) @ env).reshape(2, 2)
+    val = float(kind.objective(g)) + draw(st.sampled_from([0.0, -1.0, 1e-3]))
+    return theta, env, kind, val, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_visits())
+def test_scan_block_matches_one_probe_at_a_time(case):
+    theta, env, kind, val, step = case
+    got, want = theta.copy(), theta.copy()
+    got_val, got_accepts = _scan_block(got, env, kind, val, step)
+    want_val, want_accepts = loop_scan_block(want, env, kind, val, step)
+    assert got.tobytes() == want.tobytes()
+    assert got_accepts == want_accepts
+    assert abs(got_val - want_val) <= 1e-14
