@@ -436,6 +436,45 @@ class MergeBoundReport:
     max_len: int
 
 
+def _merge_bounds(states: list, a, b, c, p: float, epsilon: float):
+    """merge_bound_check's part of a survey: appends its states to `states`
+    and returns its channels, indices into `states`, and its report's reader."""
+    _require_orthogonal([a, b, c])
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie in (0, 1)")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if epsilon >= p:
+        raise ValueError("the shifted accuracy 1 - eps/p requires eps < p, "
+                         f"got eps = {epsilon} and p = {p}")
+
+    grid = 2.0 * np.pi * np.arange(PHASE_POINTS) / PHASE_POINTS
+    merged = [
+        math.sqrt(p) * b.amplitudes + np.exp(1j * t) * math.sqrt(1 - p) * c.amplitudes
+        for t in grid
+    ]
+    ia, ib = len(states), len(states) + 1
+    states += [a.amplitudes, b.amplitudes] + merged
+    kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
+    d_ab, i_ab = Channel(kD, ia, ib), Channel(kI, ia, ib)
+    d_merged = Channel(kD, ia, ib + 1)  # theta = 0 entry
+    i_merged = [Channel(kI, ia, ib + 1 + t) for t in range(PHASE_POINTS)]
+
+    def read(res) -> MergeBoundReport:
+        d_delta_lhs = 1.0 - epsilon / p
+        i_delta_lhs = epsilon / math.sqrt(p)
+        d_lhs = res.size(d_ab, d_delta_lhs)
+        i_lhs = res.size(i_ab, i_delta_lhs)
+        d_rhs = res.size(d_merged, 1.0 - epsilon)
+        i_rhs_min = min(res.size(ch, epsilon) for ch in i_merged)
+        return MergeBoundReport(
+            p=p, epsilon=epsilon, d_lhs=d_lhs, d_rhs=d_rhs, i_lhs=i_lhs,
+            i_rhs_min=i_rhs_min, d_delta_lhs=d_delta_lhs,
+            i_delta_lhs=i_delta_lhs, d_ok=d_lhs <= d_rhs,
+            i_ok=i_lhs >= i_rhs_min, max_len=res.max_len)
+    return [d_ab, i_ab, d_merged] + i_merged, read
+
+
 def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
                       p: float, epsilon: float = 0.1,
                       max_len: int = 3) -> MergeBoundReport:
@@ -449,43 +488,11 @@ def merge_bound_check(a: QuantumState, b: QuantumState, c: QuantumState,
     Sizes are enumerated minimal fused costs, with cap+1 standing in for
     "not found within the cap". The phase grid is PHASE_POINTS equally
     spaced points of the full circle, as the averaged witness argument
-    needs; p must exceed eps > 0 and eps/sqrt(p) must stay within (0, 1].
+    needs; p must exceed eps > 0, which keeps eps/sqrt(p) within (0, 1).
     """
-    _require_orthogonal([a, b, c])
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if epsilon >= p:
-        raise ValueError("the shifted accuracy 1 - eps/p requires eps < p, "
-                         f"got eps = {epsilon} and p = {p}")
-    if epsilon / math.sqrt(p) > 1.0:
-        raise ValueError("eps/sqrt(p) exceeds 1; reduce eps or raise p")
-
-    grid = 2.0 * np.pi * np.arange(PHASE_POINTS) / PHASE_POINTS
-    merged = [
-        math.sqrt(p) * b.amplitudes + np.exp(1j * t) * math.sqrt(1 - p) * c.amplitudes
-        for t in grid
-    ]
-    states = [a.amplitudes, b.amplitudes] + merged
-    kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
-    d_ab, i_ab = Channel(kD, 0, 1), Channel(kI, 0, 1)
-    d_merged = Channel(kD, 0, 2)  # theta = 0 entry
-    i_merged = [Channel(kI, 0, 2 + t) for t in range(PHASE_POINTS)]
-    res = survey(states, a.n_qubits, [d_ab, i_ab, d_merged] + i_merged,
-                 max_len)
-
-    d_delta_lhs = 1.0 - epsilon / p
-    i_delta_lhs = epsilon / math.sqrt(p)
-    d_lhs = res.size(d_ab, d_delta_lhs)
-    i_lhs = res.size(i_ab, i_delta_lhs)
-    d_rhs = res.size(d_merged, 1.0 - epsilon)
-    i_rhs_min = min(res.size(ch, epsilon) for ch in i_merged)
-    return MergeBoundReport(
-        p=p, epsilon=epsilon, d_lhs=d_lhs, d_rhs=d_rhs, i_lhs=i_lhs,
-        i_rhs_min=i_rhs_min, d_delta_lhs=d_delta_lhs, i_delta_lhs=i_delta_lhs,
-        d_ok=d_lhs <= d_rhs, i_ok=i_lhs >= i_rhs_min, max_len=max_len,
-    )
+    states: list[np.ndarray] = []
+    channels, read = _merge_bounds(states, a, b, c, p, epsilon)
+    return read(survey(states, a.n_qubits, channels, max_len))
 
 
 @dataclass(frozen=True)
@@ -507,13 +514,8 @@ class ThreeBranchReport:
         return self.ok_ab and self.ok_bc and self.ok_ca
 
 
-def three_branch_compatibility(a: QuantumState, b: QuantumState,
-                               c: QuantumState, epsilon: float = 0.1,
-                               max_len: int = 3) -> ThreeBranchReport:
-    """Compatibility of the two bipartite splittings of an equal-weight
-    three-component state: the branchiness of [a | b+c] and [a+b | c],
-    minimized over a PHASE_POINTS grid of relative phases, lower bounds the
-    pairwise margins at shifted accuracies (sqrt(2) eps and 1 - 2 eps)."""
+def _three_branches(states: list, a, b, c, epsilon: float):
+    """three_branch_compatibility's part of a survey (see _merge_bounds)."""
     _require_orthogonal([a, b, c])
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -522,34 +524,45 @@ def three_branch_compatibility(a: QuantumState, b: QuantumState,
     rt2 = math.sqrt(2.0)
     bc = [(b.amplitudes + np.exp(1j * t) * c.amplitudes) / rt2 for t in grid]
     ab = [(a.amplitudes + np.exp(1j * t) * b.amplitudes) / rt2 for t in grid]
-    states = [a.amplitudes, b.amplitudes, c.amplitudes] + bc + ab
+    ia, ib, ic = range(len(states), len(states) + 3)
+    states += [a.amplitudes, b.amplitudes, c.amplitudes] + bc + ab
     kD, kI = ComplexityKind.DISTINGUISHABILITY, ComplexityKind.INTERFERENCE
 
-    pairs = [(0, 1), (1, 2), (2, 0)]  # (a, b), (b, c), (c, a)
+    pairs = [(ia, ib), (ib, ic), (ic, ia)]
     i_pairs = [Channel(kI, i, j) for i, j in pairs]
     d_pairs = [Channel(kD, i, j) for i, j in pairs]
     # (a, (b+c)/sqrt2) and ((a+b)/sqrt2, c), interference over the grid
-    i_bc = [Channel(kI, 0, 3 + t) for t in range(PHASE_POINTS)]
-    d_bc = Channel(kD, 0, 3)
-    i_ab = [Channel(kI, 3 + PHASE_POINTS + t, 2) for t in range(PHASE_POINTS)]
-    d_ab = Channel(kD, 3 + PHASE_POINTS, 2)
-    res = survey(states, a.n_qubits,
-                 i_pairs + d_pairs + i_bc + [d_bc] + i_ab + [d_ab], max_len)
+    bc0, ab0 = ic + 1, ic + 1 + PHASE_POINTS  # their theta = 0 states
+    i_bc = [Channel(kI, ia, bc0 + t) for t in range(PHASE_POINTS)]
+    d_bc = Channel(kD, ia, bc0)
+    i_ab = [Channel(kI, ab0 + t, ic) for t in range(PHASE_POINTS)]
+    d_ab = Channel(kD, ab0, ic)
 
-    b1 = min(res.size(ch, epsilon) for ch in i_bc) \
-        - res.size(d_bc, 1.0 - epsilon)
-    b2 = min(res.size(ch, epsilon) for ch in i_ab) \
-        - res.size(d_ab, 1.0 - epsilon)
+    def read(res) -> ThreeBranchReport:
+        b1 = min(res.size(ch, epsilon) for ch in i_bc) \
+            - res.size(d_bc, 1.0 - epsilon)
+        b2 = min(res.size(ch, epsilon) for ch in i_ab) \
+            - res.size(d_ab, 1.0 - epsilon)
+        d_i, d_d = rt2 * epsilon, 1.0 - 2.0 * epsilon
+        m_ab, m_bc, m_ca = (res.size(ci, d_i) - res.size(cd, d_d)
+                            for ci, cd in zip(i_pairs, d_pairs))
+        return ThreeBranchReport(
+            b1=b1, b2=b2, margin_ab=m_ab, margin_bc=m_bc, margin_ca=m_ca,
+            ok_ab=m_ab >= b1, ok_bc=m_bc >= b2, ok_ca=m_ca >= max(b1, b2),
+            epsilon=epsilon, phase_points=PHASE_POINTS, max_len=res.max_len)
+    return i_pairs + d_pairs + i_bc + [d_bc] + i_ab + [d_ab], read
 
-    d_i, d_d = rt2 * epsilon, 1.0 - 2.0 * epsilon
-    m_ab, m_bc, m_ca = (res.size(ci, d_i) - res.size(cd, d_d)
-                        for ci, cd in zip(i_pairs, d_pairs))
 
-    return ThreeBranchReport(
-        b1=b1, b2=b2, margin_ab=m_ab, margin_bc=m_bc, margin_ca=m_ca,
-        ok_ab=m_ab >= b1, ok_bc=m_bc >= b2, ok_ca=m_ca >= max(b1, b2),
-        epsilon=epsilon, phase_points=PHASE_POINTS, max_len=max_len,
-    )
+def three_branch_compatibility(a: QuantumState, b: QuantumState,
+                               c: QuantumState, epsilon: float = 0.1,
+                               max_len: int = 3) -> ThreeBranchReport:
+    """Compatibility of the two bipartite splittings of an equal-weight
+    three-component state: the branchiness of [a | b+c] and [a+b | c],
+    minimized over a PHASE_POINTS grid of relative phases, lower bounds the
+    pairwise margins at shifted accuracies (sqrt(2) eps and 1 - 2 eps)."""
+    states: list[np.ndarray] = []
+    channels, read = _three_branches(states, a, b, c, epsilon)
+    return read(survey(states, a.n_qubits, channels, max_len))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .dynamics import (
     xxz_chain,
 )
 from .properties import run_property_suite
-from .qsim import QuantumState, haar_random_state
+from .qsim import QuantumState, _require_pauli, haar_random_state
 from . import serialize as ser
 
 USAGE_EXIT = 64
@@ -197,20 +197,30 @@ def cmd_verdict(args) -> int:
     return TRUNCATION_EXIT if args.strict and truncated else 0
 
 
-def _expand_errors(tokens: list[str], n: int) -> tuple[str, ...]:
-    out: list[str] = []
-    for tok in tokens:
-        tok = tok.strip()
-        if tok == "identity":
-            out.append("I" * n)
-        elif tok.startswith("single-"):
-            kinds = "XYZ" if tok == "single-pauli" else tok[-1].upper()
-            for ch in kinds:
-                for q in range(n):
-                    out.append("I" * q + ch + "I" * (n - q - 1))
-        else:
-            out.append(tok.upper())
-    return tuple(out)
+def _comma_list(dest: str, text: str, read) -> list:
+    """Option `dest`'s comma-separated entries, each read by `read`; an empty
+    entry, or one that `read` refuses, is refused naming option and entry."""
+    out = []
+    for entry in text.split(","):
+        try:
+            out.append(read(entry))  # float and int refuse '' as well
+        except ValueError as exc:
+            raise ValueError(f"cannot read {dest} entry {entry!r} of --"
+                             f"{dest.replace('_', '-')}: {exc}") from None
+    return out
+
+
+def _expand_error(token: str, n: int) -> list[str]:
+    """The Pauli strings of one --errors entry: identity, one Pauli string,
+    or single-x, -y, -z or -pauli (X, Y and Z), each Pauli on each qubit."""
+    token = token.strip()
+    if token in ("single-x", "single-y", "single-z", "single-pauli"):
+        kinds = "XYZ" if token == "single-pauli" else token[-1].upper()
+        return ["I" * q + ch + "I" * (n - q - 1)
+                for ch in kinds for q in range(n)]
+    pauli = "I" * n if token == "identity" else token.upper()
+    _require_pauli(n, pauli)
+    return [pauli]
 
 
 def cmd_qec(args) -> int:
@@ -230,7 +240,9 @@ def cmd_qec(args) -> int:
             n = args.m1 * args.m2
         else:
             raise ValueError("qec needs --code or --code-file")
-        spec = CodeSpec(words, _expand_errors(args.errors.split(","), n))
+        groups = _comma_list("errors", args.errors,
+                             lambda tok: _expand_error(tok, n))
+        spec = CodeSpec(words, tuple(e for group in groups for e in group))
     report = beny_oreshkov_residuals(spec)
     _emit(args, ser.dumps(ser.document(
         code="file" if args.code_file else args.code,
@@ -256,10 +268,6 @@ def cmd_flow(args) -> int:
     traj = integrate_flow(args.ci0, args.cd0, params)
     _emit(args, ser.trajectory_to_csv(traj))
     return 0
-
-
-def _parse_grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 # The options each evolve mode reads; giving any other one exits 64.
@@ -294,7 +302,8 @@ def cmd_evolve(args) -> int:
         config = EstimatorConfig(max_len=args.budget, seed=args.seed or 0,
                                  node_budget=args.node_budget)
         traj = track_complexity_under_evolution(
-            a, b, h, witnesses[0], _parse_grid(args.t_grid), config)
+            a, b, h, witnesses[0],
+            _comma_list("t_grid", args.t_grid, float), config)
         _emit(args, ser.trajectory_to_csv(traj))
         truncated = any(s.truncated for s in traj.samples)
         return TRUNCATION_EXIT if args.strict and truncated else 0
@@ -305,12 +314,13 @@ def cmd_evolve(args) -> int:
         a = magnetization_sector_state(n, 1, seed)
         b = magnetization_sector_state(n, 2, seed + 1)
         rep = symmetry_freeze_check(a, b, h, phase_rotation_circuit(n),
-                                    _parse_grid(args.t_grid))
+                                    _comma_list("t_grid", args.t_grid, float))
         _emit(args, ser.dumps(ser.to_json(rep)))
         return 0
     if args.mode == "eth":
         sweep = eth_size_sweep(
-            [mixed_field_ising(int(x)) for x in args.sizes.split(",")],
+            [mixed_field_ising(n)
+             for n in _comma_list("sizes", args.sizes, int)],
             lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
             args.window)
         _emit(args, ser.dumps(ser.document(sweep=sweep.reports)))

@@ -4,9 +4,9 @@ Each property compares enumerated minimal fused sizes (cap+1 when nothing
 within the cap meets a threshold). A comparison is counted as vacuous when
 both sides sit at the cap, violated when the inequality fails, and checked
 otherwise. The pair properties of one instance share one enumeration walk
-and run at the accuracies DELTAS; the triple suite walks once per merge-bound
-p value in MERGE_P plus once for three-branch compatibility (three walks per
-triple), and the irreversibility check walks once per cat size (two walks).
+and run at the accuracies DELTAS; the merge-bound checks (one per p value in
+MERGE_P) and three-branch compatibility of one triple share one walk, and the
+irreversibility check walks once per cat size (two walks).
 """
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ import numpy as np
 from . import fixtures
 from .branches import (
     DELTAS,
+    _merge_bounds,
+    _three_branches,
     irreversibility_check,
-    merge_bound_check,
-    three_branch_compatibility,
 )
 from .complexity import (
     Channel,
@@ -197,12 +197,16 @@ def run_triple_properties(n: int, triples: int, seed: int,
     three = PropertyStats()
     for inst in range(triples):
         a, b, c = random_orthogonal_states(n, 3, seed * 7919 + inst)
-        for p in MERGE_P:
-            rep = merge_bound_check(a, b, c, p, epsilon, max_len)
+        # the three checks' states all lie in span{a, b, c}: one survey
+        states: list[np.ndarray] = []
+        parts = [_merge_bounds(states, a, b, c, p, epsilon) for p in MERGE_P]
+        parts.append(_three_branches(states, a, b, c, epsilon))
+        res = survey(states, n, [ch for cs, _ in parts for ch in cs], max_len)
+        *merge_reps, rep3 = (read(res) for _, read in parts)
+        for p, rep in zip(MERGE_P, merge_reps):
             merge.note(rep.d_ok and rep.i_ok,
                        detail=f"inst={inst} p={p}: D {rep.d_lhs}<={rep.d_rhs} "
                               f"I {rep.i_lhs}>={rep.i_rhs_min}")
-        rep3 = three_branch_compatibility(a, b, c, epsilon, max_len)
         three.note(rep3.ok,
                    detail=f"inst={inst}: margins ({rep3.margin_ab},"
                           f"{rep3.margin_bc},{rep3.margin_ca}) vs "

@@ -285,6 +285,37 @@ class TestExtendedCommands:
         assert doc["type"] == "ValueError"
         assert "t_grid" in doc["error"] and value in doc["error"]
 
+    # a comma list refuses an empty entry and one it cannot read, naming the
+    # option and the entry, rather than dropping or misreading it
+    @pytest.mark.parametrize("argv, option, entry", [
+        ("evolve --mode freeze --n 4 --seed 1 --t-grid 0,abc", "--t-grid",
+         "abc"),
+        ("evolve --mode freeze --n 4 --seed 1 --t-grid 1,,2", "--t-grid", ""),
+        ("evolve --mode eth --sizes 6,,8", "--sizes", ""),
+        ("qec --code repetition --m1 3 --errors identity,single-xz",
+         "--errors", "single-xz"),
+        ("qec --code repetition --m1 3 --errors identity,", "--errors", ""),
+        ("qec --code repetition --m1 3 --errors single-q", "--errors",
+         "single-q"),
+    ])
+    def test_comma_lists_refuse_unreadable_entries(self, argv, option, entry,
+                                                   capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "ValueError"
+        assert option in doc["error"] and repr(entry) in doc["error"]
+
+    def test_qec_error_families(self, capsys):
+        def errors(spec):
+            code, out, _ = run_cli(["qec", "--code", "repetition", "--m1",
+                                    "2", "--errors", spec], capsys)
+            assert code == 0
+            return json.loads(out)["residuals"]["lambda_mn"]
+
+        assert errors("single-pauli") == errors(
+            "single-x,single-y,single-z") == errors("xi,ix,yi,iy,zi,iz")
+
     def test_evolve_eth_json(self, capsys):
         code, out, _ = run_cli(
             ["evolve", "--mode", "eth", "--sizes", "6", "--window", "0.34"],

@@ -1,8 +1,10 @@
 """The inequality property harness on small random ensembles."""
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit import branches, complexity, fixtures, properties
 from branchkit.properties import (
@@ -65,6 +67,17 @@ class TestTripleProperties:
         assert rep.merge.violations == 0
         assert rep.three_branch.violations == 0
 
+    def test_one_survey_per_triple(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return complexity.survey(*args, **kwargs)
+
+        monkeypatch.setattr(properties, "survey", counting)
+        run_triple_properties(2, triples=3, seed=5, max_len=2)
+        assert len(calls) == 3
+
 
 class TestFullSuite:
     def test_counts_include_all_sections(self):
@@ -77,6 +90,62 @@ class TestFullSuite:
                 assert counts[key] == 0, key
 
 
+def _logging(part, log):
+    """`part`, logging each report it reads with what each of its channels
+    reads: the kind and the two states at its indices."""
+    def logged_part(states, *args):
+        channels, read = part(states, *args)
+
+        def logged_read(res):
+            report = read(res)
+            log.append((report, [(ch.kind, states[ch.a], states[ch.b])
+                                 for ch in channels]))
+            return report
+        return channels, logged_read
+    return logged_part
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 4), max_len=st.integers(1, 3),
+       seed=st.integers(0, 2**20), epsilon=st.floats(0.01, 0.29))
+def test_triple_suite_matches_the_standalone_checks(n, max_len, seed, epsilon):
+    """The suite's one survey per triple gives every report that
+    merge_bound_check (per p in MERGE_P) and three_branch_compatibility give
+    from their own surveys, each channel reading the same states, and its
+    stats count those reports."""
+    triples, suite, alone = 2, [], []
+    with (mock.patch.multiple(
+            properties,
+            _merge_bounds=_logging(branches._merge_bounds, suite),
+            _three_branches=_logging(branches._three_branches, suite)),
+          mock.patch.multiple(
+            branches,
+            _merge_bounds=_logging(branches._merge_bounds, alone),
+            _three_branches=_logging(branches._three_branches, alone))):
+        rep = run_triple_properties(n, triples, seed, epsilon, max_len)
+        for inst in range(triples):
+            a, b, c = random_orthogonal_states(n, 3, seed * 7919 + inst)
+            for p in properties.MERGE_P:
+                branches.merge_bound_check(a, b, c, p, epsilon, max_len)
+            branches.three_branch_compatibility(a, b, c, epsilon, max_len)
+    reads = (len(properties.MERGE_P) + 1) * triples
+    assert len(suite) == len(alone) == reads
+    for (report, read), (report_alone, read_alone) in zip(suite, alone):
+        assert report == report_alone
+        assert len(read) == len(read_alone)
+        for (kind, *pair), (kind_alone, *pair_alone) in zip(read, read_alone):
+            assert kind == kind_alone
+            assert all(map(np.array_equal, pair, pair_alone))
+    reports = [r for r, _ in alone]
+    merges = [r.d_ok and r.i_ok for r in reports
+              if isinstance(r, branches.MergeBoundReport)]
+    threes = [r.ok for r in reports
+              if isinstance(r, branches.ThreeBranchReport)]
+    for stats, oks in ((rep.merge, merges), (rep.three_branch, threes)):
+        assert (stats.checked, stats.violations, stats.vacuous) == (
+            len(oks), oks.count(False), 0)
+
+
 SUITES = {
     "pair_properties": lambda: run_pair_properties(2, 1, seed=3, max_len=2),
     "merge_bound": lambda: branches.merge_bound_check(
@@ -86,6 +155,7 @@ SUITES = {
     "irreversibility": lambda: branches.irreversibility_check(
         QuantumState.zero(3), fixtures.ghz(3).decomposition,
         max_len=2),
+    "triple_suite": lambda: run_triple_properties(2, 1, seed=3, max_len=2),
 }
 
 

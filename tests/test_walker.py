@@ -407,15 +407,15 @@ def _gate_count_checks():
 
 @pytest.mark.parametrize("name, applications", [
     ("three-branch", 119), ("merge", 119), ("pair-suite", 119),
-    ("irreversibility", 90), ("triple-suite", 1785)])
+    ("irreversibility", 90), ("triple-suite", 595)])
 def test_surveys_grow_each_level_once(name, applications, monkeypatch):
     """A survey grows each level below its last once. At n=3, L=3 that is
     the 30 bra rows, 30 applications for level 1 and up to 30 per run of
     level-1 parents for level 2. In the first of two runs every child that
     ends in X on qubit 0 is a kin parent or puts X right after X, so that
     gate is not applied: 119 for the three-branch, merge and pair-suite
-    surveys, 90 for the irreversibility survey (one run), and 1,785 for the
-    15 surveys of five triples."""
+    surveys, 90 for the irreversibility survey (one run), and 595 for the
+    5 surveys of five triples."""
     calls = _counting_gate_applications(monkeypatch)
     _gate_count_checks()[name]()
     assert len(calls) == applications
