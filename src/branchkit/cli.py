@@ -147,6 +147,17 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _read_json(path: str, parse):
+    """parse(doc) of the JSON document doc in the file at `path`; a file
+    that is not JSON, or whose document parse refuses, is refused naming
+    the file."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_example(args) -> int:
     fixture = build_fixture(args)
     _emit(args, ser.dumps(ser.to_json(fixture)))
@@ -160,10 +171,8 @@ def cmd_estimate(args) -> int:
         raise ValueError("estimate takes either --example or both --a-file "
                          "and --b-file")
     if args.example is None:
-        with open(args.a_file) as fh:
-            a = ser.state_from_json(json.load(fh))
-        with open(args.b_file) as fh:
-            b = ser.state_from_json(json.load(fh))
+        a = _read_json(args.a_file, ser.state_from_json)
+        b = _read_json(args.b_file, ser.state_from_json)
         candidates = None
     else:
         fixture = build_fixture(args)
@@ -225,8 +234,7 @@ def _expand_error(token: str, n: int) -> list[str]:
 
 def cmd_qec(args) -> int:
     if args.code_file:
-        with open(args.code_file) as fh:
-            spec = ser.code_spec_from_json(json.load(fh))
+        spec = _read_json(args.code_file, ser.code_spec_from_json)
     else:
         if args.code == "repetition":
             n = args.m1

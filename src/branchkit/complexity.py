@@ -90,6 +90,16 @@ def fused_cost(gates: tuple[GateOp, ...] | list[GateOp]) -> int:
     return cost
 
 
+def _fuse(last, gate):
+    """(blocks added, last-block support) when a gate on the qubit bitmask
+    `gate` follows a last fused block on the bitmask `last` (0: no block
+    yet): the gate joins the block when their union spans at most two
+    qubits, and opens a new block otherwise."""
+    union = last | gate
+    fused = (last != 0) & (np.bitwise_count(union) <= 2)
+    return 1 - fused, np.where(fused, union, gate)
+
+
 def objective_value(kind: ComplexityKind, u: Circuit, a: QuantumState,
                     b: QuantumState) -> float:
     """Evaluate the kind's objective for circuit u on the state pair (a, b)."""
@@ -260,17 +270,16 @@ class _Enumeration:
         rank = (self.offsets[level + 1] + gate - (gate > skip)
                 + (f.rank - self.offsets[level])[:, None] * (g - 1))
         keep = (gate != skip) & (rank < limit)
-        union = f.support[:, None] | self.support
-        fused = (np.bitwise_count(union) <= 2) & (level > 0)
-        cost = f.cost[:, None] + ~fused
-        support = np.where(fused, union, self.support)
-        return rank, keep, cost, support
+        added, support = _fuse(f.support[:, None], self.support)
+        return rank, keep, f.cost[:, None] + added, support
 
-    def runs(self, f: Frontier, child_bytes: int):
+    def runs(self, f: Frontier, child_bytes: int, keep: np.ndarray):
         """The children of a frontier in runs of parents x gate slice, sized
         so that child_bytes per child stay within CHUNK_BYTES. Runs come in
         rank order, and so do the children within a run: a run that slices
-        the gate list has one parent. Per run: the parents' slice, the gate
+        the gate list has one parent. Only runs with a child that `keep` (m,
+        gates) marks come, each gate slice cut to run from the first such
+        child's gate to the last's. Per run: the parents' slice, the gate
         slice and the parents' kets as columns (2**n, m * k)."""
         dim, m, _ = f.kets.shape
         g = len(self.gates)
@@ -280,31 +289,29 @@ class _Enumeration:
             rows = slice(p0, p0 + parents)
             cols = f.kets[:, rows].reshape(dim, -1)
             for g0 in range(0, g, gates):
-                yield rows, slice(g0, g0 + gates), cols
+                kept = np.flatnonzero(keep[rows, g0:g0 + gates].any(axis=0)) + g0
+                if len(kept):
+                    yield rows, slice(kept[0], kept[-1] + 1), cols
 
     def grow(self, f: Frontier, level: int, limit: int, skip: np.ndarray):
         """The children of a frontier at `level` ranked below `limit`, less
         those `skip` (m, gates) marks (a survey's kin parents, see survey), as
-        frontiers in rank order; one gate application per gate in the run's
-        grown range, gathered into the children in one step."""
+        frontiers in rank order; one gate application per gate of a run,
+        gathered into the children in one step."""
         dim, _, k = f.kets.shape
         rank, keep, cost, support = self.children(f, level, limit)
         keep &= ~skip
-        for rows, part, cols in self.runs(f, dim * k * 16):
+        for rows, part, cols in self.runs(f, dim * k * 16, keep):
             sel = keep[rows, part]
-            if not sel.any():
-                continue
             pj, gj = np.nonzero(sel)
-            gj += part.start
-            lo = gj.min()
             applied = np.stack([
                 apply_gate_block(cols, self.n_qubits, gate.targets, gate.matrix
                                  ).reshape(dim, -1, k)
-                for gate in self.gates[lo:gj.max() + 1]], axis=1)
+                for gate in self.gates[part]], axis=1)
             parent = pj + rows.start
-            yield Frontier(applied[:, gj - lo, pj], cost[rows, part][sel],
-                           support[rows, part][sel], gj, rank[rows, part][sel],
-                           f.support[parent], f.last[parent])
+            yield Frontier(applied[:, gj, pj], cost[rows, part][sel],
+                           support[rows, part][sel], gj + part.start,
+                           rank[rows, part][sel], f.support[parent], f.last[parent])
 
     @functools.cached_property
     def twin_words(self) -> np.ndarray:
@@ -322,8 +329,8 @@ class _Enumeration:
         return np.concatenate(parts)
 
     @functools.cache
-    def twin_table(self, before: int) -> tuple[np.ndarray, np.ndarray]:
-        """(twin, kin), each (gates, gates), for the children p·l·g of a
+    def twin_table(self, before: int) -> np.ndarray:
+        """(twin, kin) stacked (2, gates, gates), for the children p·l·g of a
         sequence p·l whose p ends in a fused block on the qubit bitmask
         `before` (0 when p is empty); built once per bitmask.
 
@@ -339,29 +346,21 @@ class _Enumeration:
         gates = len(self.gates)
         l, g, w0, w1 = self.twin_words.T
         support = np.append(self.support, 0)  # w1 == gates: no gate
-
-        def step(s, x):
-            """(blocks added, last-block support) when gate x follows a
-            last block on the qubits s (0: none)."""
-            union = s | support[x]
-            fused = (s != 0) & (np.bitwise_count(union) <= 2)
-            return 1 - fused, np.where(fused, union, support[x])
-
         # fused costs over p's, and last-block supports, of p·l·g and p·w
-        add_l, s_l = step(before, l)
-        add_g, s_lg = step(s_l, g)
-        add_w0, s_w0 = step(before, w0)
-        add_w1, s_w = step(s_w0, w1)
+        add_l, s_l = _fuse(before, support[l])
+        add_g, s_lg = _fuse(s_l, support[g])
+        add_w0, s_w0 = _fuse(before, support[w0])
+        add_w1, s_w = _fuse(s_w0, support[w1])
         cost = add_l + add_g
         twin = cost == add_w0 + add_w1
         undo = self.inverse[np.where(w1 == gates, w0, w1)]
-        add_undo, _ = step(s_lg, undo)
+        add_undo, _ = _fuse(s_lg, support[undo])
         kin = twin & (s_lg == s_w) & (
             (undo == self.inverse[g])
             | (cost + add_undo == np.where(w1 == gates, 0, add_w0)))
         key = l * gates + g
-        tables = []
-        for match in (twin, kin):
+        tables = np.empty((2, gates * gates), dtype=np.int16)
+        for table, match in zip(tables, (twin, kin)):
             # a twin p·w that starts with l is in the walk whatever p
             # ends in; any other only unless p ends in w0's inverse.
             # `some` keeps one such w0 per (l, g); where another twin
@@ -369,27 +368,24 @@ class _Enumeration:
             tied = match & (w0 != l)
             some = np.full(gates * gates, -1)
             some[key[tied]] = w0[tied]
-            table = np.where(some >= 0, self.inverse[some], _NO_TWIN)
+            table[:] = np.where(some >= 0, self.inverse[some], _NO_TWIN)
             table[key[tied & (w0 != some[key])]] = _ANY
             table[key[match & (w0 == l)]] = _ANY
-            tables.append(table.astype(np.int16).reshape(gates, gates))
-        return tuple(tables)
+        return tables.reshape(2, gates, gates)
 
-    def twins(self, f: Frontier) -> tuple[np.ndarray, np.ndarray]:
-        """(twin, kin) masks (m, gates) over the children of a frontier, from
-        twin_table: the child has an earlier-ranked twin of the same fused
-        cost in the walk, and (kin) so has each of its children. Children of
-        the empty sequence have none."""
+    def twins(self, f: Frontier) -> np.ndarray:
+        """(twin, kin) masks stacked (2, m, gates) over the children of a
+        frontier, from twin_table: the child has an earlier-ranked twin of
+        the same fused cost in the walk, and (kin) so has each of its
+        children. Children of the empty sequence have none."""
         m, gates = len(f.rank), len(self.gates)
         masks = np.zeros((2, m, gates), dtype=bool)
         grown = f.last < gates
         for before in set(f.before[grown].tolist()):
             rows = grown & (f.before == before)
-            prev = f.prev[rows, None]
-            for mask, table in zip(masks, self.twin_table(before)):
-                entry = table[f.last[rows]]
-                mask[rows] = (entry != prev) & (entry != _NO_TWIN)
-        return masks[0], masks[1]
+            entry = self.twin_table(before)[:, f.last[rows]]
+            masks[:, rows] = (entry != f.prev[rows, None]) & (entry != _NO_TWIN)
+        return masks
 
 
 _enumeration = functools.cache(_Enumeration)
@@ -668,12 +664,7 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
         return the kin mask (m, gates): children whose children all have twins."""
         rank, keep, cost, _ = walk.children(f, level, limit)
         twin, kin = walk.twins(f)
-        for run, part, cols in walk.runs(f, child_bytes):
-            # the bras from the run's first walked gate to its last
-            walked = np.flatnonzero(keep[run, part].any(axis=0)) + part.start
-            if not len(walked):
-                continue
-            part = slice(walked[0], walked[-1] + 1)
+        for run, part, cols in walk.runs(f, child_bytes, keep):
             sel = keep[run, part] & ~twin[run, part]
             if not sel.any():
                 continue

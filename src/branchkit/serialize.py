@@ -95,9 +95,26 @@ def residual_report_to_json(r: ResidualReport) -> dict:
     return _encode(r)
 
 
+def _field(doc, name: str, kind, what: str):
+    """doc[name], refused with a ValueError naming the field unless doc is a
+    JSON object whose field `name` holds `what`: a `kind`, not true or false."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object with field {name!r}")
+    if name not in doc:
+        raise ValueError(f"missing field {name!r}")
+    if not isinstance(doc[name], kind) or isinstance(doc[name], bool):
+        raise ValueError(f"field {name!r} must be {what}")
+    return doc[name]
+
+
 def state_from_json(doc: dict) -> QuantumState:
-    amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    return QuantumState(int(doc["n_qubits"]), amps)
+    n = _field(doc, "n_qubits", int, "an integer")
+    pairs = _field(doc, "amplitudes", (list, np.ndarray), "an array")
+    if not all(isinstance(p, (list, np.ndarray)) and len(p) == 2
+               and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       for x in p) for p in pairs):
+        raise ValueError("field 'amplitudes' must hold [re, im] number pairs")
+    return QuantumState(n, np.array([complex(re, im) for re, im in pairs]))
 
 
 def circuit_from_json(doc: dict) -> Circuit:
@@ -119,8 +136,13 @@ def decomposition_from_json(doc: dict) -> BranchDecomposition:
 
 
 def code_spec_from_json(doc: dict) -> CodeSpec:
-    words = tuple(state_from_json(w) for w in doc["codewords"])
-    return CodeSpec(words, tuple(doc["errors"]))
+    words = []
+    for i, word in enumerate(_field(doc, "codewords", list, "an array")):
+        try:
+            words.append(state_from_json(word))
+        except ValueError as exc:
+            raise ValueError(f"codewords[{i}]: {exc}") from None
+    return CodeSpec(tuple(words), tuple(_field(doc, "errors", list, "an array")))
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -625,3 +625,35 @@ def test_zero_node_budget_walks_the_empty_sequence(capsys):
                            "--node-budget 0".split(), capsys)
     assert code == 0
     assert json.loads(out)["truncated"] is True
+
+
+_QUBIT = [json.loads(ser.dumps(ser.to_json(QuantumState.basis(1, i))))
+          for i in (0, 1)]
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("estimate", {"n_qubits": 2}, "missing field 'amplitudes'"),
+    ("estimate", [], "expected a JSON object with field 'n_qubits'"),
+    ("estimate", {"n_qubits": 1, "amplitudes": [1, 0]},
+     "field 'amplitudes' must hold [re, im] number pairs"),
+    ("qec", {"codewords": []}, "missing field 'errors'"),
+    ("qec", {"codewords": [{"n_qubits": 1}], "errors": []},
+     "codewords[0]: missing field 'amplitudes'"),
+    # a string is not split into one error per letter
+    ("qec", {"codewords": _QUBIT, "errors": "XZ"},
+     "field 'errors' must be an array"),
+], ids=["no-amplitudes", "not-an-object", "unpaired-amplitudes", "no-errors",
+        "bad-codeword", "errors-string"])
+def test_malformed_input_file_fails_validation(command, doc, field, capsys,
+                                               tmp_path):
+    path, other = tmp_path / "in.json", tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    other.write_text(ser.dumps(ser.to_json(QuantumState.basis(2, 3))))
+    argv = (["estimate", "--kind", "relative", "--a-file", str(path),
+             "--b-file", str(other)] if command == "estimate"
+            else ["qec", "--code-file", str(path)])
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["type"] == "ValueError"
+    assert error["error"] == f"{path}: {field}"

@@ -1,6 +1,9 @@
 """Complexity objectives, certified enumeration, and witness searches."""
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit.branches import EstimatorConfig, estimate_pair
 from branchkit.complexity import (
@@ -9,6 +12,7 @@ from branchkit.complexity import (
     ComplexityKind,
     ComplexityQuery,
     _enumeration,
+    _fuse,
     brute_force_estimate,
     combine_estimates,
     constructive_estimate,
@@ -77,11 +81,36 @@ class TestFusedCost:
         assert fused_cost(gates) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+    max_size=8)))
+def test_fuse_folds_to_fused_cost(targets):
+    """The engine's block-fusing rule, folded over a sequence from no block,
+    counts the blocks of fused_cost's greedy packing."""
+    cost, last = 0, 0
+    for t in targets:
+        added, last = _fuse(last, sum(1 << q for q in t))
+        cost += added
+    one, two = np.eye(2), np.eye(4)
+    gates = [GateOp(tuple(t), one if len(t) == 1 else two) for t in targets]
+    assert cost == fused_cost(gates)
+
+
 class TestAlphabet:
     def test_canonical_order_and_size(self):
         gates = _enumeration(3).gates
         assert len(gates) == 8 * 3 + 6
         assert [g.label for g in gates[:6]] == ["X"] * 3 + ["Y"] * 3
+
+    def test_twin_words_are_pinned(self):
+        # SHA-256 prefixes of the twin words the twin tables are built from
+        digests = [hashlib.sha256(_enumeration(n).twin_words.tobytes())
+                   .hexdigest()[:16] for n in range(1, 9)]
+        assert digests == [
+            "b61527bd36f90a65", "8ce07daa61988ebd", "381370fec4fb006c",
+            "f9d4ec3ddb2778f2", "155ba5c211cf8e16", "1ab1979c05f6c359",
+            "d9e2fc88457a5e00", "c60425b7fbe23ae8"]
 
     def test_inverse_table(self):
         walk = _enumeration(2)
