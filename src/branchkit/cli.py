@@ -233,7 +233,10 @@ def _expand_error(token: str, n: int) -> list[str]:
 
 
 def cmd_qec(args) -> int:
-    if args.code_file:
+    if args.code is None:
+        if args.errors is not None:
+            raise ValueError("--errors cannot be given with --code-file, "
+                             "whose file lists the errors")
         spec = _read_json(args.code_file, ser.code_spec_from_json)
     else:
         if args.code == "repetition":
@@ -242,18 +245,17 @@ def cmd_qec(args) -> int:
                 raise ValueError(f"the repetition code's m1 must lie in 1..12, "
                                  f"got {n}")
             words = (QuantumState.basis(n, 0), QuantumState.basis(n, 2**n - 1))
-        elif args.code == "parity":
+        else:
             pc = fx.parity_codewords(args.m1, args.m2)
             words = (pc.state0, pc.state1)
             n = args.m1 * args.m2
-        else:
-            raise ValueError("qec needs --code or --code-file")
-        groups = _comma_list("errors", args.errors,
+        errors = "identity,single-x" if args.errors is None else args.errors
+        groups = _comma_list("errors", errors,
                              lambda tok: _expand_error(tok, n))
         spec = CodeSpec(words, tuple(e for group in groups for e in group))
     report = beny_oreshkov_residuals(spec)
     _emit(args, ser.dumps(ser.document(
-        code="file" if args.code_file else args.code,
+        code=args.code or "file",
         n_qubits=spec.n_qubits,
         residuals=ser.residual_report_to_json(report),
         floor=code_complexity_floor(report))))
@@ -388,11 +390,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_verdict)
 
     p = sub.add_parser("qec", help="residuals, floor, and classification")
-    p.add_argument("--code", choices=("repetition", "parity"))
-    p.add_argument("--code-file", help="JSON file with {codewords, errors}")
+    code = p.add_mutually_exclusive_group(required=True)
+    code.add_argument("--code", choices=("repetition", "parity"))
+    code.add_argument("--code-file", help="JSON file with {codewords, errors}")
     p.add_argument("--m1", type=int, default=3)
     p.add_argument("--m2", type=int, default=1)
-    p.add_argument("--errors", default="identity,single-x")
+    p.add_argument("--errors", default=None,
+                   help="comma-separated errors (default identity,single-x)")
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("surface", help="rectangular-code logical rate model")

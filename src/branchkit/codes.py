@@ -74,6 +74,36 @@ def _max_eps_up_to(eps: np.ndarray, costs: tuple[int, ...], cost: int) -> float:
     return float(np.max(np.abs(eps[np.ix_(idx, idx)])))
 
 
+def _gram(code: CodeSpec) -> np.ndarray:
+    """gram[m,n,i,j] = <i|Em†En|j>, C-ordered, with the bits of the plain
+    einsum("mid,njd->mnij", acted.conj(), acted).
+
+    Each group of bra rows with one nonzero pattern fills its rows of the
+    (m·k, m·k) Gram with one einsum over only its support columns (all of
+    them when it covers at least half). einsum adds in column order from +0,
+    and each product left out is ±0, so no sum moves. optimize=True or a
+    GEMM would sum in another order, so neither is used.
+    """
+    n, k, m_err = code.n_qubits, len(code.codewords), len(code.errors)
+    block = np.stack([w.amplitudes for w in code.codewords], axis=1)
+    acted = np.empty((m_err * k, 2**n), dtype=complex)
+    for m, err in enumerate(code.errors):
+        acted[m * k:(m + 1) * k] = apply_pauli_string(block, n, err).T
+    bra = acted.conj()
+    nonzero = bra != 0
+    _, first, pattern = np.unique(np.packbits(nonzero, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    pattern = pattern.ravel()
+    gram = np.empty((m_err * k, m_err * k), dtype=complex)
+    for p, row in enumerate(first):
+        rows = np.flatnonzero(pattern == p)
+        cols = np.flatnonzero(nonzero[row])
+        if 2 * cols.size >= 2**n:
+            cols = slice(None)
+        gram[rows] = np.einsum("id,jd->ij", bra[rows][:, cols], acted[:, cols])
+    return gram.reshape(m_err, k, m_err, k).transpose(0, 2, 1, 3).copy()
+
+
 def beny_oreshkov_residuals(code: CodeSpec) -> ResidualReport:
     """Fit lambda[m,n] and the residual tensor for the supplied error set.
 
@@ -83,15 +113,12 @@ def beny_oreshkov_residuals(code: CodeSpec) -> ResidualReport:
     cost L such that every pair of supplied errors of cost <= L passes at
     EXACT_TOL; the statement is about the supplied set, so it certifies a
     complexity floor only when the set is complete for each cost level.
+    The Gram <i|Em†En|j> is summed over each acted codeword's support
+    (`_gram`), with the bits of the plain einsum over every amplitude.
     """
-    n = code.n_qubits
     k = len(code.codewords)
     m_err = len(code.errors)
-    block = np.stack([w.amplitudes for w in code.codewords], axis=1)
-    acted = np.empty((m_err, k, 2**n), dtype=complex)
-    for m, err in enumerate(code.errors):
-        acted[m] = apply_pauli_string(block, n, err).T
-    gram = np.einsum("mid,njd->mnij", acted.conj(), acted)
+    gram = _gram(code)
     lam = np.einsum("mnii->mn", gram) / k
     eps = gram - lam[:, :, None, None] * np.eye(k)[None, None]
     max_eps = float(np.max(np.abs(eps))) if m_err else 0.0

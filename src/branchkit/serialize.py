@@ -12,12 +12,15 @@ byte-identical output.
 `dumps` lets `json.dumps(doc, indent=2, allow_nan=True)` write each document,
 an array as its `tolist()`. It encodes indented output one Python call per
 value, so `_write_tensor` splices in only the non-empty float64 arrays, such
-as a residual tensor, each written in one join with the same bytes.
+as a residual tensor, each written in one join with the same bytes. It
+formats each distinct bit pattern of an array once, found by `np.unique` on
+its int64 view, so -0.0 stays apart from 0.0.
 """
 from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 
 import numpy as np
@@ -202,10 +205,17 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _write_tensor(a: np.ndarray, level: int, out: list[str]) -> None:
     """Write a non-empty float64 array."""
     dims, depth = a.shape, a.ndim
-    texts = list(map(float.__repr__, a.ravel().tolist()))
-    if not np.isfinite(a).all():
-        texts = [_NONFINITE.get(t, t) for t in texts]
     ind = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    out.append("".join("[" + ind[d] for d in range(1, depth + 1)))
+    # the slots of the leaves, each followed by its separator; taken before
+    # the temporaries below, so that those are freed as one block
+    start = len(out)
+    out.extend(itertools.repeat("", 2 * a.size - 1))
+    # each distinct bit pattern is formatted once: -0.0 stays apart from 0.0
+    bits = a.ravel().view(np.int64)
+    distinct = np.unique(bits)
+    texts = [_NONFINITE.get(t, t)
+             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
     # seps[r] closes the r innermost lists, writes the comma, opens r again
     seps = ["".join(ind[depth - j] + "]" for j in range(1, r + 1)) + ","
             + ind[depth - r]
@@ -218,9 +228,7 @@ def _write_tensor(a: np.ndarray, level: int, out: list[str]) -> None:
     for size in dims[:0:-1]:
         stride *= size
         rolls += index % stride == 0
-    parts = [""] * (2 * a.size - 1)
-    parts[::2] = texts
-    parts[1::2] = np.array(seps, dtype=object)[rolls].tolist()
-    out.append("".join("[" + ind[d] for d in range(1, depth + 1)))
-    out.extend(parts)
+    out[start::2] = map(texts.__getitem__,
+                        np.searchsorted(distinct, bits).tolist())
+    out[start + 1::2] = map(seps.__getitem__, rolls.tolist())
     out.append("".join(ind[d] + "]" for d in range(depth - 1, -1, -1)))

@@ -15,6 +15,7 @@ from branchkit import cli, properties
 from branchkit import serialize as ser
 from branchkit import fixtures as fx
 from branchkit.cli import build_parser, main
+from branchkit.codes import CodeSpec
 from branchkit.complexity import ComplexityKind, ComplexityQuery, brute_force_estimate
 from branchkit.qsim import QuantumState, haar_random_state, random_circuit
 
@@ -234,7 +235,6 @@ class TestExtendedCommands:
         assert (doc["lower_bound_scope"], doc["upper_bound"]) == ("none", 1)
 
     def test_qec_from_code_file(self, capsys, tmp_path):
-        from branchkit.codes import CodeSpec
         spec = CodeSpec((QuantumState.basis(3, 0), QuantumState.basis(3, 7)),
                         ("III", "XII", "IXI", "IIX"))
         path = tmp_path / "code.json"
@@ -657,3 +657,29 @@ def test_malformed_input_file_fails_validation(command, doc, field, capsys,
     error = json.loads(err)
     assert error["type"] == "ValueError"
     assert error["error"] == f"{path}: {field}"
+
+
+@pytest.mark.parametrize("options, exit_code, named", [
+    ("", 64, "--code"),
+    ("--code parity --code-file FILE --errors ZZZ", 64, "--code-file"),
+    ("--code repetition --code-file FILE", 64, "--code-file"),
+    ("--code-file FILE --errors ZZZ", 2, "--errors"),
+    ("--code-file FILE --errors identity,single-x", 2, "--code-file"),
+], ids=["neither", "both-with-errors", "both", "file-and-errors",
+        "file-and-default-errors"])
+def test_qec_refuses_options_it_would_ignore(options, exit_code, named,
+                                             capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(ser.dumps(ser.to_json(CodeSpec(
+        (QuantumState.basis(3, 0), QuantumState.basis(3, 7)), ("XII",)))))
+    argv = ["qec", *[str(path) if tok == "FILE" else tok
+                     for tok in options.split()]]
+    if exit_code == 64:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, out, err = exc.value.code, *capsys.readouterr()
+    else:
+        code, out, err = run_cli(argv, capsys)
+        err = json.loads(err)["error"]
+    assert (code, out) == (exit_code, "")
+    assert named in err

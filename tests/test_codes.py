@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchkit.branches import _classify
 from branchkit.codes import (
     CodeSpec,
     SurfaceCodeModel,
+    _gram,
     beny_oreshkov_residuals,
     classify_region,
     code_complexity_floor,
@@ -50,6 +52,63 @@ def five_qubit_code() -> tuple[QuantumState, QuantumState]:
     v1 = np.zeros(32, dtype=complex)
     v1[31] = 1.0
     return QuantumState(5, project(v0)), QuantumState(5, project(v1))
+
+
+@st.composite
+def codes_with_errors(draw):
+    """Orthonormal codewords, each on one basis state, on sparse supports
+    (disjoint, or one shared) or dense, with real or complex amplitudes; and
+    a Pauli list that may hold I...I, Y letters, repeats, or nothing."""
+    n = draw(st.integers(1, 6))
+    dim = 2**n
+    k = draw(st.integers(2, min(4, dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+
+    def amplitudes(*shape):
+        z = rng.standard_normal(shape)
+        return z if real else z + 1j * rng.standard_normal(shape)
+
+    support = draw(st.sampled_from(["basis", "disjoint", "shared", "dense"]))
+    size = {"basis": k, "dense": dim}.get(support) or draw(st.integers(k, dim))
+    where = rng.permutation(dim)[:size]
+    words = np.zeros((dim, k), dtype=complex)
+    if support == "basis":
+        phases = amplitudes(k)
+        words[where, range(k)] = phases / np.abs(phases)
+    elif support == "disjoint":
+        cuts = np.sort(rng.choice(np.arange(1, size), k - 1, replace=False))
+        for j, part in enumerate(np.split(where, cuts)):
+            z = amplitudes(part.size)
+            words[part, j] = z / np.linalg.norm(z)
+    else:
+        words[where] = np.linalg.qr(amplitudes(size, k))[0]
+    errors = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n),
+                           max_size=6))
+    if draw(st.booleans()):
+        errors.insert(0, "I" * n)
+    if errors and draw(st.booleans()):
+        errors.append(draw(st.sampled_from(errors)))
+    return CodeSpec(tuple(QuantumState(n, w) for w in words.T), tuple(errors))
+
+
+def einsum_gram(code):
+    """The Gram as one plain einsum over every amplitude: the oracle."""
+    n, k, m_err = code.n_qubits, len(code.codewords), len(code.errors)
+    block = np.stack([w.amplitudes for w in code.codewords], axis=1)
+    acted = np.empty((m_err, k, 2**n), dtype=complex)
+    for m, err in enumerate(code.errors):
+        acted[m] = apply_pauli_string(block, n, err).T
+    return np.einsum("mid,njd->mnij", acted.conj(), acted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_with_errors())
+def test_gram_has_the_bits_of_the_einsum(code):
+    got, want = _gram(code), einsum_gram(code)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 class TestResiduals:

@@ -54,11 +54,14 @@ def tensors(draw):
 
 @st.composite
 def arrays(draw):
-    """A numpy array: float64 with 0-4 axes, one with a zero-length axis, an
-    int or a bool array, or a complex array as `_encode` gives it."""
+    """A numpy array: float64 with 0-4 axes, maybe a transposed or strided
+    view or heavy repeats of -0.0, 0.0, NaN and one other float; one with a
+    zero-length axis, an int or a bool array, or a complex array as
+    `_encode` gives it."""
     shape = draw(st.lists(st.integers(1, 3), max_size=4))
     size = math.prod(shape)
-    kind = draw(st.sampled_from(["float", "empty", "int", "bool", "complex"]))
+    kind = draw(st.sampled_from(["float", "transposed", "strided", "repeats",
+                                 "empty", "int", "bool", "complex"]))
     if kind == "empty":
         shape.insert(draw(st.integers(0, len(shape))), 0)
         return np.zeros(shape)
@@ -69,6 +72,16 @@ def arrays(draw):
     if kind == "bool":
         return np.array(draw(st.lists(st.booleans(), min_size=size,
                                       max_size=size))).reshape(shape)
+    if kind == "repeats":
+        pool = st.sampled_from([-0.0, 0.0, math.nan, draw(floats)])
+        return np.array(draw(st.lists(pool, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+    if kind == "transposed":
+        leaves = draw(st.lists(floats, min_size=size, max_size=size))
+        return np.array(leaves, dtype=float).reshape(shape[::-1]).T
+    if kind == "strided":
+        leaves = draw(st.lists(floats, min_size=2 * size, max_size=2 * size))
+        return np.array(leaves, dtype=float)[::2].reshape(shape)
     leaves = st.lists(floats, min_size=size, max_size=size)
     re = np.array(draw(leaves), dtype=float).reshape(shape)
     if kind == "float":
