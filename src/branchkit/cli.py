@@ -3,7 +3,7 @@
 Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
 gap; each takes --output. estimate, verdict and evolve --mode track also
 take --budget, --node-budget and --strict; props and gap take --budget only.
-evolve accepts only the options its --mode reads (EVOLVE_READS).
+An option that its command line would not read (_unread) is a usage error.
 Everything stochastic takes an explicit --seed; identical command lines
 produce byte-identical output. Exit codes: 0 success, 2 validation failure
 (structured JSON on stderr), 3 budget truncation under --strict (estimate,
@@ -164,27 +164,28 @@ def cmd_example(args) -> int:
     return 0
 
 
+def _config(args, **methods) -> EstimatorConfig:
+    """The estimator settings of the enumeration options and --seed."""
+    return EstimatorConfig(max_len=args.budget, node_budget=args.node_budget,
+                           seed=args.seed or 0, **methods)
+
+
 def cmd_estimate(args) -> int:
     kind = KIND_BY_NAME[args.kind]
-    files = (args.a_file, args.b_file)
-    if any(files) if args.example else not all(files):
-        raise ValueError("estimate takes either --example or both --a-file "
-                         "and --b-file")
-    if args.example is None:
+    if args.example is not None:
+        fixture = build_fixture(args)
+        a, b = fixture.pair()
+        candidates = fixture.known_witnesses
+    elif args.a_file and args.b_file:
         a = _read_json(args.a_file, ser.state_from_json)
         b = _read_json(args.b_file, ser.state_from_json)
         candidates = None
     else:
-        fixture = build_fixture(args)
-        a, b = fixture.pair()
-        candidates = fixture.known_witnesses
-    config = EstimatorConfig(
-        max_len=args.budget,
-        node_budget=args.node_budget,
-        enumerate_lower=args.method in ("enumeration", "auto"),
-        use_variational=args.method in ("variational", "auto"),
-        seed=args.seed or 0,
-    )
+        raise ValueError("estimate takes either --example or both --a-file "
+                         "and --b-file")
+    config = _config(args,
+                     enumerate_lower=args.method in ("enumeration", "auto"),
+                     use_variational=args.method in ("variational", "auto"))
     est, = estimate_pair(a, b, ((kind, args.delta),), config, candidates)
     _emit(args, ser.dumps(ser.to_json(est)))
     return TRUNCATION_EXIT if args.strict and est.truncated else 0
@@ -194,8 +195,7 @@ def cmd_verdict(args) -> int:
     fixture = build_fixture(args)
     verdict = assess_branches(
         fixture.decomposition, epsilon=args.epsilon,
-        config=EstimatorConfig(max_len=args.budget, seed=args.seed or 0,
-                               node_budget=args.node_budget),
+        config=_config(args),
         good_threshold=args.threshold,
         robustness_lambda=args.robustness_lambda,
         noise_rate=args.noise_rate,
@@ -234,9 +234,6 @@ def _expand_error(token: str, n: int) -> list[str]:
 
 def cmd_qec(args) -> int:
     if args.code is None:
-        if args.errors is not None:
-            raise ValueError("--errors cannot be given with --code-file, "
-                             "whose file lists the errors")
         spec = _read_json(args.code_file, ser.code_spec_from_json)
     else:
         if args.code == "repetition":
@@ -249,8 +246,7 @@ def cmd_qec(args) -> int:
             pc = fx.parity_codewords(args.m1, args.m2)
             words = (pc.state0, pc.state1)
             n = args.m1 * args.m2
-        errors = "identity,single-x" if args.errors is None else args.errors
-        groups = _comma_list("errors", errors,
+        groups = _comma_list("errors", args.errors,
                              lambda tok: _expand_error(tok, n))
         spec = CodeSpec(words, tuple(e for group in groups for e in group))
     report = beny_oreshkov_residuals(spec)
@@ -280,7 +276,7 @@ def cmd_flow(args) -> int:
     return 0
 
 
-# The options each evolve mode reads; giving any other one exits 64.
+# The options each evolve mode reads (see _unread).
 EVOLVE_READS = {
     "track": ("t_grid", "hamiltonian", "budget", "node_budget", "strict",
               *FIXTURE_OPTIONS),
@@ -290,15 +286,6 @@ EVOLVE_READS = {
 
 
 def cmd_evolve(args) -> int:
-    reads = EVOLVE_READS[args.mode]
-    stray = [dest for dest in args.evolve_defaults
-             if dest not in reads and getattr(args, dest) is not None]
-    if stray:
-        given = ", ".join("--" + dest.replace("_", "-") for dest in stray)
-        _usage_error(f"{given}: --mode {args.mode} does not read these")
-    for dest in reads:
-        if getattr(args, dest) is None:
-            setattr(args, dest, args.evolve_defaults[dest])
     if args.mode == "track":
         if args.example is None:
             raise ValueError("evolve --mode track needs --example")
@@ -309,11 +296,9 @@ def cmd_evolve(args) -> int:
         witnesses = fixture.known_witnesses.get(ComplexityKind.INTERFERENCE)
         if not witnesses:
             raise ValueError("this example carries no interference witness to track")
-        config = EstimatorConfig(max_len=args.budget, seed=args.seed or 0,
-                                 node_budget=args.node_budget)
         traj = track_complexity_under_evolution(
             a, b, h, witnesses[0],
-            _comma_list("t_grid", args.t_grid, float), config)
+            _comma_list("t_grid", args.t_grid, float), _config(args))
         _emit(args, ser.trajectory_to_csv(traj))
         truncated = any(s.truncated for s in traj.samples)
         return TRUNCATION_EXIT if args.strict and truncated else 0
@@ -395,8 +380,8 @@ def build_parser() -> _Parser:
     code.add_argument("--code-file", help="JSON file with {codewords, errors}")
     p.add_argument("--m1", type=int, default=3)
     p.add_argument("--m2", type=int, default=1)
-    p.add_argument("--errors", default=None,
-                   help="comma-separated errors (default identity,single-x)")
+    p.add_argument("--errors", default="identity,single-x",
+                   help="comma-separated errors")
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("surface", help="rectangular-code logical rate model")
@@ -425,12 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=float, default=1 / 3)
     _add_fixture_args(p, required=False)
     _add_budget(p)
-    # every option is unset unless given, so that cmd_evolve can reject the
-    # ones the chosen mode does not read; it fills in these defaults
-    defaults = {a.dest: a.default for a in p._actions
-                if a.option_strings and a.dest not in ("help", "mode")}
-    p.set_defaults(func=cmd_evolve, evolve_defaults=defaults,
-                   **dict.fromkeys(defaults))
+    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("props", help="run the inequality property suite")
     p.add_argument("--n", type=int, default=3)
@@ -450,12 +430,40 @@ def build_parser() -> _Parser:
     for p in sub.choices.values():
         p.add_argument("--output", default=None,
                        help="output path (default stdout)")
+        # every option is unset unless given, so that main can refuse the
+        # ones the command line does not read; it fills in these defaults
+        defaults = {a.dest: a.default for a in p._actions
+                    if a.option_strings and a.dest != "help"}
+        p.set_defaults(defaults=defaults, **dict.fromkeys(defaults))
     return parser
+
+
+def _unread(args) -> set[str]:
+    """The options that this command line does not read."""
+    if args.command == "evolve":
+        return ({dest for reads in EVOLVE_READS.values() for dest in reads}
+                - set(EVOLVE_READS[args.mode]))
+    if args.command == "qec":
+        return ({"m1", "m2", "errors"} if args.code is None
+                else {"m2"} if args.code == "repetition" else set())
+    if args.command == "estimate":
+        return ({"a_file", "b_file"} if args.example is not None
+                else set(FIXTURE_OPTIONS) - {"seed"})
+    return set()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    unread = _unread(args)
+    stray = [dest for dest in args.defaults
+             if dest in unread and getattr(args, dest) is not None]
+    if stray:
+        given = ", ".join("--" + dest.replace("_", "-") for dest in stray)
+        _usage_error(f"{given}: not read by this {args.command} command line")
+    for dest, default in args.defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     try:
         return args.func(args)
     except (ValueError, AssertionError, OSError) as exc:

@@ -429,27 +429,32 @@ def _local_twins(k: int) -> np.ndarray:
 
 
 def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
-                   limit: int):
+                   limit: int, visit=lambda f, level: np.False_):
     """Every alphabet gate sequence of at most max_len gates (never a gate
     right after its inverse) ranked below `limit`, applied to the columns of
     `block` (2**n, k), as (level, frontier) pairs. The walk is depth first,
     every frontier right before the frontiers grown from it, so ranks rise
     within a level but not from one level to the next. Each level is grown
     once, and nothing past the limit: only the sequences with a child ranked
-    below it are grown, kin parents too (survey grows its last parents'
-    level itself, without them)."""
+    below it are grown. visit(frontier, level) sees each frontier once it is
+    yielded and returns the children (m, gates) not to grow (survey's kin
+    parents), or np.False_ for none."""
     walk = _enumeration(n_qubits)
 
-    def below(f: Frontier, level: int):
+    # visit is passed down, not closed over: below refers to itself, and
+    # only the cyclic garbage collector frees what that cycle holds. It runs
+    # after the yield, once the caller's loop has let go of the last frontier
+    def below(f: Frontier, level: int, visit):
         yield level, f
+        skip = visit(f, level)
         if level < max_len:
-            for child in walk.grow(f, level, limit, np.False_):
-                yield from below(child, level + 1)
+            for child in walk.grow(f, level, limit, skip):
+                yield from below(child, level + 1, visit)
 
     if limit > 0:
         zero, none = np.zeros(1, dtype=int), np.array([len(walk.gates)])
         yield from below(Frontier(block[:, None, :], zero, zero, none, zero,
-                                  zero, none), 0)
+                                  zero, none), 0, visit)
 
 
 def sequence_count(n_qubits: int, max_len: int) -> int:
@@ -635,10 +640,9 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     two gates, has its product up to phase and its fused cost, since the
     twin then wins any tie. A parent of the last level whose twin also has
     its last-block support, and whose children all have twins that way (a
-    kin parent), is never grown: walk_frontiers walks the levels below the
-    last parents' level, and the survey grows that one itself, passing the
-    kin mask to _Enumeration.grow. `nodes` still counts every rank covered;
-    `scored` counts the sequences scored.
+    kin parent), is never grown: the survey's visitor to walk_frontiers
+    returns the kin mask on the last parents' level. `nodes` still counts
+    every rank covered; `scored` counts the sequences scored.
     """
     limit, total = node_limit(n_qubits, max_len, node_budget, "node_budget")
     walk = _enumeration(n_qubits)
@@ -661,7 +665,8 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
 
     def score_children(f: Frontier, level: int) -> np.ndarray:
         """Score the children of a frontier at `level` that have no twin;
-        return the kin mask (m, gates): children whose children all have twins."""
+        return, on the last parents' level, the kin mask (m, gates):
+        children whose children all have twins."""
         rank, keep, cost, _ = walk.children(f, level, limit)
         twin, kin = walk.twins(f)
         for run, part, cols in walk.runs(f, child_bytes, keep):
@@ -680,7 +685,7 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
             g = np.ascontiguousarray(g.transpose(1, 3, 2, 0))
             g = g.reshape(r, r, -1)[:, :, sel.ravel()]
             score(g, cost[run, part][sel], rank[run, part][sel], level + 1)
-        return kin
+        return kin if level == max_len - 2 else np.False_
 
     scored = 0
     zero = np.zeros(1, dtype=int)
@@ -693,11 +698,9 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     # ranked below the limit end inside the level below it
     top = bisect.bisect_left(walk.offsets, limit) - 1
     parents = walk.parents(top - 1, limit) if top else 0
-    for level, f in walk_frontiers(basis, n_qubits, max(max_len - 2, 0), parents):
-        kin = score_children(f, level)
-        if level == max_len - 2:  # the last parents' level, grown without kin
-            for child in walk.grow(f, level, parents, kin):
-                score_children(child, level + 1)
+    for _ in walk_frontiers(basis, n_qubits, max(max_len - 1, 0), parents,
+                            score_children):
+        pass
     return SurveyResult(n_qubits, list(channels), list(walk.gates), max_len,
                         limit, scored, limit < total, slots.best(walk))
 

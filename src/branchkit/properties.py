@@ -26,6 +26,7 @@ from .complexity import (
     Channel,
     ComplexityKind,
     fused_cost,
+    node_limit,
     objective_value,
     survey,
 )
@@ -36,6 +37,9 @@ K_D = ComplexityKind.DISTINGUISHABILITY
 K_I = ComplexityKind.INTERFERENCE
 # the weights p of the merged component in the merge-bound checks
 MERGE_P = (0.5, 0.3)
+# the most sequences one suite may plan; the README's 100 pairs (152 walks of
+# 901) plan 136,952, and 50 pairs and 50 triples at n=3, L=3 plan 2,665,362
+MAX_PLANNED = 10**8
 
 
 @dataclass
@@ -235,10 +239,28 @@ def run_property_suite(n: int, instances: int, seed: int,
     """The full inequality suite: pair properties on random orthogonal pairs,
     merge/three-branch bounds on random triples, and the irreversibility
     comparison on the standard cat-state instances. The triple suite runs
-    first: it alone reads epsilon, and the suites are seeded apart."""
-    triple_rep = run_triple_properties(n, triples if triples is not None
-                                       else max(1, instances // 2), seed,
-                                       epsilon, max_len=max_len)
+    first: it alone reads epsilon, and the suites are seeded apart. A suite
+    that plans more than MAX_PLANNED sequences, (instances + triples + 2)
+    walks, is refused before the first walk."""
+    _require_width(n, "run_property_suite")
+    _, count = node_limit(n, max_len, None, None)
+    triple_count = max(1, instances // 2) if triples is None else triples
+    planned = (max(instances, 0) + max(triple_count, 0) + 2) * count
+    if planned > MAX_PLANNED:
+        room = MAX_PLANNED // count - 2  # pair and triple walks
+        if triples is None:  # the most i with i + max(1, i // 2) <= room
+            name, most = "instances", min((2 * room + 1) // 3, room - 1)
+        elif triples <= room:
+            name, most = "instances", room - triples
+        else:
+            name, most = "triples", room - max(instances, 0)
+        way = f"set {name} to at most {most:,} or " if most >= 0 else ""
+        raise ValueError(
+            f"the suite plans {planned:,} sequences, {count:,} in each of "
+            f"{planned // count:,} walks, above MAX_PLANNED = "
+            f"{MAX_PLANNED:,}; {way}lower the sequence-length cap")
+    triple_rep = run_triple_properties(n, triple_count, seed, epsilon,
+                                       max_len=max_len)
     pair_rep = run_pair_properties(n, instances, seed, max_len)
 
     irr = PropertyStats()

@@ -389,14 +389,25 @@ class TestOptionsAreRead:
                     todo.append(fn)
         return text
 
-    def test_every_evolve_option_is_read_by_a_mode(self):
+    # every selection of a command whose command line leaves options unread
+    SELECTIONS = {
+        "evolve": ("--mode track", "--mode freeze", "--mode eth"),
+        "qec": ("--code repetition", "--code parity", "--code-file F"),
+        "estimate": ("--kind relative --example ghz",
+                     "--kind relative --a-file A --b-file B"),
+    }
+
+    @pytest.mark.parametrize("command", SELECTIONS)
+    def test_every_option_is_read_under_some_selection(self, command):
         parser = build_parser()
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
-        options = {a.dest for a in sub.choices["evolve"]._actions
-                   if a.option_strings} - {"help", "mode", "output"}
-        assert options == {d for dests in cli.EVOLVE_READS.values()
-                           for d in dests}
+        options = {a.dest for a in sub.choices[command]._actions
+                   if a.option_strings} - {"help"}
+        unread = [cli._unread(parser.parse_args([command, *line.split()]))
+                  for line in self.SELECTIONS[command]]
+        assert all(u <= options for u in unread)
+        assert set.intersection(*unread) == set()
 
     def test_every_option_is_read(self):
         parser = build_parser()
@@ -418,23 +429,65 @@ class TestContradictoryInputs:
                   "--lambda", "2", "--noise-rate", "0.5"])
         assert exc.value.code == 64
 
-    @pytest.mark.parametrize("inputs", [
-        "--example ghz --n 2 --a-file A",
-        "--example ghz --n 2 --b-file B",
-        "--example ghz --n 2 --a-file A --b-file B",
-        "--a-file A",
+    # a file given with --example is not read (usage error); one file
+    # alone is not enough (validation failure)
+    @pytest.mark.parametrize("inputs, exit_code, named", [
+        pytest.param(inputs, code, named, id=inputs) for inputs, code, named in (
+            ("--example ghz --n 2 --a-file A", 64, "--a-file"),
+            ("--example ghz --n 2 --b-file B", 64, "--b-file"),
+            ("--example ghz --n 2 --a-file A --b-file B", 64,
+             "--a-file, --b-file"),
+            ("--a-file A", 2, "--a-file"))])
+    def test_estimate_mixed_inputs_rejected(self, inputs, exit_code, named,
+                                            capsys, tmp_path):
+        paths = _write_pair(tmp_path)
+        argv = ["estimate", "--kind", "interference", "--delta", "0.9",
+                *[str(paths.get(tok, tok)) for tok in inputs.split()]]
+        code, out, err = _exit_of(argv, capsys)
+        assert (code, out) == (exit_code, "")
+        assert named in err
+
+    # options the selected code or input would not read
+    @pytest.mark.parametrize("options, named", [
+        ("qec --code-file F --m1 5", "--m1"),
+        ("qec --code-file F --m2 7", "--m2"),
+        ("qec --code repetition --m1 3 --m2 4", "--m2"),
+        ("estimate --kind relative --a-file A --b-file B --n 7", "--n"),
+        ("estimate --kind relative --a-file A --b-file B --alpha 3",
+         "--alpha"),
+        ("estimate --kind relative --a-file A --b-file B --d1 9", "--d1"),
     ])
-    def test_estimate_mixed_inputs_rejected(self, inputs, capsys, tmp_path):
-        paths = {}
-        for name, state in (("A", QuantumState.basis(2, 0)),
-                            ("B", QuantumState.basis(2, 3))):
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(ser.dumps(ser.to_json(state)))
-        argv = [str(paths.get(tok, tok)) for tok in inputs.split()]
-        code, out, err = run_cli(["estimate", "--kind", "interference",
-                                  "--delta", "0.9", *argv], capsys)
-        assert (code, out) == (2, "")
-        assert "--a-file" in json.loads(err)["error"]
+    def test_unread_option_is_a_usage_error(self, options, named, capsys,
+                                            tmp_path):
+        paths = _write_pair(tmp_path)
+        paths["F"] = tmp_path / "code.json"
+        paths["F"].write_text(ser.dumps(ser.to_json(CodeSpec(
+            (QuantumState.basis(3, 0), QuantumState.basis(3, 7)), ("XII",)))))
+        code, out, err = _exit_of([str(paths.get(tok, tok))
+                                   for tok in options.split()], capsys)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"error: {named}:")
+
+
+def _write_pair(tmp_path) -> dict:
+    """Paths A and B of two written 2-qubit state files."""
+    paths = {}
+    for name, state in (("A", QuantumState.basis(2, 0)),
+                        ("B", QuantumState.basis(2, 3))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(ser.dumps(ser.to_json(state)))
+    return paths
+
+
+def _exit_of(argv, capsys):
+    """(exit code, stdout, the error message) of a command line, whether it
+    exits (usage error) or returns (its message is the JSON error field)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+    out, err = capsys.readouterr()
+    return code, out, json.loads(err)["error"] if code else err
 
 
 def test_evolve_track_strict_exit_3(capsys):
@@ -535,6 +588,12 @@ def test_negative_count_fails_validation(argv, name, capsys):
     ("estimate --kind interference --example ghz --n 8 --budget 5",
      "node_budget"),
     ("gap --example ghz --n 6 --budget 4", "sequence-length cap"),
+    # (10^9 + 5 * 10^8 + 2) * 901 and (1 + 10^9 + 2) * 901 planned sequences
+    ("props --n 3 --seed 1 --instances 1000000000", "MAX_PLANNED"),
+    ("props --n 3 --seed 1 --instances 1 --triples 1000000000", "MAX_PLANNED"),
+    ("props --n 3 --seed 1 --budget 3 --instances 5000", "MAX_PLANNED"),
+    # 21,976,231 sequences in one walk: props has no node budget to offer
+    ("props --n 3 --seed 1 --budget 5 --instances 1", "MAX_WALK"),
 ])
 def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     start = time.perf_counter()
@@ -659,27 +718,21 @@ def test_malformed_input_file_fails_validation(command, doc, field, capsys,
     assert error["error"] == f"{path}: {field}"
 
 
-@pytest.mark.parametrize("options, exit_code, named", [
-    ("", 64, "--code"),
-    ("--code parity --code-file FILE --errors ZZZ", 64, "--code-file"),
-    ("--code repetition --code-file FILE", 64, "--code-file"),
-    ("--code-file FILE --errors ZZZ", 2, "--errors"),
-    ("--code-file FILE --errors identity,single-x", 2, "--code-file"),
+@pytest.mark.parametrize("options, named", [
+    ("", "--code"),
+    ("--code parity --code-file FILE --errors ZZZ", "--code-file"),
+    ("--code repetition --code-file FILE", "--code-file"),
+    ("--code-file FILE --errors ZZZ", "--errors"),
+    ("--code-file FILE --errors identity,single-x", "--errors"),
 ], ids=["neither", "both-with-errors", "both", "file-and-errors",
         "file-and-default-errors"])
-def test_qec_refuses_options_it_would_ignore(options, exit_code, named,
-                                             capsys, tmp_path):
+def test_qec_refuses_options_it_would_ignore(options, named, capsys,
+                                             tmp_path):
     path = tmp_path / "code.json"
     path.write_text(ser.dumps(ser.to_json(CodeSpec(
         (QuantumState.basis(3, 0), QuantumState.basis(3, 7)), ("XII",)))))
     argv = ["qec", *[str(path) if tok == "FILE" else tok
                      for tok in options.split()]]
-    if exit_code == 64:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        code, out, err = exc.value.code, *capsys.readouterr()
-    else:
-        code, out, err = run_cli(argv, capsys)
-        err = json.loads(err)["error"]
-    assert (code, out) == (exit_code, "")
+    code, out, err = _exit_of(argv, capsys)
+    assert (code, out) == (64, "")
     assert named in err

@@ -10,8 +10,10 @@ lists the same sequences breadth-first, which is level order.
 walker.
 """
 import functools
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +441,23 @@ def test_survey_gathers_no_kin_parent(monkeypatch):
                  [Channel(ComplexityKind.INTERFERENCE, 0, 1)], 3)
     assert (res.nodes, res.scored) == (26131, 9324)
     assert sum(gathered) == 552
+
+
+def test_survey_frees_its_arrays_without_the_garbage_collector():
+    """Nothing a survey allocates outlives it in a reference cycle: its bra
+    rows alone, 78 gates x 2 columns x 64 amplitudes, take 160 KB at n=6."""
+    states = [haar_random_state(6, s).amplitudes for s in (1, 2)]
+    channels = [Channel(ComplexityKind.INTERFERENCE, 0, 1)]
+    survey(states, 6, channels, 2)  # builds the alphabet's cached tables
+    gc.disable()
+    tracemalloc.start()
+    try:
+        survey(states, 6, channels, 2)
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 16 * 1024
 
 
 def depth_first_gap(d, circuit_budget, phase_points):
