@@ -439,16 +439,18 @@ def build_parser() -> _Parser:
 
 
 def _unread(args) -> set[str]:
-    """The options that this command line does not read."""
+    """The options that this command line does not read: evolve reads only
+    --mode, --output and EVOLVE_READS[--mode]."""
     if args.command == "evolve":
-        return ({dest for reads in EVOLVE_READS.values() for dest in reads}
-                - set(EVOLVE_READS[args.mode]))
+        return set(args.defaults) - {"mode", "output",
+                                     *EVOLVE_READS[args.mode]}
     if args.command == "qec":
         return ({"m1", "m2", "errors"} if args.code is None
                 else {"m2"} if args.code == "repetition" else set())
-    if args.command == "estimate":
-        return ({"a_file", "b_file"} if args.example is not None
-                else set(FIXTURE_OPTIONS) - {"seed"})
+    if args.command == "estimate" and args.example is not None:
+        return {"a_file", "b_file"}
+    if args.command == "estimate" and (args.a_file or args.b_file):
+        return set(FIXTURE_OPTIONS) - {"seed"}
     return set()
 
 

@@ -440,21 +440,19 @@ def walk_frontiers(block: np.ndarray, n_qubits: int, max_len: int,
     yielded and returns the children (m, gates) not to grow (survey's kin
     parents), or np.False_ for none."""
     walk = _enumeration(n_qubits)
-
-    # visit is passed down, not closed over: below refers to itself, and
-    # only the cyclic garbage collector frees what that cycle holds. It runs
-    # after the yield, once the caller's loop has let go of the last frontier
-    def below(f: Frontier, level: int, visit):
+    zero, none = np.zeros(1, dtype=int), np.array([len(walk.gates)])
+    # the frontiers still to walk on each level, the block's level 0 first
+    levels = [iter([Frontier(block[:, None, :], zero, zero, none, zero, zero,
+                             none)] if limit > 0 else [])]
+    while levels:
+        level, f = len(levels) - 1, next(levels[-1], None)
+        if f is None:
+            levels.pop()
+            continue
         yield level, f
         skip = visit(f, level)
         if level < max_len:
-            for child in walk.grow(f, level, limit, skip):
-                yield from below(child, level + 1, visit)
-
-    if limit > 0:
-        zero, none = np.zeros(1, dtype=int), np.array([len(walk.gates)])
-        yield from below(Frontier(block[:, None, :], zero, zero, none, zero,
-                                  zero, none), 0, visit)
+            levels.append(walk.grow(f, level, limit, skip))
 
 
 def sequence_count(n_qubits: int, max_len: int) -> int:

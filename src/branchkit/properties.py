@@ -37,8 +37,9 @@ K_D = ComplexityKind.DISTINGUISHABILITY
 K_I = ComplexityKind.INTERFERENCE
 # the weights p of the merged component in the merge-bound checks
 MERGE_P = (0.5, 0.3)
-# the most sequences one suite may plan; the README's 100 pairs (152 walks of
-# 901) plan 136,952, and 50 pairs and 50 triples at n=3, L=3 plan 2,665,362
+# the most sequences one suite may plan; the README's 100 pairs (150 walks of
+# 901 and cat walks of 325 and 901) plan 136,376, and 50 pairs and 50 triples
+# at n=3, L=3 plan 2,644,758
 MAX_PLANNED = 10**8
 
 
@@ -240,14 +241,17 @@ def run_property_suite(n: int, instances: int, seed: int,
     merge/three-branch bounds on random triples, and the irreversibility
     comparison on the standard cat-state instances. The triple suite runs
     first: it alone reads epsilon, and the suites are seeded apart. A suite
-    that plans more than MAX_PLANNED sequences, (instances + triples + 2)
-    walks, is refused before the first walk."""
+    that plans more than MAX_PLANNED sequences, in its instances + triples
+    n-qubit walks and the 2- and 3-qubit cat walks, is refused before the
+    first walk."""
     _require_width(n, "run_property_suite")
     _, count = node_limit(n, max_len, None, None)
+    cats = sum(node_limit(m, max_len, None, None)[1] for m in (2, 3))
     triple_count = max(1, instances // 2) if triples is None else triples
-    planned = (max(instances, 0) + max(triple_count, 0) + 2) * count
+    walks = max(instances, 0) + max(triple_count, 0)
+    planned = walks * count + cats
     if planned > MAX_PLANNED:
-        room = MAX_PLANNED // count - 2  # pair and triple walks
+        room = (MAX_PLANNED - cats) // count  # pair and triple walks
         if triples is None:  # the most i with i + max(1, i // 2) <= room
             name, most = "instances", min((2 * room + 1) // 3, room - 1)
         elif triples <= room:
@@ -257,7 +261,7 @@ def run_property_suite(n: int, instances: int, seed: int,
         way = f"set {name} to at most {most:,} or " if most >= 0 else ""
         raise ValueError(
             f"the suite plans {planned:,} sequences, {count:,} in each of "
-            f"{planned // count:,} walks, above MAX_PLANNED = "
+            f"{walks:,} pair and triple walks, above MAX_PLANNED = "
             f"{MAX_PLANNED:,}; {way}lower the sequence-length cap")
     triple_rep = run_triple_properties(n, triple_count, seed, epsilon,
                                        max_len=max_len)

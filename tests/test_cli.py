@@ -407,6 +407,8 @@ class TestOptionsAreRead:
         unread = [cli._unread(parser.parse_args([command, *line.split()]))
                   for line in self.SELECTIONS[command]]
         assert all(u <= options for u in unread)
+        # an option no selection reads, such as an evolve option that
+        # EVOLVE_READS leaves out, is unread under every one
         assert set.intersection(*unread) == set()
 
     def test_every_option_is_read(self):
@@ -430,14 +432,15 @@ class TestContradictoryInputs:
         assert exc.value.code == 64
 
     # a file given with --example is not read (usage error); one file
-    # alone is not enough (validation failure)
+    # alone, or no input at all, is not enough (validation failure)
     @pytest.mark.parametrize("inputs, exit_code, named", [
         pytest.param(inputs, code, named, id=inputs) for inputs, code, named in (
             ("--example ghz --n 2 --a-file A", 64, "--a-file"),
             ("--example ghz --n 2 --b-file B", 64, "--b-file"),
             ("--example ghz --n 2 --a-file A --b-file B", 64,
              "--a-file, --b-file"),
-            ("--a-file A", 2, "--a-file"))])
+            ("--a-file A", 2, "--a-file"),
+            ("--n 7", 2, "--example"))])
     def test_estimate_mixed_inputs_rejected(self, inputs, exit_code, named,
                                             capsys, tmp_path):
         paths = _write_pair(tmp_path)
@@ -588,12 +591,15 @@ def test_negative_count_fails_validation(argv, name, capsys):
     ("estimate --kind interference --example ghz --n 8 --budget 5",
      "node_budget"),
     ("gap --example ghz --n 6 --budget 4", "sequence-length cap"),
-    # (10^9 + 5 * 10^8 + 2) * 901 and (1 + 10^9 + 2) * 901 planned sequences
+    # (10^9 + 5 * 10^8) * 901 + 1,226 and (1 + 10^9) * 901 + 1,226 planned
+    # sequences, the 1,226 in the 2- and 3-qubit cat walks
     ("props --n 3 --seed 1 --instances 1000000000", "MAX_PLANNED"),
     ("props --n 3 --seed 1 --instances 1 --triples 1000000000", "MAX_PLANNED"),
     ("props --n 3 --seed 1 --budget 3 --instances 5000", "MAX_PLANNED"),
     # 21,976,231 sequences in one walk: props has no node budget to offer
     ("props --n 3 --seed 1 --budget 5 --instances 1", "MAX_WALK"),
+    # the 2-qubit walks fit, the 3-qubit cat walk does not
+    ("props --n 2 --seed 1 --budget 5 --instances 1 --triples 0", "MAX_WALK"),
 ])
 def test_planned_work_above_the_cap_fails_validation(argv, cut, capsys):
     start = time.perf_counter()

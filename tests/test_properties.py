@@ -1,5 +1,6 @@
 """The inequality property harness on small random ensembles."""
 import dataclasses
+import re
 from unittest import mock
 
 import numpy as np
@@ -88,6 +89,38 @@ class TestFullSuite:
             assert key in counts
             if key != "cd_ceiling":
                 assert counts[key] == 0, key
+
+    @pytest.mark.parametrize("room, instances, triples", [
+        (7, 100, None), (2, 100, None), (1, 100, None), (0, 100, None),
+        (7, 100, 3), (7, 1, 100)])
+    def test_refusal_offers_the_most_that_fits(self, room, instances,
+                                               triples, monkeypatch):
+        """A suite with room for `room` pair and triple walks under
+        MAX_PLANNED offers the most instances (or triples) that fit: that
+        many pass the check and one more is refused."""
+        count = complexity.sequence_count(3, 1)
+        cats = complexity.sequence_count(2, 1) + count
+        monkeypatch.setattr(properties, "MAX_PLANNED",
+                            cats + room * count + count // 2)
+
+        class Planned(Exception):
+            pass
+
+        def planned(*args, **kwargs):
+            raise Planned
+
+        monkeypatch.setattr(properties, "run_triple_properties", planned)
+        with pytest.raises(ValueError, match="MAX_PLANNED") as exc:
+            run_property_suite(3, instances, 1, 1, triples)
+        offer = re.search(r"set (\w+) to at most ([\d,]+)", str(exc.value))
+        name, most = offer.groups() if offer else ("instances", "-1")
+        settings = {"instances": instances, "triples": triples}
+        for value, fits in ((int(most.replace(",", "")), True),
+                            (int(most.replace(",", "")) + 1, False)):
+            settings[name] = value
+            if value >= 0:
+                with pytest.raises(Planned if fits else ValueError):
+                    run_property_suite(3, seed=1, max_len=1, **settings)
 
 
 def _logging(part, log):
