@@ -3,7 +3,7 @@
 Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
 gap; each takes --output. estimate, verdict and evolve --mode track also
 take --budget, --node-budget and --strict; props and gap take --budget only.
-An option that its command line would not read (_unread) is a usage error.
+READS lists the options each command line reads: any other is a usage error.
 Everything stochastic takes an explicit --seed; identical command lines
 produce byte-identical output. Exit codes: 0 success, 2 validation failure
 (structured JSON on stderr), 3 budget truncation under --strict (estimate,
@@ -80,16 +80,10 @@ def _add_budget(p: argparse.ArgumentParser, truncating: bool = True):
                        help="exit 3 when any result is budget-truncated")
 
 
-FIXTURE_OPTIONS = ("example", "n", "seed", "alpha", "beta", "d1", "d2", "m1",
-                   "m2", "depth", "basis")
-
-
 def _add_fixture_args(p: argparse.ArgumentParser, required: bool = True):
-    """The FIXTURE_OPTIONS that build_fixture reads."""
+    """--example, a worked example of READS, and the options they read."""
     p.add_argument("--example", required=required,
-                   choices=("ghz", "product-random", "two-random", "parity",
-                            "distinguishing", "tensor-separable",
-                            "tensor-entangled"))
+                   choices=tuple(s for c, s in READS if c == "example"))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--alpha", type=float, default=1 / math.sqrt(2))
@@ -103,40 +97,52 @@ def _add_fixture_args(p: argparse.ArgumentParser, required: bool = True):
                    default="computational")
 
 
-def _need_seed(args, name):
-    if args.seed is None:
-        raise ValueError(f"--seed is required for the stochastic example {name!r}")
-    return args.seed
+# What each command line reads, keyed by (command, selection); see _unread.
+# A worked example, the selection of `example`, maps to the fixture options
+# it reads and to its constructor, called with them by build_fixture; every
+# command that builds it reads the same. An evolve --mode, qec --code or
+# estimate input maps to the options it reads; (command, None) applies to all.
+READS = {
+    ("example", "ghz"): (("n", "alpha", "beta"), fx.ghz),
+    ("example", "product-random"): (("n", "alpha", "beta", "seed"),
+                                    fx.product_plus_random),
+    ("example", "two-random"): (("n", "d1", "d2", "seed"),
+                                fx.two_random_circuits),
+    ("example", "parity"): (("m1", "m2"), lambda m1, m2:
+                            fx.parity_codewords(m1, m2).fixture),
+    ("example", "distinguishing"): (
+        ("n", "depth", "seed", "basis"),
+        lambda n, depth, seed, basis: fx.distinguishing_qubit_state(
+            *fx.deep_random_registers(n - 1, depth, seed), basis)),
+    ("example", "tensor-separable"): (("n", "seed"), lambda n, seed:
+                                      fx.tensor_branches(
+        "separable", (QuantumState.basis(1, 0), QuantumState.basis(1, 1)),
+        haar_random_state(n - 1, seed))),
+    ("example", "tensor-entangled"): (("n", "seed"), lambda n, seed:
+                                      fx.tensor_branches(
+        "entangled", (QuantumState.basis(1, 0), QuantumState.basis(1, 1)),
+        (haar_random_state(n - 1, seed), haar_random_state(n - 1, seed + 1)))),
+    ("estimate", None): (("seed",), None),  # --seed seeds the search
+    ("estimate", "file"): (("a_file", "b_file"), None),
+    ("verdict", None): (("seed",), None),
+    ("evolve", "track"): (("example", "seed", "t_grid", "hamiltonian",
+                           "budget", "node_budget", "strict"), None),
+    ("evolve", "freeze"): (("n", "seed", "t_grid"), None),
+    ("evolve", "eth"): (("sizes", "window"), None),
+    ("qec", "repetition"): (("m1", "errors"), None),
+    ("qec", "parity"): (("m1", "m2", "errors"), None),
+    ("qec", "file"): ((), None),
+}
 
 
 def build_fixture(args) -> fx.ExampleFixture:
-    name = args.example
-    if name == "ghz":
-        return fx.ghz(args.n, args.alpha, args.beta)
-    if name == "product-random":
-        return fx.product_plus_random(args.n, args.alpha, args.beta,
-                                      _need_seed(args, name))
-    if name == "two-random":
-        return fx.two_random_circuits(args.n, args.d1, args.d2,
-                                      _need_seed(args, name))
-    if name == "parity":
-        return fx.parity_codewords(args.m1, args.m2).fixture
-    if name not in ("distinguishing", "tensor-separable", "tensor-entangled"):
-        raise ValueError(f"unknown example {name!r}")
-    # these constructors take states drawn here, so the seed is recorded here
-    seed = _need_seed(args, name)
-    left = (QuantumState.basis(1, 0), QuantumState.basis(1, 1))
-    if name == "distinguishing":
-        e0, e1 = fx.deep_random_registers(args.n - 1, args.depth, seed)
-        fixture = fx.distinguishing_qubit_state(e0, e1, args.basis)
-    elif name == "tensor-separable":
-        fixture = fx.tensor_branches(
-            "separable", left, haar_random_state(args.n - 1, seed))
-    else:
-        fixture = fx.tensor_branches("entangled", left, (
-            haar_random_state(args.n - 1, seed),
-            haar_random_state(args.n - 1, seed + 1)))
-    return replace(fixture, seed=seed)
+    """The worked example --example; a seeded one needs --seed and keeps it."""
+    reads, build = READS["example", args.example]
+    if "seed" in reads and args.seed is None:
+        raise ValueError(f"--seed is required for the stochastic example "
+                         f"{args.example!r}")
+    fixture = build(**{dest: getattr(args, dest) for dest in reads})
+    return replace(fixture, seed=args.seed) if "seed" in reads else fixture
 
 
 def _emit(args, text: str):
@@ -159,8 +165,7 @@ def _read_json(path: str, parse):
 
 
 def cmd_example(args) -> int:
-    fixture = build_fixture(args)
-    _emit(args, ser.dumps(ser.to_json(fixture)))
+    _emit(args, ser.dumps(ser.to_json(build_fixture(args))))
     return 0
 
 
@@ -276,15 +281,6 @@ def cmd_flow(args) -> int:
     return 0
 
 
-# The options each evolve mode reads (see _unread).
-EVOLVE_READS = {
-    "track": ("t_grid", "hamiltonian", "budget", "node_budget", "strict",
-              *FIXTURE_OPTIONS),
-    "freeze": ("t_grid", "n", "seed"),
-    "eth": ("sizes", "window"),
-}
-
-
 def cmd_evolve(args) -> int:
     if args.mode == "track":
         if args.example is None:
@@ -312,15 +308,12 @@ def cmd_evolve(args) -> int:
                                     _comma_list("t_grid", args.t_grid, float))
         _emit(args, ser.dumps(ser.to_json(rep)))
         return 0
-    if args.mode == "eth":
-        sweep = eth_size_sweep(
-            [mixed_field_ising(n)
-             for n in _comma_list("sizes", args.sizes, int)],
-            lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
-            args.window)
-        _emit(args, ser.dumps(ser.document(sweep=sweep.reports)))
-        return 0
-    raise ValueError(f"unknown mode {args.mode!r}")
+    sweep = eth_size_sweep(  # --mode eth
+        [mixed_field_ising(n) for n in _comma_list("sizes", args.sizes, int)],
+        lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
+        args.window)
+    _emit(args, ser.dumps(ser.document(sweep=sweep.reports)))
+    return 0
 
 
 def cmd_props(args) -> int:
@@ -402,7 +395,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("evolve", help="track, freeze, or eigenstate sweeps")
-    p.add_argument("--mode", choices=tuple(EVOLVE_READS), required=True)
+    p.add_argument("--mode", required=True,
+                   choices=tuple(s for c, s in READS if c == "evolve"))
     p.add_argument("--t-grid", default="0,1,2")
     p.add_argument("--hamiltonian", choices=("ising", "xxz"), default="ising",
                    help="evolving Hamiltonian")
@@ -439,19 +433,21 @@ def build_parser() -> _Parser:
 
 
 def _unread(args) -> set[str]:
-    """The options that this command line does not read: evolve reads only
-    --mode, --output and EVOLVE_READS[--mode]."""
-    if args.command == "evolve":
-        return set(args.defaults) - {"mode", "output",
-                                     *EVOLVE_READS[args.mode]}
-    if args.command == "qec":
-        return ({"m1", "m2", "errors"} if args.code is None
-                else {"m2"} if args.code == "repetition" else set())
-    if args.command == "estimate" and args.example is not None:
-        return {"a_file", "b_file"}
-    if args.command == "estimate" and (args.a_file or args.b_file):
-        return set(FIXTURE_OPTIONS) - {"seed"}
-    return set()
+    """The options that READS lists for this command or an example but not
+    under (command, None), (command, selection) or its --example: the --mode,
+    --code or --example given, else "file" for an input file. Without one
+    (estimate without input) nothing is unread."""
+    given = [getattr(args, dest, None) for dest in ("mode", "code", "example")]
+    files = any(v for d, v in vars(args).items() if d.endswith("file"))
+    selection = next((g for g in given if g), "file" if files else None)
+    if selection is None:
+        return set()
+    picked = {(args.command, None), (args.command, selection),
+              ("example", given[2])}
+    listed = {dest for (c, _), (reads, _) in READS.items()
+              if c in (args.command, "example") for dest in reads
+              if dest in args.defaults}
+    return listed.difference(*(READS[key][0] for key in picked & READS.keys()))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -84,6 +84,9 @@ def _circuit_pair(n: int, d0: int, d1: int, seed: int):
 
 
 def _weights_ok(alpha: complex, beta: complex):
+    for name, weight in (("alpha", alpha), ("beta", beta)):
+        if not abs(weight) <= 1 + 1e-10:  # NaN fails too; squares stay finite
+            raise ValueError(f"|{name}| must be finite, at most 1: {weight}")
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("|alpha|^2 + |beta|^2 must equal 1")
     if abs(alpha) < 1e-12 or abs(beta) < 1e-12:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subparsers() -> dict:
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+EXAMPLE_NAMES = next(a for a in _subparsers()["example"]._actions
+                     if a.dest == "example").choices
 
 
 class TestSerialization:
@@ -375,7 +386,9 @@ class TestOptionsAreRead:
     @staticmethod
     def _source_read_by(func) -> str:
         """Source of a cmd_* function and of every cli helper it calls,
-        transitively."""
+        transitively. build_fixture calls each example constructor of
+        cli.READS with keyword arguments args.<name>, one per parameter name,
+        so those reads are added as `args.<name>` text."""
         helpers = {name: fn for name, fn in vars(cli).items()
                    if inspect.isfunction(fn) and fn.__module__ == cli.__name__}
         seen = {func.__name__}
@@ -387,36 +400,42 @@ class TestOptionsAreRead:
                 if name not in seen and f"{name}(" in src:
                     seen.add(name)
                     todo.append(fn)
+        if "build_fixture" in seen:
+            text += "".join(f" args.{name}"
+                            for (c, _), (_, build) in cli.READS.items()
+                            if c == "example"
+                            for name in inspect.signature(build).parameters)
         return text
 
-    # every selection of a command whose command line leaves options unread
+    # every selection of a command whose command line leaves options unread,
+    # each example among them
     SELECTIONS = {
-        "evolve": ("--mode track", "--mode freeze", "--mode eth"),
+        "example": tuple(f"--example {x}" for x in EXAMPLE_NAMES),
+        "gap": tuple(f"--example {x}" for x in EXAMPLE_NAMES),
+        "verdict": tuple(f"--example {x}" for x in EXAMPLE_NAMES),
+        "evolve": ("--mode freeze", "--mode eth", "--mode track",
+                   *(f"--mode track --example {x}" for x in EXAMPLE_NAMES)),
         "qec": ("--code repetition", "--code parity", "--code-file F"),
-        "estimate": ("--kind relative --example ghz",
-                     "--kind relative --a-file A --b-file B"),
+        "estimate": ("--kind relative --a-file A --b-file B",
+                     *(f"--kind relative --example {x}"
+                       for x in EXAMPLE_NAMES)),
     }
 
     @pytest.mark.parametrize("command", SELECTIONS)
     def test_every_option_is_read_under_some_selection(self, command):
         parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        options = {a.dest for a in sub.choices[command]._actions
+        options = {a.dest for a in _subparsers()[command]._actions
                    if a.option_strings} - {"help"}
         unread = [cli._unread(parser.parse_args([command, *line.split()]))
                   for line in self.SELECTIONS[command]]
         assert all(u <= options for u in unread)
-        # an option no selection reads, such as an evolve option that
-        # EVOLVE_READS leaves out, is unread under every one
+        # an option no selection reads, such as an evolve option that no
+        # entry of cli.READS lists, is unread under every one
         assert set.intersection(*unread) == set()
 
     def test_every_option_is_read(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
         unread = []
-        for command, sp in sub.choices.items():
+        for command, sp in _subparsers().items():
             text = self._source_read_by(sp.get_default("func"))
             unread += [f"{command} {a.option_strings[0]}" for a in sp._actions
                        if not isinstance(a, argparse._HelpAction)
@@ -450,8 +469,12 @@ class TestContradictoryInputs:
         assert (code, out) == (exit_code, "")
         assert named in err
 
-    # options the selected code or input would not read
+    # options the selected code, input or example would not read
     @pytest.mark.parametrize("options, named", [
+        ("example --example ghz --n 3 --d1 9 --m1 4 --depth 7",
+         "--d1, --m1, --depth"),
+        ("example --example parity --m1 2 --m2 1 --n 4", "--n"),
+        ("gap --example ghz --n 3 --seed 2", "--seed"),
         ("qec --code-file F --m1 5", "--m1"),
         ("qec --code-file F --m2 7", "--m2"),
         ("qec --code repetition --m1 3 --m2 4", "--m2"),
@@ -742,3 +765,52 @@ def test_qec_refuses_options_it_would_ignore(options, named, capsys,
     code, out, err = _exit_of(argv, capsys)
     assert (code, out) == (64, "")
     assert named in err
+
+
+class _Recording(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __getattribute__(self, name):
+        vars_ = object.__getattribute__(self, "__dict__")
+        vars_.setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("example", EXAMPLE_NAMES)
+def test_reads_table_lists_the_options_each_constructor_reads(example):
+    parser = _subparsers()["example"]
+    defaults = parser.parse_args(["--example", example]).defaults
+    args = _Recording(**defaults)
+    args.example, args.seed = example, 3
+    cli.build_fixture(args)
+    options = set(defaults) - {"example", "output"}
+    assert vars(args)["_read"] & options == set(
+        cli.READS["example", example][0])
+
+
+def test_readme_lists_the_options_each_example_reads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z][a-z-]*)` \| (.*) \|$", readme,
+                      re.MULTILINE)
+    assert {name: tuple(re.findall(r"`--([a-z0-9-]+)`", reads))
+            for name, reads in rows} == {
+        name: reads for (command, name), (reads, _) in cli.READS.items()
+        if command == "example"}
+
+
+# a weight past the unit modulus, infinite or NaN fails validation naming
+# the weight, and before it is squared (1e308 ** 2 overflows a float)
+@pytest.mark.parametrize("value", ["1e308", "inf", "nan"])
+@pytest.mark.parametrize("option", ["--alpha", "--beta"])
+@pytest.mark.parametrize("line", [
+    "example --example ghz --n 3",
+    "verdict --example ghz --n 3 --seed 1",
+    "estimate --kind interference --example ghz --n 2 --delta 0.9",
+    "evolve --mode track --example product-random --n 3 --seed 1 --t-grid 0",
+], ids=["example", "verdict", "estimate", "evolve-track"])
+def test_weight_off_the_unit_disc_fails_validation(line, option, value,
+                                                   capsys):
+    code, out, err = run_cli([*line.split(), option, value], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (f"|{option[2:]}| must be finite, "
+                                        f"at most 1: {float(value)}")

@@ -83,8 +83,9 @@ def test_worked_example_stdout(sha, size, command, capsys):
 @pytest.mark.parametrize("sha,size,command", VERDICT_DIGESTS,
                          ids=[d[2] for d in VERDICT_DIGESTS])
 def test_verdict_stdout(sha, size, command, capsys):
-    """The verdict of every worked example at --n 4 --seed 1, and a track
-    run, pinned by the SHA-256 and byte count of their stdout."""
+    """The verdict of every worked example at --seed 1 (and --n 4 where the
+    example reads it), and a track run, pinned by the SHA-256 and byte count
+    of their stdout."""
     assert_stdout_digest(sha, size, command, capsys)
 
 

@@ -8,7 +8,9 @@ reads the source, not the running objects: it collects every function of
 parameters each call passes. A value forwarded from a defaulted parameter of
 the calling function counts only if that parameter is itself set somewhere.
 A function that nothing calls is dead code rather than a setting, and is not
-checked here.
+checked here. A (parameter names, function) pair, such as an example of
+`cli.READS`, counts as a call that passes those parameters, for
+`cli.build_fixture` calls the function with them by keyword.
 """
 import ast
 import itertools
@@ -78,12 +80,34 @@ def _calls(signatures):
                          *((kw.arg, kw.value) for kw in node.keywords)]
                 out.extend((name, param, _forwarded(value, caller))
                            for param, value in given if param in defaulted)
+        names = _named_call(node)
+        if names:
+            name, params = names
+            if name in signatures:
+                called.add(name)
+            out.extend((name, param, None) for _, _, defaulted
+                       in signatures.get(name, ()) for param in params
+                       if param in defaulted)
         for child in ast.iter_child_nodes(node):
             visit(child, caller)
 
     for path in CALLERS:
         visit(ast.parse(path.read_text()), None)
     return called, out
+
+
+def _named_call(node):
+    """(function name, parameter names) of a (parameter names, function)
+    pair, or None."""
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Tuple)):
+        return None
+    params = [getattr(e, "value", None) for e in node.elts[0].elts]
+    fn = node.elts[1]
+    name = getattr(fn, "id", None) or getattr(fn, "attr", None)
+    if name and all(isinstance(p, str) for p in params):
+        return name, params
+    return None
 
 
 def _forwarded(value, caller):
