@@ -210,16 +210,20 @@ class BranchVerdict:
     robustness_lambda: float
 
 
-def _branch_quality(ci_lower: int, cd_upper: int, good_threshold: int,
-                    lam: float) -> tuple[bool, bool]:
-    """(good, robust): good when the margin ci - cd reaches good_threshold,
-    robust when it is good and ci > exp(lam * cd); an exp(lam * cd) past
-    the float range leaves it not robust."""
-    good = ci_lower - cd_upper >= good_threshold
+def grade(ci_lower: int | None, cd_upper: int | None, good_threshold: int,
+          lam: float) -> str:
+    """The class of a pair from its bounds: Inconclusive when either bound
+    is missing, NotBranch when the margin ci - cd misses good_threshold,
+    Robust when ci > exp(lam * cd) as well, Good otherwise (also when
+    exp(lam * cd) is past the float range)."""
+    if ci_lower is None or cd_upper is None:
+        return "Inconclusive"
+    if ci_lower - cd_upper < good_threshold:
+        return "NotBranch"
     try:
-        return good, good and ci_lower > math.exp(lam * cd_upper)
+        return "Robust" if ci_lower > math.exp(lam * cd_upper) else "Good"
     except OverflowError:
-        return good, False
+        return "Good"
 
 
 def _require_threshold(good_threshold: int) -> None:
@@ -227,20 +231,6 @@ def _require_threshold(good_threshold: int) -> None:
     a negative one, a good branch."""
     if good_threshold < 1:
         raise ValueError(f"good_threshold must be >= 1, got {good_threshold}")
-
-
-def _classify(ci: ComplexityEstimate, cd: ComplexityEstimate,
-              good_threshold: int, lam: float) -> tuple[str, int | None]:
-    if cd.upper_bound is None or (ci.truncated and ci.lower_bound == 0):
-        return "Inconclusive", None
-    margin = ci.lower_bound - cd.upper_bound
-    good, robust = _branch_quality(ci.lower_bound, cd.upper_bound,
-                                   good_threshold, lam)
-    if robust:
-        return "Robust", margin
-    if good:
-        return "Good", margin
-    return "NotBranch", margin
 
 
 def resolve_lambda(robustness_lambda: float | None = None,
@@ -290,15 +280,19 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
     for i, j in itertools.combinations(range(len(d.components)), 2):
         ci, cd = estimate_pair(d.components[i][1], d.components[j][1],
                                targets, config, candidates)
-        classification, margin = _classify(ci, cd, good_threshold, lam)
+        # a truncated walk whose ci lower bound fell to 0 certifies nothing
+        ci_lower = (None if ci.truncated and ci.lower_bound == 0
+                    else ci.lower_bound)
+        classification = grade(ci_lower, cd.upper_bound, good_threshold, lam)
+        margin = None
+        if ci_lower is not None and cd.upper_bound is not None:
+            margin = ci_lower - cd.upper_bound
         witness_margin = None
         if ci.upper_bound is not None and cd.upper_bound is not None:
             witness_margin = ci.upper_bound - cd.upper_bound
         ratio = None
         if cd.upper_bound and margin is not None:
             ratio = ci.lower_bound / cd.upper_bound
-        if classification in ("Good", "Robust"):
-            assert margin is not None and margin >= good_threshold
         pairs.append(PairAssessment(i, j, ci, cd, margin, witness_margin,
                                     ratio, classification))
 
@@ -585,11 +579,8 @@ class IrreversibilityReport:
 
     def status_at(self, delta: float) -> str:
         stats = {e.status for e in self.entries if abs(e.delta - delta) < 1e-12}
-        if "violated" in stats:
-            return "violated"
-        if "inconclusive" in stats:
-            return "inconclusive"
-        return "ok"
+        return min(stats, key=("violated", "inconclusive", "ok").index,
+                   default="ok")
 
 
 def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import _branch_quality, _require_threshold, resolve_lambda
+from .branches import _require_threshold, grade, resolve_lambda
 from .qsim import (QuantumState, _require_orthogonal, _require_pauli,
                    apply_pauli_string)
 
@@ -230,20 +230,14 @@ def exact_binomial_tail_rate(model: SurfaceCodeModel) -> float:
 def classify_region(ci_lower: int, cd_upper: int, code_floor_threshold: int,
                     good_threshold: int, robustness_lambda: float) -> str:
     """Place a (interference, distinguishability) cost pair on the map of
-    code-like versus branch-like regimes. The branch grades are those of
-    `assess_branches`: a robust branch is a good branch first."""
+    code-like versus branch-like regimes. The branch side is graded by
+    `branches.grade`, as in `assess_branches`."""
     if min(ci_lower, cd_upper) < 0:
         raise ValueError("complexity bounds must be nonnegative")
     _require_threshold(good_threshold)
     is_code = min(ci_lower, cd_upper) >= code_floor_threshold
-    is_branch, is_robust = _branch_quality(ci_lower, cd_upper, good_threshold,
-                                           resolve_lambda(robustness_lambda))
-    if is_code and is_branch:
-        return "Both"
-    if is_robust:
-        return "RobustBranch"
-    if is_branch:
-        return "GoodBranch"
-    if is_code:
-        return "GoodCode"
-    return "Neither"
+    branch = grade(ci_lower, cd_upper, good_threshold,
+                   resolve_lambda(robustness_lambda))
+    if branch == "NotBranch":
+        return "GoodCode" if is_code else "Neither"
+    return "Both" if is_code else branch + "Branch"

@@ -204,7 +204,10 @@ def symmetry_freeze_check(a: QuantumState, b: QuantumState, h: Hamiltonian,
     grid = _time_grid(t_grid, "the freeze check")
     u_mat = u_sym.to_matrix()
     h_mat = h.to_matrix()
-    comm = float(np.linalg.norm(u_mat @ h_mat - h_mat @ u_mat, 2))
+    # ||UH - HU|| = ||H - U^dag H U|| for unitary U, and the right side is
+    # Hermitian, so its norm is its largest |eigenvalue|
+    comm = float(np.max(np.abs(np.linalg.eigvalsh(
+        h_mat - u_mat.conj().T @ h_mat @ u_mat))))
     if comm > 1e-8:
         raise ValueError(
             f"u_sym does not commute with the Hamiltonian (norm {comm:.3e})"

@@ -333,6 +333,15 @@ def test_criterion_08x_product_state_ceiling(inequality_reports):
         f"{violations}/{checked} comparisons violated (e.g. {examples})")
 
 
+def test_pin_08x_ceiling_violations(inequality_reports):
+    """What 08x measures, pinned so that a drift shows while 08x stays
+    red: 169 of the 229 ceiling comparisons are violated. A change that
+    moves the count re-records it here, with a CHANGES.md line."""
+    stats = [rep.properties["cd_ceiling"] for rep in inequality_reports]
+    assert (sum(s.violations for s in stats),
+            sum(s.checked for s in stats)) == (169, 229)
+
+
 @pytest.fixture(scope="module")
 def triple_report():
     return run_triple_properties(3, triples=50, seed=907, epsilon=0.1,
@@ -368,6 +377,14 @@ def test_criterion_09x_three_branch_compatibility(triple_report):
         "09x three-branch compatibility", ok,
         f"{rep.three_branch.checked} checks, {rep.three_branch.violations} "
         f"violations (e.g. {rep.three_branch.examples[:1]})")
+
+
+def test_pin_09x_one_violation(triple_report):
+    """What 09x measures: one violation in 50 checks, at instance 31, whose
+    margins (-3, -3, 0) miss B1 = -3, B2 = -1."""
+    rep = triple_report.three_branch
+    assert (rep.checked, rep.violations) == (50, 1)
+    assert rep.examples == ["inst=31: margins (-3,-3,0) vs B1=-3 B2=-1"]
 
 
 def test_criterion_10_irreversibility_exact_values():
@@ -457,3 +474,19 @@ def test_criterion_13_nonuniqueness_verdicts():
         "; ".join(f"{k}: {v[0]} (margin {v[1]}, ci_lower {v[2]}, "
                   f"cd_upper {v[3]})" for k, v in outcomes.items())
         + f" [{elapsed:.1f}s]")
+
+
+def test_pin_13_both_labelings_not_branch():
+    """What 13 measures: both labelings are NotBranch, with ci and cd both
+    exactly 1 (lower and upper bound), so the margin is 0."""
+    e0, e1 = fx.deep_random_registers(4, 4, seed=13)
+    for basis in ("computational", "conjugate"):
+        f = fx.distinguishing_qubit_state(e0, e1, basis)
+        verdict = assess_branches(
+            f.decomposition, epsilon=0.1,
+            config=EstimatorConfig(max_len=2, use_variational=False),
+            good_threshold=1, candidates=f.known_witnesses)
+        pair, = verdict.pairwise
+        assert verdict.overall == "NotBranch"
+        assert (pair.ci.lower_bound, pair.ci.upper_bound) == (1, 1)
+        assert (pair.cd.lower_bound, pair.cd.upper_bound) == (1, 1)

@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from branchkit.branches import (
     CLASS_RANK,
     BranchDecomposition,
     EstimatorConfig,
+    IrreversibilityEntry,
+    IrreversibilityReport,
     assess_branches,
     estimate_pair,
+    grade,
     irreversibility_check,
     merge_bound_check,
     resolve_lambda,
@@ -21,7 +25,9 @@ from branchkit.branches import (
     three_branch_compatibility,
     validate_decomposition,
 )
+from branchkit.codes import classify_region
 from branchkit.complexity import (
+    ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
     brute_force_estimate,
@@ -172,11 +178,7 @@ class TestAssessment:
         # six pairs of four components take every class at least once
         cycle = itertools.cycle(classes)
 
-        def classify(*args):
-            cls = next(cycle)
-            return cls, 2 if cls in ("Good", "Robust") else 0
-
-        monkeypatch.setattr(branches, "_classify", classify)
+        monkeypatch.setattr(branches, "grade", lambda *args: next(cycle))
         states = [QuantumState.basis(2, i) for i in range(4)]
         parent = QuantumState.from_vector(0.5 * sum(s.amplitudes for s in states))
         d = BranchDecomposition(parent, tuple((0.5, s) for s in states))
@@ -369,6 +371,24 @@ class TestIrreversibility:
                                     max_len=3)
         assert rep.status_at(0.1) in ("ok", "violated", "inconclusive")
 
+    @pytest.mark.parametrize("found", [
+        c for r in range(4)
+        for c in itertools.combinations(("violated", "inconclusive", "ok"), r)])
+    def test_status_at_is_the_worst_status(self, found):
+        """The rank order gives the if-chain it replaced on every set of
+        statuses at one accuracy, the empty set included; a status at
+        another accuracy does not count."""
+        def if_chain(stats):
+            if "violated" in stats:
+                return "violated"
+            return "inconclusive" if "inconclusive" in stats else "ok"
+
+        entries = [IrreversibilityEntry((0, 1), 0.9, 1, 1, 0, status)
+                   for status in found]
+        entries.append(IrreversibilityEntry((0, 1), 0.1, 1, 0, 0, "violated"))
+        rep = IrreversibilityReport(tuple(entries))
+        assert rep.status_at(0.9) == if_chain(set(found))
+
     def test_preparation_cost_added(self):
         f = fx.ghz(2)
         rep = irreversibility_check(QuantumState.zero(2), f.decomposition,
@@ -447,3 +467,68 @@ def test_two_targets_equal_two_single_target_calls(question):
     for target, est in zip(targets, both):
         alone, = estimate_pair(a, b, (target,), config, candidates)
         assert_same_estimate(est, alone)
+
+
+def reference_quality(ci_lower, cd_upper, threshold, lam):
+    """(good, robust) as graded before branches.grade: good when the margin
+    reaches the threshold, robust when good and ci > exp(lam * cd), and
+    not robust when exp(lam * cd) overflows."""
+    good = ci_lower - cd_upper >= threshold
+    try:
+        return good, good and ci_lower > math.exp(lam * cd_upper)
+    except OverflowError:
+        return good, False
+
+
+def reference_class(ci_lower, ci_truncated, cd_upper, threshold, lam):
+    """A pair's (class, margin) as graded before branches.grade."""
+    if cd_upper is None or (ci_truncated and ci_lower == 0):
+        return "Inconclusive", None
+    good, robust = reference_quality(ci_lower, cd_upper, threshold, lam)
+    return ("Robust" if robust else "Good" if good else "NotBranch",
+            ci_lower - cd_upper)
+
+
+def reference_region(ci_lower, cd_upper, floor, threshold, lam):
+    """classify_region's map as graded before branches.grade."""
+    is_code = min(ci_lower, cd_upper) >= floor
+    good, robust = reference_quality(ci_lower, cd_upper, threshold, lam)
+    if is_code and good:
+        return "Both"
+    if robust:
+        return "RobustBranch"
+    if good:
+        return "GoodBranch"
+    return "GoodCode" if is_code else "Neither"
+
+
+BOUNDS = st.none() | st.integers(0, 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ci=BOUNDS, cd=BOUNDS, truncated=st.booleans(),
+       threshold=st.integers(1, 4), lam=st.floats(0, 1000, exclude_min=True),
+       floor=st.integers(0, 8))
+def test_grade_matches_the_two_function_rule(ci, cd, truncated, threshold,
+                                             lam, floor):
+    """grade, classify_region and assess_branches' pair class and margin
+    agree with the rule grade replaced. A ci of None stands for a truncated
+    walk whose lower bound fell to 0; exp(lam * cd) overflows for lam up to
+    1000."""
+    ci_lower, ci_truncated = (0, True) if ci is None else (ci, truncated)
+    assert grade(ci, cd, threshold, lam) == reference_class(
+        ci_lower, ci is None, cd, threshold, lam)[0]
+
+    ci_est = ComplexityEstimate(K_I, 0.1, ci_lower, "", None, None, None,
+                                "test", truncated=ci_truncated)
+    cd_est = ComplexityEstimate(K_D, 0.9, 0, "", cd, None, None, "test")
+    with mock.patch.object(branches, "estimate_pair",
+                           lambda *args: (ci_est, cd_est)):
+        pair, = assess_branches(cat_decomposition(2), good_threshold=threshold,
+                                robustness_lambda=lam).pairwise
+    assert (pair.classification, pair.margin) == reference_class(
+        ci_lower, ci_truncated, cd, threshold, lam)
+
+    if ci is not None and cd is not None:
+        assert (classify_region(ci, cd, floor, threshold, lam)
+                == reference_region(ci, cd, floor, threshold, lam))

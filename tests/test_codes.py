@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchkit.branches import _classify
+from branchkit.branches import grade
 from branchkit.codes import (
     CodeSpec,
     SurfaceCodeModel,
@@ -18,7 +18,6 @@ from branchkit.codes import (
     surface_logical_rate,
 )
 from branchkit.complexity import (
-    ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
     brute_force_estimate,
@@ -267,11 +266,7 @@ class TestRegions:
         # ci > exp(cd) holds, but the margin 2 - 0 misses the good threshold
         # 3, so this is no branch: the verdict assess_branches gives
         assert classify_region(2, 0, 5, 3, 1.0) == "Neither"
-        ci = ComplexityEstimate(ComplexityKind.INTERFERENCE, 0.1, 2, "", 2,
-                                None, None, "test")
-        cd = ComplexityEstimate(ComplexityKind.DISTINGUISHABILITY, 0.9, 0, "",
-                                0, None, None, "test")
-        assert _classify(ci, cd, 3, 1.0) == ("NotBranch", 2)
+        assert grade(2, 0, 3, 1.0) == "NotBranch"
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
