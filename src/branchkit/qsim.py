@@ -258,8 +258,10 @@ class Hamiltonian:
     def __post_init__(self):
         _require_width(self.n_qubits, "Hamiltonian")
         terms = tuple((float(c), str(p)) for c, p in self.terms)
-        for _, p in terms:
+        for c, p in terms:
             _require_pauli(self.n_qubits, p)
+            if not np.isfinite(c):
+                raise ValueError(f"term {p!r} has a non-finite coefficient {c}")
         object.__setattr__(self, "terms", terms)
 
     def to_matrix(self) -> np.ndarray:
@@ -280,20 +282,60 @@ class Hamiltonian:
 
         A Hamiltonian is real when every term has an even number of Y letters
         (i^{#Y} is then +-1, so every matrix element is real). Its spectrum is
-        taken by a real-symmetric `eigh` and the eigenvectors are float64;
-        any odd-Y term makes them complex128, from a complex Hermitian `eigh`.
+        taken by real-symmetric `eigh`s and the eigenvectors are float64; any
+        odd-Y term makes them complex128, from complex Hermitian `eigh`s, one
+        per `_sectors` block. A stable sort merges the eigenvalues; with one
+        sector this is `np.linalg.eigh`, bit for bit.
         """
         cached = getattr(self, "_eig", None)
         if cached is None:
             mat = self.to_matrix()
             if all(p.count("Y") % 2 == 0 for _, p in self.terms):
                 mat = mat.real
-            vals, vecs = np.linalg.eigh(mat)
-            vals.setflags(write=False)
-            vecs.setflags(write=False)
-            cached = (vals, vecs)
+            eigs = [(s, *np.linalg.eigh(_sector_block(mat, *s))) for s in self._sectors(mat)]
+            vals = np.concatenate([w for _, w, _ in eigs])
+            order = np.argsort(vals, kind="stable")
+            columns = np.split(np.argsort(order), np.cumsum([len(w) for _, w, _ in eigs]))
+            vecs = np.zeros(mat.shape, mat.dtype)
+            for ((a, b, sign), _, v), cols in zip(eigs, columns):
+                v = v / np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
+                vecs[np.ix_(b, cols)] = sign * v
+                vecs[np.ix_(a, cols)] = v
+            cached = (vals[order], vecs)
+            for arr in cached:
+                arr.setflags(write=False)
             object.__setattr__(self, "_eig", cached)
         return cached
+
+    def _sectors(self, mat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """(a, b, sign) per sector, of basis states |a_p> where b_p = a_p, else
+        (|a_p> + sign |b_p>)/sqrt2. Popcount is conserved when each flip mask's
+        summed action, mat[x, x ^ mask], is exactly 0 wherever it moves the
+        popcount. Reversal R commutes when the reversed terms are the terms; it
+        splits a sector into (|x> + |Rx>)/sqrt2 and |x> = |Rx>, and (|x> - |Rx>)/sqrt2."""
+        n, x = self.n_qubits, np.arange(len(mat))
+        count, groups = np.bitwise_count(x), [x]
+        masks = {int("".join("01"[ch in "XY"] for ch in p), 2) for _, p in self.terms}
+        moved = [(x[count != count[x ^ m]], m) for m in masks]
+        if not any(mat[rows, rows ^ m].any() for rows, m in moved):
+            groups = [x[count == k] for k in range(n + 1)]
+        if sorted(self.terms) != sorted((c, p[::-1]) for c, p in self.terms):
+            return [(g, g, 1.0) for g in groups]
+        rev = sum(((x >> q) & 1) << (n - 1 - q) for q in range(n))
+        return [(a, rev[a], sign) for g in groups
+                for a, sign in ((g[g <= rev[g]], 1.0), (g[g < rev[g]], -1.0))
+                if len(a)]
+
+
+def _sector_block(mat: np.ndarray, a, b, sign: float) -> np.ndarray:
+    """H on one `Hamiltonian._sectors` basis. H commutes with the reversal
+    swapping a_p and b_p, so <v_p|H|v_q> = m_p m_q (<a_p|H|a_q> + sign
+    <a_p|H|b_q>), with m = 1 for a pair and 1/sqrt2 for a fixed point."""
+    block = mat[np.ix_(a, a)]
+    if (pair := a != b).any():
+        m = np.where(pair, 1.0, _SQ2)
+        block = np.outer(m, m) * (block + sign * mat[np.ix_(a, b)])
+    return block
 
 
 def _require_pauli(n_qubits: int, pauli: str) -> None:
@@ -356,6 +398,11 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
     """
     if h.n_qubits != state.n_qubits:
         raise ValueError("Hamiltonian and state sizes differ")
+    if not np.isfinite(t):
+        raise ValueError(f"evolution time t must be finite, got {t}")
+    if (method == "trotter" or steps is not None) and not (
+            isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be an int >= 1 (trotter needs it), got {steps!r}")
     if method == "exact":
         if h.n_qubits > 12:
             raise ValueError(
@@ -366,8 +413,6 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
         amps = _eigvec_product(vecs, np.exp(-1j * vals * t) * coeffs)
         return QuantumState(state.n_qubits, amps)
     if method == "trotter":
-        if steps is None or steps < 1:
-            raise ValueError("trotter evolution requires steps >= 1")
         dt = t / steps
         # exp(-i theta P)|psi> = cos(theta)|psi> - i sin(theta) P|psi> for a
         # Pauli string P; each term's angle and action are built once

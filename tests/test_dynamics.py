@@ -29,6 +29,7 @@ from branchkit.qsim import (
     GateOp,
     Hamiltonian,
     QuantumState,
+    evolve,
     expectation,
 )
 
@@ -309,3 +310,10 @@ class TestChains:
         for idx in range(16):
             if bin(idx).count("1") != 2:
                 assert s.amplitudes[idx] == 0.0
+
+    def test_exact_evolution_stays_in_its_sector_exactly(self):
+        # each eigenvector of a popcount-conserving H lives on one popcount,
+        # so no rounding can leak amplitude into another sector
+        out = evolve(magnetization_sector_state(8, 3, 5), xxz_chain(8), 1.7)
+        outside = np.bitwise_count(np.arange(2**8)) != 3
+        assert np.all(out.amplitudes[outside] == 0.0)

@@ -4,7 +4,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from branchkit.complexity import _enumeration
 from branchkit.dynamics import mixed_field_ising, xxz_chain
@@ -23,6 +23,7 @@ from branchkit.qsim import (
     expectation,
     haar_random_state,
     inner_product,
+    _sector_block,
     random_circuit,
 )
 
@@ -269,6 +270,25 @@ class TestEvolution:
         with pytest.raises(ValueError):
             Hamiltonian(2, ((1.0, "ZA"),))
 
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="'XZ'.*non-finite"):
+            Hamiltonian(2, ((1.0, "ZZ"), (coeff, "XZ")))
+
+    @pytest.mark.parametrize("method,steps", [("exact", None), ("trotter", 4)])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, method, steps, t):
+        h = Hamiltonian(2, ((1.0, "ZZ"), (0.5, "XI")))
+        with pytest.raises(ValueError, match="time t must be finite"):
+            evolve(QuantumState.zero(2), h, t, method=method, steps=steps)
+
+    @pytest.mark.parametrize("method", ["exact", "trotter"])
+    @pytest.mark.parametrize("steps", [2.5, 0, -3, "4", 4.0])
+    def test_steps_must_be_a_positive_int(self, method, steps):
+        with pytest.raises(ValueError, match="steps must be an int >= 1"):
+            evolve(QuantumState.zero(1), self.field(), 1.0, method=method,
+                   steps=steps)
+
 
 def kron_matrix(h: Hamiltonian) -> np.ndarray:
     """The dense sum of Kronecker products, term by term in order."""
@@ -325,6 +345,25 @@ def test_even_y_sums_take_a_real_eigh(h):
     assert np.allclose((vecs * vals) @ vecs.T, mat, rtol=0, atol=1e-10 * scale)
 
 
+def assert_merged_block_eigh(h: Hamiltonian, mat: np.ndarray, vals, vecs):
+    """vals and vecs are each sector block's eigh, bit for bit: the block
+    eigenvalues merged by a stable sort, the block eigenvectors written on
+    the sector's basis states, and exact zeros on every other state."""
+    sectors = h._sectors(mat)
+    eigs = [np.linalg.eigh(_sector_block(mat, *s)) for s in sectors]
+    order = np.argsort(np.concatenate([w for w, _ in eigs]), kind="stable")
+    column, start = np.argsort(order), 0
+    for (a, b, sign), (w, v) in zip(sectors, eigs):
+        cols = column[start:start + len(w)]
+        start += len(w)
+        assert np.array_equal(vals[cols], w)
+        v = v / np.where(a == b, 1.0, np.sqrt(2.0))[:, None]
+        assert np.array_equal(vecs[np.ix_(a, cols)], v)
+        assert np.array_equal(vecs[np.ix_(b, cols)], sign * v)
+        rest = np.setdiff1d(np.arange(len(mat)), np.union1d(a, b))
+        assert not vecs[np.ix_(rest, cols)].any()
+
+
 @settings(max_examples=100, deadline=None)
 @given(pauli_sums().filter(lambda h: not is_even_y(h)))
 def test_odd_y_sums_keep_the_complex_eigh(h):
@@ -333,13 +372,124 @@ def test_odd_y_sums_keep_the_complex_eigh(h):
     assert vecs.dtype == np.complex128
     assert np.allclose((vecs * vals) @ vecs.conj().T, mat, rtol=0,
                        atol=1e-10 * scale)
-    # the complex path is a plain eigh of the dense matrix, bit for bit
-    want_vals, want_vecs = np.linalg.eigh(mat)
-    assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
+    if len(h._sectors(mat)) == 1:
+        # one sector: a plain eigh of the dense matrix, bit for bit
+        assert all(map(np.array_equal, (vals, vecs), np.linalg.eigh(mat)))
+    else:
+        assert_merged_block_eigh(h, mat, vals, vecs)
     state = haar_random_state(h.n_qubits, 3)
-    want = want_vecs @ (np.exp(-0.9j * want_vals)
-                        * (want_vecs.conj().T @ state.amplitudes))
+    want = vecs @ (np.exp(-0.9j * vals) * (vecs.conj().T @ state.amplitudes))
     assert np.array_equal(evolve(state, h, 0.9).amplitudes, want)
+
+
+def symmetries(h: Hamiltonian) -> tuple[bool, bool]:
+    """(commutes with qubit reversal, conserves popcount), from the plain
+    definitions: the reversed terms are the terms, and H has no entry
+    between states of different popcount."""
+    count = np.bitwise_count(np.arange(2**h.n_qubits))
+    reversed_terms = sorted((c, p[::-1]) for c, p in h.terms)
+    return (sorted(h.terms) == reversed_terms,
+            not h.to_matrix()[count[:, None] != count].any())
+
+
+@st.composite
+def mirrored_sums(draw, even: bool):
+    """Sums on 2 or more qubits that commute with qubit reversal: each drawn
+    term next to its reversed string at the same coefficient, in a drawn
+    order."""
+    sums = pauli_sums().filter(lambda h: h.n_qubits > 1)
+    base = draw(sums.map(even_y) if even else
+                sums.filter(lambda h: not is_even_y(h)))
+    terms = [t for c, p in base.terms for t in ((c, p), (c, p[::-1]))]
+    return Hamiltonian(base.n_qubits, tuple(draw(st.permutations(terms))))
+
+
+@st.composite
+def hopping_sums(draw, even: bool):
+    """Sums that conserve popcount: XX + YY hops (or XY - YX ones, odd in
+    Y), ZZ and Z, each hop's two terms adjacent so that they cancel exactly
+    between states of different popcount."""
+    n = draw(st.integers(2, 6))
+    coeffs = st.floats(-3, 3, allow_nan=False)
+
+    def word(i, j, x, y):
+        letters = ["I"] * n
+        letters[i], letters[j] = x, y
+        return "".join(letters)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(coeffs)
+        terms += draw(st.sampled_from([
+            [(c, word(i, j, "X", "X")), (c, word(i, j, "Y", "Y"))],
+            [(c, word(i, j, "Z", "Z"))],
+            [(c, word(i, j, "Z", "I"))],
+        ] + ([] if even else
+             [[(c, word(i, j, "X", "Y")), (-c, word(i, j, "Y", "X"))]])))
+    if not even and is_even_y(Hamiltonian(n, tuple(terms))):
+        c = draw(coeffs)
+        terms += [(c, "I" * (n - 2) + "XY"), (-c, "I" * (n - 2) + "YX")]
+    return Hamiltonian(n, tuple(terms))
+
+
+def symmetric_sums():
+    return st.one_of(*(family(even) for family in (mirrored_sums, hopping_sums)
+                       for even in (True, False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_sums())
+@example(Hamiltonian(3, ((1.5, "XXI"), (1.5, "YYI"), (7.72147750711234e-162, "IXY"),
+                         (-7.72147750711234e-162, "IYX"))))
+def test_symmetric_sums_split_and_match_the_plain_spectrum(h):
+    mat, scale = h.to_matrix(), spectral_scale(h)
+    assert any(symmetries(h)) and len(h._sectors(mat)) > 1
+    vals, vecs = h.eigensystem()
+    assert vecs.dtype == (np.float64 if is_even_y(h) else np.complex128)
+    assert np.all(np.diff(vals) >= 0)
+    # eigh's, not eigvalsh's, eigenvalues: LAPACK's eigenvalue-only path
+    # works with squared entries, and a coefficient near 1e-162 underflows
+    # there (1.5 (XXI + YYI) + 7.7e-162 (IXY - IYX) reads +-3.098 for +-3)
+    want = np.linalg.eigh(mat)[0]
+    assert np.allclose(vals, want, rtol=0, atol=1e-10 * scale)
+    eye = np.eye(len(vals))
+    assert np.allclose(vecs.conj().T @ vecs, eye, rtol=0, atol=1e-10)
+    assert np.allclose((vecs * vals) @ vecs.conj().T, mat, rtol=0,
+                       atol=1e-10 * scale)
+    assert_merged_block_eigh(h, mat.real if is_even_y(h) else mat, vals, vecs)
+
+
+def assert_plain_eigh(h: Hamiltonian):
+    mat = h.to_matrix()
+    want = np.linalg.eigh(mat.real if is_even_y(h) else mat)
+    assert all(map(np.array_equal, h.eigensystem(), want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums().filter(lambda h: not any(symmetries(h))))
+def test_sums_without_a_symmetry_are_a_plain_eigh(h):
+    assert_plain_eigh(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_sums(), st.data())
+def test_one_ulp_off_a_symmetry_is_a_plain_eigh(h, data):
+    k = data.draw(st.integers(0, len(h.terms) - 1))
+    terms = list(h.terms)
+    c, p = terms[k]
+    terms[k] = (np.nextafter(c, np.inf), p)
+    nudged = Hamiltonian(h.n_qubits, tuple(terms))
+    assume(not any(symmetries(nudged)))
+    assert_plain_eigh(nudged)
+
+
+@pytest.mark.parametrize("chain", [mixed_field_ising, xxz_chain])
+def test_one_ulp_off_a_chain_is_a_plain_eigh(chain):
+    # a nudged ZZ (Ising) or XX (XXZ) bond breaks reversal and popcount
+    h = chain(5)
+    (c, p), *rest = h.terms
+    assert_plain_eigh(Hamiltonian(5, ((np.nextafter(c, 2.0), p), *rest)))
 
 
 def test_real_chains_keep_real_arithmetic():
