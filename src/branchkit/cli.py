@@ -300,6 +300,8 @@ def cmd_evolve(args) -> int:
         return TRUNCATION_EXIT if args.strict and truncated else 0
     if args.mode == "freeze":
         n = args.n
+        if n < 2:  # the pair has one and two flipped spins
+            raise ValueError(f"evolve --mode freeze needs --n of at least 2, got {n}")
         h = xxz_chain(n)
         seed = args.seed if args.seed is not None else 0
         a = magnetization_sector_state(n, 1, seed)

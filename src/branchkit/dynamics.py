@@ -359,7 +359,7 @@ def magnetization_sector_state(n: int, n_down: int, seed: int) -> QuantumState:
     """Seeded random state supported on the fixed Hamming-weight sector."""
     _require_width(n, "magnetization_sector_state")
     if not 0 <= n_down <= n:
-        raise ValueError("n_down out of range")
+        raise ValueError(f"n_down must lie in [0, n], got {n_down}")
     rng = np.random.default_rng(seed)
     vec = np.zeros(2**n, dtype=complex)
     idx = np.flatnonzero(np.bitwise_count(np.arange(2**n)) == n_down)

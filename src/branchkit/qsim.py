@@ -387,6 +387,24 @@ def _eigvec_product(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(np.complex128).ravel()
 
 
+def _trotter_sweep(h: Hamiltonian, dt: float) -> list[tuple]:
+    """One Strang slice as factors (c, src, w) in product order: exp(-i theta P)
+    = cos theta - i sin theta P per term, theta = coeff dt/2, over the terms and
+    back. A term with an X or Y letter is applied as c * amps + w * amps[src]; a
+    maximal run of adjacent I/Z-only terms commutes: one phase vector c, src None."""
+    half = [(c * dt / 2, *_pauli_action(h.n_qubits, p)) for c, p in h.terms]
+    sweep = []
+    # src[0] is a term's X/Y flip mask, 0 for an I/Z-only term
+    for diagonal, run in itertools.groupby(half + half[::-1], lambda f: not f[1][0]):
+        if diagonal:
+            angle = sum(theta * phase for theta, _, phase in run)
+            sweep.append((np.exp(-1j * angle), None, None))
+        else:
+            sweep += [(np.cos(theta), src, -1j * np.sin(theta) * phase)
+                      for theta, src, phase in run]
+    return sweep
+
+
 def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
            steps: int | None = None) -> QuantumState:
     """e^{-iHt}|state>.
@@ -394,7 +412,8 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
     method="exact" diagonalizes H once (cached) and is limited to n <= 12.
     method="trotter" uses second-order (Strang) splitting over the Pauli terms
     with `steps` slices; the splitting error is O((t/steps)^3) per slice, i.e.
-    O(t^3/steps^2) in total.
+    O(t^3/steps^2) in total. A run of adjacent I/Z-only terms is one phase,
+    and each factor is built once per call (`_trotter_sweep`).
     """
     if h.n_qubits != state.n_qubits:
         raise ValueError("Hamiltonian and state sizes differ")
@@ -413,16 +432,9 @@ def evolve(state: QuantumState, h: Hamiltonian, t: float, method: str = "exact",
         amps = _eigvec_product(vecs, np.exp(-1j * vals * t) * coeffs)
         return QuantumState(state.n_qubits, amps)
     if method == "trotter":
-        dt = t / steps
-        # exp(-i theta P)|psi> = cos(theta)|psi> - i sin(theta) P|psi> for a
-        # Pauli string P; each term's angle and action are built once
-        half = [(coeff * dt / 2, *_pauli_action(h.n_qubits, pauli))
-                for coeff, pauli in h.terms]
-        sweep = half + half[::-1]
-        amps = state.amplitudes
+        sweep, amps = _trotter_sweep(h, t / steps), state.amplitudes
         for _ in range(steps):
-            for theta, src, phase in sweep:
-                amps = np.cos(theta) * amps - 1j * np.sin(theta) * (phase * amps[src])
-        amps = amps / np.linalg.norm(amps)
-        return QuantumState(state.n_qubits, amps)
+            for c, src, w in sweep:
+                amps = c * amps if src is None else c * amps + w * amps[src]
+        return QuantumState(state.n_qubits, amps / np.linalg.norm(amps))
     raise ValueError(f"unknown evolution method {method!r}")

@@ -47,7 +47,8 @@ def _parts(obj) -> dict:
         parts["components"] = [{"weight": w, "state": s}
                                for w, s in obj.components]
     elif isinstance(obj, ResidualReport):
-        parts["lambda_mn"] = list(obj.lambda_mn)  # an m x m grid of pairs
+        lam = obj.lambda_mn  # an m x m grid of [re, im] pairs
+        parts["lambda_mn"] = np.stack((lam.real, lam.imag), -1)
         parts["eps_mnij"] = np.abs(obj.eps_mnij)
     elif isinstance(obj, SurfaceRateReport):
         model = parts.pop("model")

@@ -296,6 +296,16 @@ class TestExtendedCommands:
         assert doc["type"] == "ValueError"
         assert "t_grid" in doc["error"] and value in doc["error"]
 
+    # the freeze pair has one and two flipped spins, so it needs two qubits
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_evolve_freeze_names_the_least_n(self, n, capsys):
+        code, out, err = run_cli(
+            ["evolve", "--mode", "freeze", "--n", n, "--t-grid", "0"], capsys)
+        assert (code, out) == (2, "")
+        doc = json.loads(err)
+        assert doc["type"] == "ValueError"
+        assert "--n of at least 2" in doc["error"] and n in doc["error"]
+
     # a comma list refuses an empty entry and one it cannot read, naming the
     # option and the entry, rather than dropping or misreading it
     @pytest.mark.parametrize("argv, option, entry", [

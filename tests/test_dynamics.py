@@ -191,6 +191,11 @@ class TestSymmetryFreeze:
             symmetry_freeze_check(a, b, xxz_chain(n),
                                   phase_rotation_circuit(n), [0.0])
 
+    @pytest.mark.parametrize("n_down", [-1, 4])
+    def test_sector_state_names_the_range(self, n_down):
+        with pytest.raises(ValueError, match=rf"\[0, n\], got {n_down}"):
+            magnetization_sector_state(3, n_down, 1)
+
     def test_identity_symmetry_trivial(self):
         n = 3
         a = magnetization_sector_state(n, 0, 1)

@@ -24,6 +24,7 @@ from branchkit.qsim import (
     haar_random_state,
     inner_product,
     _sector_block,
+    _trotter_sweep,
     random_circuit,
 )
 
@@ -336,11 +337,14 @@ def spectral_scale(h: Hamiltonian) -> float:
 
 @settings(max_examples=100, deadline=None)
 @given(pauli_sums().map(even_y))
+@example(Hamiltonian(3, ((-1.5, "XII"), (1e-160, "YYI"), (7.72e-162, "ZZZ"),
+                         (1.5, "XZZ"))))
 def test_even_y_sums_take_a_real_eigh(h):
     mat, scale = h.to_matrix(), spectral_scale(h)
     vals, vecs = h.eigensystem()
     assert vecs.dtype == np.float64
-    assert np.allclose(vals, np.linalg.eigvalsh(mat), rtol=0, atol=1e-10 * scale)
+    # eigh's eigenvalues: eigvalsh reads +-2.98067 for +-3 on the example
+    assert np.allclose(vals, np.linalg.eigh(mat)[0], rtol=0, atol=1e-10 * scale)
     assert np.allclose(vecs.T @ vecs, np.eye(len(vals)), rtol=0, atol=1e-10)
     assert np.allclose((vecs * vals) @ vecs.T, mat, rtol=0, atol=1e-10 * scale)
 
@@ -570,23 +574,67 @@ def trotter_cases(draw):
             Hamiltonian(n, tuple(terms)), t, draw(st.integers(1, 4)))
 
 
+def assert_matches_the_oracle(got: np.ndarray, want: np.ndarray,
+                              h: Hamiltonian):
+    """The oracle's bits when every term has an X or Y letter. A run of
+    adjacent I/Z-only terms is one phase, exp(-i sum theta_k d_k), whose
+    summed angle moves the result at rounding level only."""
+    if any(set(p) <= set("IZ") for _, p in h.terms):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        assert np.array_equal(got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(trotter_cases())
 def test_trotter_evolve_matches_the_oracle_loop(case):
     state, h, t, steps = case
     got = evolve(state, h, t, method="trotter", steps=steps).amplitudes
-    assert np.array_equal(got, oracle_trotter(state, h, t, steps))
+    assert_matches_the_oracle(got, oracle_trotter(state, h, t, steps), h)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 20])
 @pytest.mark.parametrize("chain", [mixed_field_ising, xxz_chain])
 def test_trotter_evolve_matches_per_term_pauli_strings(chain, steps):
     # XXZ carries Y letters; each term's action is built once per call, and
-    # the result keeps the bits of applying every term's string afresh
+    # the result matches applying every term's string afresh
     state, h = haar_random_state(6, 5), chain(6)
     got = evolve(state, h, 0.7, method="trotter", steps=steps).amplitudes
-    assert np.array_equal(
-        got, oracle_trotter(state, h, 0.7, steps, apply_pauli_string))
+    assert_matches_the_oracle(
+        got, oracle_trotter(state, h, 0.7, steps, apply_pauli_string), h)
+
+
+@st.composite
+def iz_sums(draw):
+    """Sums of I/Z-only strings, whose Trotter factors are all diagonal."""
+    n = draw(st.integers(1, 5))
+    terms = draw(st.lists(
+        st.tuples(st.floats(-3, 3, allow_nan=False),
+                  st.text("IZ", min_size=n, max_size=n)),
+        min_size=1, max_size=6))
+    return Hamiltonian(n, tuple(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(iz_sums(), st.floats(-2, 2, allow_nan=False), st.integers(1, 5),
+       st.integers(0, 1000))
+def test_trotter_evolve_of_an_iz_sum_is_its_diagonal_phase(h, t, steps, seed):
+    # every factor is diagonal, so the slices are exact: one phase per slice
+    state = haar_random_state(h.n_qubits, seed)
+    got = evolve(state, h, t, method="trotter", steps=steps).amplitudes
+    want = np.exp(-1j * t * np.diagonal(h.to_matrix()).real) * state.amplitudes
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("chain, factors, gathers", [
+    (mixed_field_ising, 49, 24), (xxz_chain, 65, 44)])
+def test_trotter_sweep_merges_adjacent_iz_runs(chain, factors, gathers):
+    # Ising: the ZZ bonds make one run at each end, and the two Z fields on
+    # the last qubit meet in the middle; XXZ: only the last ZZ bond meets
+    # itself. Every X/Y factor keeps its gather.
+    sweep = _trotter_sweep(chain(12), 0.02)
+    assert len(sweep) == factors
+    assert sum(src is not None for _, src, _ in sweep) == gathers
 
 
 @pytest.mark.parametrize("pauli", ["XX", "XXXX", "xii", "IAI"])
