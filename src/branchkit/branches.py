@@ -158,6 +158,11 @@ class EstimatorConfig:
             raise ValueError("node_budget cuts the enumeration walk, which "
                              "enumerate_lower=False skips; got node_budget="
                              f"{self.node_budget}")
+        if self.use_variational and self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.use_variational and self.variational_blocks < 0:
+            raise ValueError("variational_blocks must be at least 0, got "
+                             f"{self.variational_blocks}")
 
 
 def estimate_pair(a: QuantumState, b: QuantumState, targets: tuple,

@@ -893,6 +893,27 @@ def round_robin_pairs(n: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _light_cone(q: ComplexityQuery, qubits) -> float:
+    """The largest value of q's objective that any unitary on `qubits` (Q)
+    can reach. Such a unitary sees only the reduced operators on Q, so by
+    Hoelder's inequality relative <= ||tr_Qbar |a><b| ||_1,
+    distinguishability <= ||rho_a^Q - rho_b^Q||_1 and interference <=
+    2 ||tr_Qbar |a><b| ||_1, for any gate set."""
+    n, qubits = q.a.n_qubits, list(dict.fromkeys(qubits))
+
+    def front(psi):
+        psi = np.moveaxis(psi.reshape((2,) * n), qubits, range(len(qubits)))
+        return psi.reshape(2 ** len(qubits), -1)
+
+    a, b = front(q.a.amplitudes), front(q.b.amplitudes)
+    if q.kind is ComplexityKind.DISTINGUISHABILITY:
+        op = np.hstack([a, b]) @ np.hstack([a, -b]).conj().T
+    else:
+        op = a @ b.conj().T
+    norm = float(np.linalg.svd(op, compute_uv=False).sum())
+    return 2.0 * norm if q.kind is ComplexityKind.INTERFERENCE else norm
+
+
 def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
                             sweeps: int = 60) -> ComplexityEstimate:
     """Witness search over m = 0, 1, ..., max_blocks general 2-qubit unitaries
@@ -907,7 +928,16 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
     then scored in runs from the last accepted point (see _scan_block): the
     8 probes of a run cost one stacked 4x4 exponential and one GEMM against
     the environment, for any n, and change no accept decision of scoring
-    them one at a time."""
+    them one at a time.
+
+    A stage whose light-cone ceiling (_light_cone on the union of its pairs)
+    lies below the threshold cannot succeed with any gates, so its sweeps
+    are skipped. Its starting angles are still drawn, in one call, so every
+    later stage starts from the same bits as an unpruned search."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if max_blocks < 0:
+        raise ValueError(f"max_blocks must be at least 0, got {max_blocks}")
     n = q.a.n_qubits
     schedule = round_robin_pairs(n)
     if not schedule:
@@ -930,9 +960,12 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
             best_val = float(q.kind.objective(block0.conj().T @ block0))
             best_theta = ()
         else:
+            starts = rng.uniform(-np.pi, np.pi, size=(restarts, m, 15))
+            cone = _light_cone(q, [i for pair in pairs for i in pair])
+            if cone < q.threshold - _THRESHOLD_SLACK - WITNESS_ATOL:
+                continue
             best_val, best_theta = -1.0, None
-            for _ in range(restarts):
-                theta = rng.uniform(-np.pi, np.pi, size=(m, 15))
+            for theta in starts:
                 g = (_block_unitary(theta[0]).reshape(16)
                      @ environment(theta, pairs, 0)).reshape(2, 2)
                 val = float(q.kind.objective(g))

@@ -5,6 +5,7 @@ on passing runs). Three sub-criteria pin targets that single-block proxy
 objectives provably cannot reach on finite random states; they are
 implemented faithfully, fail, and their docstrings carry the analysis.
 """
+import itertools
 import math
 import time
 
@@ -30,6 +31,7 @@ from branchkit.complexity import (
     Channel,
     ComplexityKind,
     ComplexityQuery,
+    _light_cone,
     brute_force_estimate,
     survey,
 )
@@ -156,6 +158,21 @@ def test_criterion_03a_product_random_distinguisher_target():
         "03a product+random one-gate distinguisher at 1.8", ok,
         f"{hits}/100 seeds reached the target (best one-block objective "
         f"over all seeds {best:.3f}; the ceiling is ~1.5) [{elapsed:.1f}s]")
+
+
+def test_pin_03a_no_gate_reaches_the_target():
+    """What 03a measures, for any gate rather than its alphabet: over its
+    100 seeds and all 28 qubit pairs, the largest one-block
+    distinguishability ceiling is 1.6868, at seed 68 on pair (1, 7), so no
+    seed can reach 1.8 with one block of any gates."""
+    queries = [ComplexityQuery(K_D, *fx.product_plus_random(8, seed=seed).pair())
+               for seed in range(100)]
+    best = max((_light_cone(q, pair), seed, pair)
+               for seed, q in enumerate(queries)
+               for pair in itertools.combinations(range(8), 2))
+    assert best[0] == pytest.approx(1.6868, abs=5e-5)
+    assert best[1:] == (68, (1, 7))
+    assert best[0] < K_D.threshold(0.9)
 
 
 def test_criterion_03b_product_random_interference_floor():

@@ -91,6 +91,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="2 components"):
             validate_decomposition(d)
 
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", -1), ("restarts", 0), ("variational_blocks", -3)])
+    def test_a_search_that_cannot_run_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EstimatorConfig(**{field: value})
+        EstimatorConfig(use_variational=False, **{field: value})  # no search
+
 
 class TestAssessment:
     def test_cat4_margin_good_at_threshold_one(self):

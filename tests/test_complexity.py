@@ -13,6 +13,7 @@ from branchkit.complexity import (
     ComplexityQuery,
     _enumeration,
     _fuse,
+    _light_cone,
     brute_force_estimate,
     combine_estimates,
     constructive_estimate,
@@ -30,7 +31,9 @@ from branchkit.qsim import (
     Circuit,
     GateOp,
     QuantumState,
+    apply_gate_block,
     haar_random_state,
+    haar_unitary,
 )
 
 K_R = ComplexityKind.RELATIVE
@@ -301,3 +304,74 @@ class TestVariational:
                             QuantumState.basis(2, 3), 0.5, max_size=2, seed=0)
         est = variational_upper_bound(q, restarts=1, max_blocks=2, sweeps=30)
         assert est.lower_bound == 0
+
+    @pytest.mark.parametrize("restarts, max_blocks, name", [
+        (-1, 2, "restarts"), (0, 2, "restarts"), (1, -3, "max_blocks")])
+    def test_a_search_that_cannot_run_is_refused(self, restarts, max_blocks,
+                                                 name):
+        q = ComplexityQuery(K_I, QuantumState.basis(2, 0),
+                            QuantumState.basis(2, 3), 0.5)
+        with pytest.raises(ValueError, match=name):
+            variational_upper_bound(q, restarts, max_blocks)
+
+
+@st.composite
+def light_cones(draw):
+    """A query on n = 2..5 random qubits, a random qubit set Q of at least
+    two, and one to three pairs inside Q."""
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    a, b = haar_random_state(n, seed), haar_random_state(n, seed + 1)
+    q = ComplexityQuery(draw(st.sampled_from(ComplexityKind)), a, b,
+                        draw(st.sampled_from([0.3, 0.6, 0.9])), seed=seed % 7)
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(2, n))]
+    pairs = draw(st.lists(st.permutations(qubits).map(lambda p: tuple(p[:2])),
+                          min_size=1, max_size=3))
+    return q, qubits, pairs, np.random.default_rng(seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(light_cones())
+def test_light_cone_bounds_any_blocks_inside_it(case):
+    q, qubits, pairs, rng = case
+    cone = _light_cone(q, qubits)
+    for _ in range(3):
+        circuit = Circuit(q.a.n_qubits, tuple(
+            GateOp(pair, haar_unitary(4, rng), "haar") for pair in pairs))
+        assert objective_value(q.kind, circuit, q.a, q.b) <= cone + 1e-12
+    est = variational_upper_bound(q, restarts=1, max_blocks=2, sweeps=4)
+    if est.witness is not None:
+        support = [i for g in est.witness.gates for i in g.targets]
+        assert est.achieved_value <= _light_cone(q, support) + 1e-12
+
+
+def _reduced(n, pair, ket, bra):
+    """tr over the other qubits of |ket><bra|, entry by entry: M[i, j] is
+    <bra| (|j><i| on pair) |ket>, since tr(|i><j| M) = M[j, i]."""
+    m = np.empty((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            unit = np.zeros((4, 4))
+            unit[j, i] = 1.0
+            m[i, j] = np.vdot(bra, apply_gate_block(ket[:, None], n, pair,
+                                                    unit)[:, 0])
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([K_R, K_D]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_the_polar_factor_reaches_the_one_block_light_cone(n, kind, seed,
+                                                           data):
+    pair = tuple(data.draw(st.permutations(range(n)))[:2])
+    a, b = haar_random_state(n, seed), haar_random_state(n, seed + 1)
+    if kind is K_R:
+        m = _reduced(n, pair, a.amplitudes, b.amplitudes)
+    else:
+        m = (_reduced(n, pair, a.amplitudes, a.amplitudes)
+             - _reduced(n, pair, b.amplitudes, b.amplitudes))
+    w, _, vh = np.linalg.svd(m)
+    polar = Circuit(n, (GateOp(pair, (w @ vh).conj().T, "polar"),))
+    q = ComplexityQuery(kind, a, b, 0.5)
+    assert objective_value(kind, polar, a, b) == \
+        pytest.approx(_light_cone(q, pair), abs=1e-12)

@@ -10,15 +10,20 @@ agree bit for bit.
 `loop_scan_block` is one block visit as the search made it before its probes
 were scored in batches: one probe at a time. The batched `_scan_block` must
 take the same accept decisions, so leave theta in the same bits.
+
+The search skips a block count whose light-cone ceiling lies below the
+threshold; with the ceiling patched to inf it runs every stage, and the two
+searches must agree bit for bit.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchkit import fixtures as fx
+from branchkit import complexity, fixtures as fx
 from branchkit.complexity import (
     _GENS,
     _THRESHOLD_SLACK,
+    WITNESS_ATOL,
     ComplexityKind,
     ComplexityQuery,
     _block_unitary,
@@ -163,6 +168,37 @@ def test_search_matches_replay_oracle(name):
     for q, restarts, blocks, sweeps in QUERIES[name]():
         _same(variational_upper_bound(q, restarts, blocks, sweeps),
               replay_upper_bound(q, restarts, blocks, sweeps))
+
+
+# (block counts skipped, block counts reached) over each QUERIES set
+PRUNED = {"perfbench": (5, 13), "product-random-4": (6, 36),
+          "relative-preparation": (1, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_pruning_changes_no_result(name, monkeypatch):
+    """A search that skipped no stage ran exactly the unpruned search, so
+    only the searches that skipped one are repeated with the ceiling at
+    inf."""
+    light_cone = complexity._light_cone
+    skipped = []
+
+    def spy(q, qubits):
+        cone = light_cone(q, qubits)
+        skipped.append(cone < q.threshold - _THRESHOLD_SLACK - WITNESS_ATOL)
+        return cone
+
+    monkeypatch.setattr(complexity, "_light_cone", spy)
+    pruned = []
+    for q, restarts, blocks, sweeps in QUERIES[name]():
+        reached = len(skipped)
+        got = variational_upper_bound(q, restarts, blocks, sweeps)
+        if any(skipped[reached:]):
+            pruned.append((got, (q, restarts, blocks, sweeps)))
+    assert (sum(skipped), len(skipped)) == PRUNED[name]
+    monkeypatch.setattr(complexity, "_light_cone", lambda q, qubits: np.inf)
+    for got, args in pruned:
+        _same(got, variational_upper_bound(*args))
 
 
 @settings(max_examples=60, deadline=None)
