@@ -158,6 +158,8 @@ class EstimatorConfig:
             raise ValueError("node_budget cuts the enumeration walk, which "
                              "enumerate_lower=False skips; got node_budget="
                              f"{self.node_budget}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.use_variational and self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.use_variational and self.variational_blocks < 0:

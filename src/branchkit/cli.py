@@ -4,10 +4,10 @@ Subcommands: example, estimate, verdict, qec, surface, flow, evolve, props,
 gap; each takes --output. estimate, verdict and evolve --mode track also
 take --budget, --node-budget and --strict; props and gap take --budget only.
 READS lists the options each command line reads: any other is a usage error.
-Everything stochastic takes an explicit --seed; identical command lines
-produce byte-identical output. Exit codes: 0 success, 2 validation failure
-(structured JSON on stderr), 3 budget truncation under --strict (estimate,
-verdict, evolve --mode track), 64 usage.
+Everything stochastic takes an explicit --seed, at least 0; identical command
+lines produce byte-identical output. Exit codes: 0 success, 2 validation
+failure (structured JSON on stderr), 3 budget truncation under --strict
+(estimate, verdict, evolve --mode track), 64 usage.
 """
 from __future__ import annotations
 
@@ -465,6 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     try:
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except (ValueError, AssertionError, OSError) as exc:
         sys.stderr.write(ser.dumps(ser.document(

@@ -40,6 +40,7 @@ from .qsim import (
     Circuit,
     GateOp,
     QuantumState,
+    _gate_axes,
     apply_circuit,
     apply_gate_block,
 )
@@ -833,12 +834,10 @@ def _environment(kets: np.ndarray, bras: np.ndarray, n_qubits: int,
     """The (16, k*k) matrix E with (u.reshape(16) @ E).reshape(k, k) equal to
     bras† apply_gate_block(kets, n_qubits, pair, u) for every 4x4 u."""
     k = kets.shape[1]
-
-    def front(block):
-        psi = block.reshape((2,) * n_qubits + (k,))
-        return np.moveaxis(psi, pair, (0, 1)).reshape(4, -1, k)
-
-    e = np.tensordot(front(bras).conj(), front(kets), axes=(1, 1))  # (i, r, j, c)
+    perm, _ = _gate_axes(n_qubits, tuple(pair))
+    bra, ket = (block.reshape((2,) * n_qubits + (k,)).transpose(perm)
+                .reshape(4, -1, k) for block in (bras, kets))
+    e = np.tensordot(bra.conj(), ket, axes=(1, 1))  # (i, r, j, c)
     return e.transpose(0, 2, 1, 3).reshape(16, k * k)
 
 
@@ -899,13 +898,10 @@ def _light_cone(q: ComplexityQuery, qubits) -> float:
     Hoelder's inequality relative <= ||tr_Qbar |a><b| ||_1,
     distinguishability <= ||rho_a^Q - rho_b^Q||_1 and interference <=
     2 ||tr_Qbar |a><b| ||_1, for any gate set."""
-    n, qubits = q.a.n_qubits, list(dict.fromkeys(qubits))
-
-    def front(psi):
-        psi = np.moveaxis(psi.reshape((2,) * n), qubits, range(len(qubits)))
-        return psi.reshape(2 ** len(qubits), -1)
-
-    a, b = front(q.a.amplitudes), front(q.b.amplitudes)
+    n, qubits = q.a.n_qubits, tuple(dict.fromkeys(qubits))
+    perm, _ = _gate_axes(n, qubits)
+    a, b = (state.amplitudes.reshape((2,) * n + (1,)).transpose(perm)
+            .reshape(2 ** len(qubits), -1) for state in (q.a, q.b))
     if q.kind is ComplexityKind.DISTINGUISHABILITY:
         op = np.hstack([a, b]) @ np.hstack([a, -b]).conj().T
     else:

@@ -138,10 +138,6 @@ class Circuit:
                 )
         object.__setattr__(self, "gates", gates)
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
     def inverse(self) -> "Circuit":
         return Circuit(self.n_qubits, tuple(g.inverse() for g in reversed(self.gates)))
 

@@ -1,4 +1,6 @@
-"""JSON and CSV serialization for every exported object.
+"""JSON and CSV serialization for every exported object, and the two
+documents the CLI reads: a state (`--a-file`, `--b-file`) and a code
+(`--code-file`).
 
 One rule encodes every JSON document. A dataclass becomes an object of its
 fields in declaration order, under their own names except for the keys in
@@ -29,7 +31,7 @@ from .branches import BranchDecomposition, BranchVerdict, PairAssessment
 from .codes import CodeSpec, ResidualReport, SurfaceRateReport
 from .dynamics import ObservableStats, Trajectory
 from .properties import PropertyStats
-from .qsim import Circuit, GateOp, QuantumState
+from .qsim import GateOp, QuantumState
 
 SCHEMA_VERSION = "1"
 
@@ -119,24 +121,6 @@ def state_from_json(doc: dict) -> QuantumState:
                        for x in p) for p in pairs):
         raise ValueError("field 'amplitudes' must hold [re, im] number pairs")
     return QuantumState(n, np.array([complex(re, im) for re, im in pairs]))
-
-
-def circuit_from_json(doc: dict) -> Circuit:
-    gates = []
-    for g in doc["gates"]:
-        dim = 2 ** len(g["targets"])
-        mat = np.array([complex(re, im) for re, im in g["matrix"]]).reshape(dim, dim)
-        gates.append(GateOp(tuple(g["targets"]), mat, g.get("label")))
-    return Circuit(int(doc["n_qubits"]), tuple(gates))
-
-
-def decomposition_from_json(doc: dict) -> BranchDecomposition:
-    comps = tuple(
-        (complex(c["weight"][0], c["weight"][1]), state_from_json(c["state"]))
-        for c in doc["components"]
-    )
-    return BranchDecomposition(state_from_json(doc["parent"]), comps,
-                               doc.get("tolerance", 1e-8))
 
 
 def code_spec_from_json(doc: dict) -> CodeSpec:

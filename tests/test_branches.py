@@ -98,6 +98,10 @@ class TestValidation:
             EstimatorConfig(**{field: value})
         EstimatorConfig(use_variational=False, **{field: value})  # no search
 
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            EstimatorConfig(seed=-1)
+
 
 class TestAssessment:
     def test_cat4_margin_good_at_threshold_one(self):

@@ -140,7 +140,7 @@ class TestBruteForce:
         s = QuantumState.zero(1)
         est = brute_force_estimate(ComplexityQuery(K_R, s, s, 1.0, max_size=1))
         assert (est.lower_bound, est.upper_bound) == (0, 0)
-        assert est.witness.gate_count == 0
+        assert len(est.witness.gates) == 0
 
     def test_cat_distinguisher_is_single_z(self):
         q = ComplexityQuery(K_D, QuantumState.basis(3, 0),

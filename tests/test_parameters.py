@@ -1,24 +1,43 @@
-"""Every defaulted parameter of the library is set by some caller.
+"""Every library function is reached, and every defaulted parameter of
+one is set by some caller.
+
+Both scans read the source, not the running objects, of the library
+`src/branchkit/*.py` and of its callers, the modules of `src/` and
+`perfbench/`; tests are not callers.
+
+A module-level function, method or property of the library (dunders aside)
+that no call or reference in a caller names, and that `branchkit/__init__.py`
+does not export, is dead code. A reference is any name read, as `f` or
+`x.f`, so a function handed on as a value (a constructor of `cli.READS`, a
+`cli.cmd_*` handler) counts; names are matched without their module, as a
+call site does not say which class it reaches.
 
 A keyword default that no call in `src/` or `perfbench/` ever passes is a
 setting with one value in use, which belongs in a module constant. The scan
-reads the source, not the running objects: it collects every function of
-`src/branchkit/*.py` that has defaulted parameters, then every call in
-`src/` and `perfbench/` to a function of that name, and marks which
-parameters each call passes. A value forwarded from a defaulted parameter of
-the calling function counts only if that parameter is itself set somewhere.
-A function that nothing calls is dead code rather than a setting, and is not
-checked here. A (parameter names, function) pair, such as an example of
-`cli.READS`, counts as a call that passes those parameters, for
-`cli.build_fixture` calls the function with them by keyword.
+collects every function of the library that has defaulted parameters, then
+every call to a function of that name, and marks which parameters each call
+passes. A value forwarded from a defaulted parameter of the calling function
+counts only if that parameter is itself set somewhere. A function that
+nothing calls is left to the first scan. A (parameter names, function) pair,
+such as an example of `cli.READS`, counts as a call that passes those
+parameters, for `cli.build_fixture` calls the function with them by keyword.
+
+Each scan keeps an exemption table, with the reason for each entry; an entry
+that names nothing the scan finds is reported as stale.
 """
 import ast
+import functools
 import itertools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "branchkit").glob("*.py"))
 CALLERS = LIBRARY + sorted((ROOT / "perfbench").rglob("*.py"))
+
+# functions kept although no caller reaches them, and why: only for what
+# Python or argparse calls where the scan cannot see it; empty, as
+# perfbench's own parser reaches `cli._Parser.error` by name
+EXEMPT_FUNCTIONS: dict[str, str] = {}
 
 # defaulted parameters kept although no call sets them, and why
 EXEMPT = {
@@ -27,6 +46,52 @@ EXEMPT = {
     "complexity.variational_upper_bound(sweeps)":
         "goes with the coordinate-descent loop it bounds",
 }
+
+
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def _definitions(module: str, tree: ast.Module) -> dict[str, str]:
+    """'module.function' or 'module.Class.method' -> its name, for every
+    module-level function and every method or property of a module-level
+    class, dunders aside."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update((f"{module}.{node.name}.{fn.name}", fn.name)
+                         for fn in node.body if isinstance(fn, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            found[f"{module}.{node.name}"] = node.name
+    return {q: name for q, name in found.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _read_names(trees) -> set[str]:
+    """Every name that `trees` read, as a name or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _exports(init: ast.Module) -> set[str]:
+    """'module.name' of every name the package's `from .module import`
+    statements bring in."""
+    return {f"{node.module}.{alias.name}" for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names}
+
+
+def unreached_functions(library: dict[str, ast.Module], callers,
+                        init: ast.Module) -> list[str]:
+    """Sorted qualified names of the functions of `library` (module name ->
+    tree) that no tree of `callers` names and `init` does not export."""
+    read, exported = _read_names(callers), _exports(init)
+    return sorted(q for module, tree in library.items()
+                  for q, name in _definitions(module, tree).items()
+                  if name not in read and q not in exported)
 
 
 def _defaulted(a: ast.arguments) -> list[str]:
@@ -41,7 +106,7 @@ def _signatures():
     positional names start after self or cls."""
     found = {}
     for path in LIBRARY:
-        tree = ast.parse(path.read_text())
+        tree = _tree(path)
         methods = {id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for f in cls.body if isinstance(f, ast.FunctionDef)}
         for fn in ast.walk(tree):
@@ -92,7 +157,7 @@ def _calls(signatures):
             visit(child, caller)
 
     for path in CALLERS:
-        visit(ast.parse(path.read_text()), None)
+        visit(_tree(path), None)
     return called, out
 
 
@@ -147,3 +212,34 @@ def test_every_defaulted_parameter_is_set_by_a_caller():
         f"set by no call: {sorted(set(unset) - set(EXEMPT))}; "
         f"exempt but set: {sorted(set(EXEMPT) - set(unset) - stale)}; "
         f"stale, no such defaulted parameter: {sorted(stale)}")
+
+
+def test_every_library_function_is_reached():
+    library = {path.stem: _tree(path) for path in LIBRARY}
+    unreached = unreached_functions(library, map(_tree, CALLERS),
+                                    library["__init__"])
+    stale = set(EXEMPT_FUNCTIONS) - {q for module, tree in library.items()
+                                     for q in _definitions(module, tree)}
+    assert unreached == sorted(EXEMPT_FUNCTIONS), (
+        f"reached by no caller: {sorted(set(unreached) - set(EXEMPT_FUNCTIONS))}; "
+        f"exempt but reached: {sorted(set(EXEMPT_FUNCTIONS) - set(unreached) - stale)}; "
+        f"stale, no such function: {sorted(stale)}")
+
+
+def test_the_function_scan_reports_only_the_unreached():
+    planted = ast.parse(
+        "def dead():\n    pass\n"
+        "def api():\n    return helper\n"
+        "def helper():\n    pass\n"
+        "class Box:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    @property\n    def size(self):\n        return 0\n"
+        "    def used(self):\n        return self.size\n")
+    caller = ast.parse("Box().used()\n")
+    init = ast.parse("from .planted import api, Box\n")
+    assert unreached_functions({"planted": planted}, [planted, caller],
+                               init) == ["planted.dead"]
+    # the same scan without the export, or without the caller
+    assert unreached_functions({"planted": planted}, [planted],
+                               ast.parse("")) == [
+        "planted.Box.used", "planted.api", "planted.dead"]

@@ -199,11 +199,11 @@ class TestHaar:
 
 class TestRandomCircuit:
     def test_depth_zero_empty(self):
-        assert random_circuit(4, 0, 1).gate_count == 0
+        assert len(random_circuit(4, 0, 1).gates) == 0
 
     def test_gate_count(self):
-        assert random_circuit(4, 3, 7).gate_count == 6
-        assert random_circuit(5, 3, 7).gate_count == 6  # odd qubit idles
+        assert len(random_circuit(4, 3, 7).gates) == 6
+        assert len(random_circuit(5, 3, 7).gates) == 6  # odd qubit idles
 
     def test_deterministic(self):
         c1, c2 = random_circuit(4, 3, 13), random_circuit(4, 3, 13)
