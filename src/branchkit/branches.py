@@ -24,7 +24,7 @@ from .complexity import (
     ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
-    combine_estimates,
+    _estimate,
     constructive_estimate,
     enumeration_estimate,
     node_limit,
@@ -174,7 +174,8 @@ def estimate_pair(a: QuantumState, b: QuantumState, targets: tuple,
     """One estimate per (kind, delta) target of the pair (a, b). One
     enumeration walk, a survey with a channel per kind, serves every target;
     then, per target, the structural candidates of its kind, and variational
-    search if no witness has been found yet; results merged soundly."""
+    search if no witness has been found yet; one _estimate call merges them,
+    from the first estimate's lower bound, scope and truncation."""
     queries = [ComplexityQuery(kind, a, b, delta, config.max_len, config.seed)
                for kind, delta in targets]
     if config.enumerate_lower:
@@ -191,8 +192,11 @@ def estimate_pair(a: QuantumState, b: QuantumState, targets: tuple,
             ests.append(variational_upper_bound(
                 query, config.restarts, config.variational_blocks))
         # no search configured: an empty candidate list knows nothing
-        out.append(combine_estimates(*ests) if ests
-                   else constructive_estimate(query, []))
+        ests = ests or [constructive_estimate(query, [])]
+        out.append(_estimate(
+            query, "+".join(e.method for e in ests),
+            [(e.upper_bound, e.witness, e.achieved_value) for e in ests],
+            ests[0].lower_bound, ests[0].lower_bound_scope, ests[0].truncated))
     return tuple(out)
 
 
@@ -287,9 +291,8 @@ def assess_branches(d: BranchDecomposition, epsilon: float = 0.1,
     for i, j in itertools.combinations(range(len(d.components)), 2):
         ci, cd = estimate_pair(d.components[i][1], d.components[j][1],
                                targets, config, candidates)
-        # a truncated walk whose ci lower bound fell to 0 certifies nothing
-        ci_lower = (None if ci.truncated and ci.lower_bound == 0
-                    else ci.lower_bound)
+        # a truncated walk certifies nothing from below
+        ci_lower = None if ci.truncated else ci.lower_bound
         classification = grade(ci_lower, cd.upper_bound, good_threshold, lam)
         margin = None
         if ci_lower is not None and cd.upper_bound is not None:
@@ -585,9 +588,12 @@ class IrreversibilityReport:
     entries: tuple[IrreversibilityEntry, ...]
 
     def status_at(self, delta: float) -> str:
+        """The worst status at accuracy delta; refuses one never compared."""
         stats = {e.status for e in self.entries if abs(e.delta - delta) < 1e-12}
-        return min(stats, key=("violated", "inconclusive", "ok").index,
-                   default="ok")
+        if not stats:
+            raise ValueError(f"no comparison at accuracy {delta}; the report "
+                             f"holds {sorted({e.delta for e in self.entries})}")
+        return min(stats, key=("violated", "inconclusive", "ok").index)
 
 
 def irreversibility_check(psi0: QuantumState, d: BranchDecomposition,

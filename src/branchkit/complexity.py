@@ -29,7 +29,7 @@ import bisect
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,6 +149,21 @@ class ComplexityEstimate:
     def __post_init__(self):
         if self.upper_bound is not None and self.lower_bound > self.upper_bound:
             raise ValueError("certified lower bound exceeds witness upper bound")
+
+
+def _estimate(q: ComplexityQuery, method: str, witnesses=(), lower: int = 0,
+              scope: str = "none", truncated: bool = False) -> ComplexityEstimate:
+    """The one builder of q's estimates, from (fused cost, circuit,
+    objective) witnesses, a cost of None for none: the cheapest, the first
+    on ties, is the witness and upper bound, and the lower bound clips to
+    its cost (a witness over general blocks, or past the cap, can undercut
+    a scoped bound)."""
+    upper, witness, achieved = min((w for w in witnesses if w[0] is not None),
+                                   key=lambda w: w[0], default=(None, None, None))
+    if upper is not None:
+        lower = min(lower, upper)
+    return ComplexityEstimate(q.kind, q.delta, lower, scope, upper, achieved,
+                              witness, method, q.seed, truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +522,8 @@ class _Slots:
                          for _ in range(max_len + 1)] for _ in channels]
 
     def values(self, overlaps: np.ndarray) -> np.ndarray:
-        """Objectives (channels, ...) of overlaps[r, c, ...] = <s_r|U|s_c>,
-        an array or a _SpanOverlaps."""
+        """Objectives (channels, ...) of the overlaps[r, c, ...] =
+        <s_r|U|s_c> that a _SpanOverlaps reads."""
         out = np.empty((self.count,) + overlaps.shape[2:])
         for kind, rows, a, b in self.groups:
             out[rows] = kind.objective(overlaps, a, b)
@@ -590,7 +605,7 @@ class SurveyResult:
 class _SpanOverlaps:
     """The overlaps <s_i|U|s_j> = C[:, i]† G C[:, j] of states s = QC, read
     for index arrays i and j (one product per read) off the basis overlaps
-    G[p * r + q, ...] = <q_p|U|q_q> of an orthonormal basis Q (2**n, r)."""
+    G[p * r + q, ...] = <q_p|U|q_q> of a basis Q (2**n, r) (see _span)."""
 
     def __init__(self, coef: np.ndarray, g: np.ndarray):
         self.coef, self.g = coef, g
@@ -602,16 +617,16 @@ class _SpanOverlaps:
         return rows.reshape(self.g.shape[0], -1).T @ self.g
 
 
-def _span(states: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """(Q, C): the states (2**n, k) themselves and None when they are linearly
-    independent, else an orthonormal basis Q (2**n, r) of their span, r < k,
-    and their coordinates C = Q†S (r, k)."""
+def _span(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, C) with S = QC: the states S (2**n, k) themselves and C = I when
+    they are linearly independent, else an orthonormal basis Q (2**n, r) of
+    their span, r < k, and their coordinates C = Q†S (r, k)."""
     dim, k = states.shape
     u, sigma, _ = np.linalg.svd(states, full_matrices=False)
     cut = max(dim, k) * _RANK_EPS * sigma[0]
     r = max(1, int(np.count_nonzero(sigma > cut)))
     if r == k:
-        return states, None
+        return states, np.eye(k)
     basis = np.ascontiguousarray(u[:, :r])
     return basis, basis.conj().T @ states
 
@@ -630,9 +645,10 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
     nothing past them. Their children are scored in runs, each by
     one GEMM, <q_p|g u|q_q> = <g† q_p|u q_q>, so the kets of the last level
     are never built, and each bra row g†|q_p> is built when a run first
-    reads it; with r < k each channel's entries then come from the r x r
-    basis overlaps G as C[:, i]† G C[:, j], C = Q†S, and with r == k they
-    are the overlaps themselves.
+    reads it. Each channel's entries then come from the r x r basis
+    overlaps G as C[:, i]† G C[:, j], for the states' coordinates S = QC;
+    with r == k, C = I, and each entry is one overlap plus terms of ±0, so
+    exactly that overlap.
 
     Twins are skipped (_Enumeration.twin_table): a child p·l·g is not
     scored when an earlier-ranked sequence p·w of the walk, w of at most
@@ -658,9 +674,8 @@ def survey(states: list[np.ndarray], n_qubits: int, channels: list[Channel],
         """Record the children of basis overlaps g (r, r, children)."""
         nonlocal scored
         scored += g.shape[2]
-        if coef is not None:
-            g = _SpanOverlaps(coef, g.reshape(r * r, -1))
-        slots.add(slots.values(g), cost, rank, level)
+        slots.add(slots.values(_SpanOverlaps(coef, g.reshape(r * r, -1))),
+                  cost, rank, level)
 
     def score_children(f: Frontier, level: int) -> np.ndarray:
         """Score the children of a frontier at `level` that have no twin;
@@ -715,11 +730,8 @@ def enumeration_estimate(q: ComplexityQuery,
     lower, upper, witness, achieved = res.bounds(Channel(q.kind, 0, 1), q.threshold)
     if witness is not None:
         _verify_witness(q, witness, achieved)
-    return ComplexityEstimate(
-        kind=q.kind, delta=q.delta, lower_bound=lower, lower_bound_scope=_SCOPE,
-        upper_bound=upper, witness=witness, achieved_value=achieved,
-        method="enumeration", seed=q.seed, truncated=res.truncated,
-    )
+    return _estimate(q, "enumeration", [(upper, witness, achieved)], lower,
+                     _SCOPE, res.truncated)
 
 
 def brute_force_estimate(q: ComplexityQuery) -> ComplexityEstimate:
@@ -727,28 +739,6 @@ def brute_force_estimate(q: ComplexityQuery) -> ComplexityEstimate:
     res = survey([q.a.amplitudes, q.b.amplitudes], q.a.n_qubits,
                  [Channel(q.kind, 0, 1)], q.max_size)
     return enumeration_estimate(q, res)
-
-
-def combine_estimates(primary: ComplexityEstimate,
-                      *others: ComplexityEstimate) -> ComplexityEstimate:
-    """Merge an enumeration estimate with witness-only estimates.
-
-    Enumeration lower bounds are certified only up to the enumerated sequence
-    length; a witness from a stronger method (general 2-qubit blocks, or a
-    structural circuit longer than the cap) can legitimately undercut that
-    scoped claim, in which case the combined lower bound clips to the witness
-    cost so the pair stays sound. The cheapest witness wins, the earliest on
-    ties.
-    """
-    ests = (primary, *others)
-    best = min((e for e in ests if e.upper_bound is not None),
-               key=lambda e: e.upper_bound, default=primary)
-    lower = primary.lower_bound
-    if best.upper_bound is not None:
-        lower = min(lower, best.upper_bound)
-    return replace(primary, lower_bound=lower, upper_bound=best.upper_bound,
-                   witness=best.witness, achieved_value=best.achieved_value,
-                   method="+".join(e.method for e in ests))
 
 
 def _verify_witness(q: ComplexityQuery, witness: Circuit,
@@ -764,17 +754,6 @@ def _verify_witness(q: ComplexityQuery, witness: Circuit,
     return val
 
 
-def _witness_only(q: ComplexityQuery, method: str, upper: int | None = None,
-                  witness: Circuit | None = None,
-                  achieved: float | None = None) -> ComplexityEstimate:
-    """An estimate that certifies nothing from below: only a witness, if any."""
-    return ComplexityEstimate(
-        kind=q.kind, delta=q.delta, lower_bound=0, lower_bound_scope="none",
-        upper_bound=upper, witness=witness, achieved_value=achieved,
-        method=method, seed=q.seed,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Constructive witnesses
 # ---------------------------------------------------------------------------
@@ -787,9 +766,9 @@ def constructive_estimate(q: ComplexityQuery,
     for cand in ranked:
         val = objective_value(q.kind, cand, q.a, q.b)
         if val >= q.threshold - _THRESHOLD_SLACK:
-            return _witness_only(q, "constructive", fused_cost(cand.gates),
-                                 cand, val)
-    return _witness_only(q, "constructive")
+            return _estimate(q, "constructive",
+                             [(fused_cost(cand.gates), cand, val)])
+    return _estimate(q, "constructive")
 
 
 def pair_blocks(indices: list[int], n_qubits: int, matrix: np.ndarray,
@@ -987,6 +966,6 @@ def variational_upper_bound(q: ComplexityQuery, restarts: int, max_blocks: int,
             witness = Circuit(n, tuple(
                 GateOp(pair, _block_unitary(t), "var2")
                 for pair, t in zip(pairs, best_theta)))
-            return _witness_only(q, "variational", m, witness,
-                                 _verify_witness(q, witness, best_val))
-    return _witness_only(q, "variational")
+            return _estimate(q, "variational", [
+                (m, witness, _verify_witness(q, witness, best_val))])
+    return _estimate(q, "variational")

@@ -386,9 +386,10 @@ class TestIrreversibility:
         c for r in range(4)
         for c in itertools.combinations(("violated", "inconclusive", "ok"), r)])
     def test_status_at_is_the_worst_status(self, found):
-        """The rank order gives the if-chain it replaced on every set of
-        statuses at one accuracy, the empty set included; a status at
-        another accuracy does not count."""
+        """The rank order gives the if-chain it replaced on every nonempty
+        set of statuses at one accuracy, and an accuracy with no entry is
+        refused, naming the accuracies held; a status at another accuracy
+        does not count."""
         def if_chain(stats):
             if "violated" in stats:
                 return "violated"
@@ -398,7 +399,11 @@ class TestIrreversibility:
                    for status in found]
         entries.append(IrreversibilityEntry((0, 1), 0.1, 1, 0, 0, "violated"))
         rep = IrreversibilityReport(tuple(entries))
-        assert rep.status_at(0.9) == if_chain(set(found))
+        if not found:
+            with pytest.raises(ValueError, match=r"holds \[0\.1\]"):
+                rep.status_at(0.9)
+        else:
+            assert rep.status_at(0.9) == if_chain(set(found))
 
     def test_preparation_cost_added(self):
         f = fx.ghz(2)
@@ -524,8 +529,9 @@ def test_grade_matches_the_two_function_rule(ci, cd, truncated, threshold,
                                              lam, floor):
     """grade, classify_region and assess_branches' pair class and margin
     agree with the rule grade replaced. A ci of None stands for a truncated
-    walk whose lower bound fell to 0; exp(lam * cd) overflows for lam up to
-    1000."""
+    walk whose lower bound fell to 0; assess_branches reads any truncated ci
+    that way, as a truncated walk reports no other lower bound;
+    exp(lam * cd) overflows for lam up to 1000."""
     ci_lower, ci_truncated = (0, True) if ci is None else (ci, truncated)
     assert grade(ci, cd, threshold, lam) == reference_class(
         ci_lower, ci is None, cd, threshold, lam)[0]
@@ -538,7 +544,7 @@ def test_grade_matches_the_two_function_rule(ci, cd, truncated, threshold,
         pair, = assess_branches(cat_decomposition(2), good_threshold=threshold,
                                 robustness_lambda=lam).pairwise
     assert (pair.classification, pair.margin) == reference_class(
-        ci_lower, ci_truncated, cd, threshold, lam)
+        0 if ci_truncated else ci_lower, ci_truncated, cd, threshold, lam)
 
     if ci is not None and cd is not None:
         assert (classify_region(ci, cd, floor, threshold, lam)

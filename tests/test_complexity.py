@@ -1,21 +1,24 @@
 """Complexity objectives, certified enumeration, and witness searches."""
 import hashlib
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from branchkit import branches
 from branchkit.branches import EstimatorConfig, estimate_pair
 from branchkit.complexity import (
     MAX_WALK,
     Channel,
+    ComplexityEstimate,
     ComplexityKind,
     ComplexityQuery,
     _enumeration,
     _fuse,
     _light_cone,
     brute_force_estimate,
-    combine_estimates,
     constructive_estimate,
     fused_cost,
     node_limit,
@@ -257,16 +260,86 @@ class TestConstructive:
         assert c.gates[-1].targets == (2,)
 
 
+def combine_estimates(primary, *others):
+    """The rule that merged a query's estimates before estimate_pair built
+    its merge with complexity._estimate, kept as the reference: the
+    cheapest witness, the earliest on ties, and the primary's lower bound,
+    scope and truncation, the lower bound clipped to the witness cost."""
+    ests = (primary, *others)
+    best = min((e for e in ests if e.upper_bound is not None),
+               key=lambda e: e.upper_bound, default=primary)
+    lower = primary.lower_bound
+    if best.upper_bound is not None:
+        lower = min(lower, best.upper_bound)
+    return replace(primary, lower_bound=lower, upper_bound=best.upper_bound,
+                   witness=best.witness, achieved_value=best.achieved_value,
+                   method="+".join(e.method for e in ests))
+
+
+@st.composite
+def merge_sources(draw):
+    """Whether estimate_pair enumerates, has candidates and may search
+    variationally, and the estimate each of its sources returns:
+    enumeration-like, with a drawn lower bound, scope and truncation, or
+    witness-only. Each has a witness or none, at costs 0..2, so that ties
+    are common; every witness is a distinct object."""
+    sources = {}
+    for i, method in enumerate(("enumeration", "constructive", "variational")):
+        cost = draw(st.none() | st.integers(0, 2))
+        lower, scope, truncated = 0, "none", False
+        if method == "enumeration":
+            lower = draw(st.integers(0, 4 if cost is None else cost))
+            scope = draw(st.sampled_from(["alphabet:default", "alphabet:other"]))
+            truncated = draw(st.booleans())
+        sources[method] = ComplexityEstimate(
+            K_I, 0.1, lower, scope, cost,
+            None if cost is None else 0.5 + i / 10,
+            None if cost is None else Circuit(2), method, truncated=truncated)
+    return draw(st.tuples(st.booleans(), st.booleans(), st.booleans())), sources
+
+
 class TestCombine:
     def test_witness_clips_scoped_lower(self):
         a, b = QuantumState.basis(4, 0), QuantumState.basis(4, 15)
-        enum = brute_force_estimate(ComplexityQuery(K_I, a, b, 0.1, max_size=2))
-        cons = constructive_estimate(
-            ComplexityQuery(K_I, a, b, 0.1),
-            [pair_blocks([0, 1, 2, 3], 4, GATES_1Q["X"], "X")])
-        merged = combine_estimates(enum, cons)
+        cons = pair_blocks([0, 1, 2, 3], 4, GATES_1Q["X"], "X")
+        merged, = estimate_pair(a, b, ((K_I, 0.1),), EstimatorConfig(max_len=2),
+                                {K_I: [cons]})
         assert (merged.lower_bound, merged.upper_bound) == (2, 2)
-        assert "enumeration" in merged.method and "constructive" in merged.method
+        assert merged.method == "enumeration+constructive"
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_sources())
+    def test_merge_matches_the_rule_it_replaced(self, drawn):
+        """estimate_pair's merge of whatever estimates its sources return
+        equals combine_estimates of them, down to which witness wins a tie,
+        and never puts the lower bound above the upper."""
+        (enumerate_lower, has_candidates, use_variational), sources = drawn
+        called = []
+
+        def source(method):
+            def produce(*args):
+                called.append(sources[method])
+                return sources[method]
+            return produce
+
+        config = EstimatorConfig(enumerate_lower=enumerate_lower,
+                                 use_variational=use_variational)
+        with mock.patch.multiple(
+                branches, survey=lambda *args: None,
+                enumeration_estimate=source("enumeration"),
+                constructive_estimate=source("constructive"),
+                variational_upper_bound=source("variational")):
+            merged, = estimate_pair(
+                QuantumState.basis(2, 0), QuantumState.basis(2, 3),
+                ((K_I, 0.1),), config,
+                {K_I: [Circuit(2)]} if has_candidates else None)
+        ref = combine_estimates(*called)
+        fields = ("method", "lower_bound", "upper_bound", "lower_bound_scope",
+                  "truncated", "achieved_value")
+        assert ([getattr(merged, f) for f in fields]
+                == [getattr(ref, f) for f in fields])
+        assert merged.witness is ref.witness
+        assert merged.upper_bound is None or merged.lower_bound <= merged.upper_bound
 
 
 class TestVariational:

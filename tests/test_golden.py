@@ -1,4 +1,5 @@
-"""Byte-exact stdout of every CLI example in the README.
+"""Byte-exact stdout of every CLI example in the README, and of its
+library example.
 
 Each golden file under tests/golden/ holds the stdout of one command line;
 the flow CSV (about 665 KB) is pinned by its SHA-256 and byte count instead,
@@ -53,6 +54,16 @@ def test_readme_lists_exactly_the_pinned_examples():
              for line in README.read_text().splitlines()
              if line.startswith("branchkit ")]
     assert [" ".join(words) for words in lines] == list(README_EXAMPLES.values())
+
+
+def test_readme_library_example(capsys):
+    """The python block under "Library example" prints the line that its
+    trailing comment shows."""
+    section = README.read_text().split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    expected = block.rstrip().splitlines()[-1].removeprefix("# ")
+    assert capsys.readouterr().out == expected + "\n"
 
 
 def digests(name: str) -> list[list[str]]:

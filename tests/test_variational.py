@@ -28,9 +28,9 @@ from branchkit.complexity import (
     ComplexityQuery,
     _block_unitary,
     _environment,
+    _estimate,
     _scan_block,
     _verify_witness,
-    _witness_only,
     round_robin_pairs,
     variational_upper_bound,
 )
@@ -111,9 +111,9 @@ def replay_upper_bound(q, restarts, max_blocks, sweeps):
                 GateOp(pairs[i], loop_block_unitary(best_theta[15 * i:15 * (i + 1)]),
                        "var2")
                 for i in range(m)))
-            return _witness_only(q, "variational", m, witness,
-                                 _verify_witness(q, witness, None))
-    return _witness_only(q, "variational")
+            return _estimate(q, "variational", [
+                (m, witness, _verify_witness(q, witness, None))])
+    return _estimate(q, "variational")
 
 
 def _pairs(fixture):
