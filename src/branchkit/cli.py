@@ -35,7 +35,7 @@ from .codes import (
 from .complexity import ComplexityKind
 from .dynamics import (
     FlowParams,
-    eth_size_sweep,
+    eth_diagnostic,
     integrate_flow,
     magnetization_sector_state,
     mixed_field_ising,
@@ -145,12 +145,15 @@ def build_fixture(args) -> fx.ExampleFixture:
     return replace(fixture, seed=args.seed) if "seed" in reads else fixture
 
 
-def _emit(args, text: str):
+def _emit(args, text: str, truncated: bool = False) -> int:
+    """Write `text` to --output or stdout; the exit code is TRUNCATION_EXIT
+    for a truncated result under --strict, else 0."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return TRUNCATION_EXIT if truncated and args.strict else 0
 
 
 def _read_json(path: str, parse):
@@ -165,8 +168,7 @@ def _read_json(path: str, parse):
 
 
 def cmd_example(args) -> int:
-    _emit(args, ser.dumps(ser.to_json(build_fixture(args))))
-    return 0
+    return _emit(args, ser.dumps(ser.to_json(build_fixture(args))))
 
 
 def _config(args, **methods) -> EstimatorConfig:
@@ -192,8 +194,7 @@ def cmd_estimate(args) -> int:
                      enumerate_lower=args.method in ("enumeration", "auto"),
                      use_variational=args.method in ("variational", "auto"))
     est, = estimate_pair(a, b, ((kind, args.delta),), config, candidates)
-    _emit(args, ser.dumps(ser.to_json(est)))
-    return TRUNCATION_EXIT if args.strict and est.truncated else 0
+    return _emit(args, ser.dumps(ser.to_json(est)), est.truncated)
 
 
 def cmd_verdict(args) -> int:
@@ -206,9 +207,8 @@ def cmd_verdict(args) -> int:
         noise_rate=args.noise_rate,
         candidates=fixture.known_witnesses,
     )
-    _emit(args, ser.dumps(ser.verdict_to_json(verdict)))
-    truncated = any(p.ci.truncated or p.cd.truncated for p in verdict.pairwise)
-    return TRUNCATION_EXIT if args.strict and truncated else 0
+    return _emit(args, ser.dumps(ser.verdict_to_json(verdict)), any(
+        p.ci.truncated or p.cd.truncated for p in verdict.pairwise))
 
 
 def _comma_list(dest: str, text: str, read) -> list:
@@ -255,30 +255,27 @@ def cmd_qec(args) -> int:
                              lambda tok: _expand_error(tok, n))
         spec = CodeSpec(words, tuple(e for group in groups for e in group))
     report = beny_oreshkov_residuals(spec)
-    _emit(args, ser.dumps(ser.document(
+    return _emit(args, ser.dumps(ser.document(
         code=args.code or "file",
         n_qubits=spec.n_qubits,
         residuals=ser.residual_report_to_json(report),
         floor=code_complexity_floor(report))))
-    return 0
 
 
 def cmd_surface(args) -> int:
     model = SurfaceCodeModel(args.long_cycle, args.short_cycle, args.p)
     report = surface_logical_rate(model, args.c_const)
     oracle = exact_binomial_tail_rate(model)
-    _emit(args, ser.dumps(ser.document(
+    return _emit(args, ser.dumps(ser.document(
         **ser.to_json(report), binomial_tail_oracle=oracle,
         formula_over_oracle=report.logical_rate / oracle)))
-    return 0
 
 
 def cmd_flow(args) -> int:
     params = FlowParams(k=args.k, rate=args.rate, dt=args.dt,
                         t_end=args.t_end, rate_function=args.rate_function)
     traj = integrate_flow(args.ci0, args.cd0, params)
-    _emit(args, ser.trajectory_to_csv(traj))
-    return 0
+    return _emit(args, ser.trajectory_to_csv(traj))
 
 
 def cmd_evolve(args) -> int:
@@ -295,9 +292,8 @@ def cmd_evolve(args) -> int:
         traj = track_complexity_under_evolution(
             a, b, h, witnesses[0],
             _comma_list("t_grid", args.t_grid, float), _config(args))
-        _emit(args, ser.trajectory_to_csv(traj))
-        truncated = any(s.truncated for s in traj.samples)
-        return TRUNCATION_EXIT if args.strict and truncated else 0
+        return _emit(args, ser.trajectory_to_csv(traj),
+                     any(s.truncated for s in traj.samples))
     if args.mode == "freeze":
         n = args.n
         if n < 2:  # the pair has one and two flipped spins
@@ -308,14 +304,15 @@ def cmd_evolve(args) -> int:
         b = magnetization_sector_state(n, 2, seed + 1)
         rep = symmetry_freeze_check(a, b, h, phase_rotation_circuit(n),
                                     _comma_list("t_grid", args.t_grid, float))
-        _emit(args, ser.dumps(ser.to_json(rep)))
-        return 0
-    sweep = eth_size_sweep(  # --mode eth
-        [mixed_field_ising(n) for n in _comma_list("sizes", args.sizes, int)],
-        lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
-        args.window)
-    _emit(args, ser.dumps(ser.document(sweep=sweep.reports)))
-    return 0
+        return _emit(args, ser.dumps(ser.to_json(rep)))
+    # --mode eth: every size is built, and so checked, before any is
+    # diagonalized; the observable is Z on the middle qubit
+    sizes = _comma_list("sizes", args.sizes, int)
+    chains = [mixed_field_ising(n) for n in sizes]
+    return _emit(args, ser.dumps(ser.document(sweep=[
+        eth_diagnostic(h, ["I" * (n // 2) + "Z" + "I" * ((n - 1) // 2)],
+                       args.window)
+        for n, h in zip(sizes, chains)])))
 
 
 def cmd_props(args) -> int:
@@ -323,19 +320,17 @@ def cmd_props(args) -> int:
                                 max_len=args.budget,
                                 triples=args.triples, epsilon=args.epsilon)
     counts = report.violation_counts()
-    _emit(args, ser.dumps(ser.document(
+    return _emit(args, ser.dumps(ser.document(
         n=args.n, instances=args.instances, seed=args.seed,
         max_len=args.budget, violations=counts,
         total_violations=sum(counts.values()),
         properties=report.pair_report.properties)))
-    return 0
 
 
 def cmd_gap(args) -> int:
     fixture = build_fixture(args)
     report = rho_vs_diag_gap(fixture.decomposition, args.budget, args.phases)
-    _emit(args, ser.dumps(ser.to_json(report, example=args.example)))
-    return 0
+    return _emit(args, ser.dumps(ser.to_json(report, example=args.example)))
 
 
 def build_parser() -> _Parser:

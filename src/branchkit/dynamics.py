@@ -297,36 +297,6 @@ def eth_diagnostic(h: Hamiltonian, observables: list,
     return EthReport(h.n_qubits, (lo, hi), tuple(stats))
 
 
-@dataclass(frozen=True)
-class EthSweepReport:
-    sizes: tuple[int, ...]
-    reports: tuple[EthReport, ...]
-    diag_decay_rate: float | None
-    offdiag_decay_rate: float | None
-
-
-def eth_size_sweep(hamiltonians: list[Hamiltonian], observables_for,
-                   window_fraction: float = 1 / 3) -> EthSweepReport:
-    """Run the diagnostic across system sizes and report fitted exponential
-    decay rates of the first observable's statistics (reported, not asserted)."""
-    sizes = tuple(h.n_qubits for h in hamiltonians)
-    reports = tuple(
-        eth_diagnostic(h, observables_for(h.n_qubits), window_fraction)
-        for h in hamiltonians
-    )
-    diag = [r.per_observable[0].median_diag_gap for r in reports]
-    off = [r.per_observable[0].max_offdiag for r in reports]
-
-    def fit(ys):
-        # a slope needs two distinct sizes
-        if len(set(sizes)) < 2 or any(y <= 0 for y in ys):
-            return None
-        slope = np.polyfit(sizes, np.log(ys), 1)[0]
-        return float(-slope)
-
-    return EthSweepReport(sizes, reports, fit(diag), fit(off))
-
-
 # ---------------------------------------------------------------------------
 # Standard chains
 # ---------------------------------------------------------------------------

@@ -524,6 +524,31 @@ def test_evolve_track_strict_exit_3(capsys):
     assert [r.split(",")[2] for r in out.splitlines()[1:]] == ["0", "0"]
 
 
+@pytest.mark.parametrize("argv", [
+    "estimate --kind interference --example ghz --n 3 --delta 0.9 "
+    "--budget 3 --method enumeration",
+    "verdict --example ghz --n 4 --seed 1 --threshold 1",
+    "evolve --mode track --example ghz --n 4 --seed 1 --t-grid 0,1 "
+    "--budget 2",
+], ids=["estimate", "verdict", "evolve-track"])
+def test_strict_exits_3_exactly_when_the_run_is_cut(argv, capsys):
+    cut = argv.split() + ["--node-budget", "5"]
+    code, out, _ = run_cli(cut, capsys)
+    assert code == 0
+    # --strict changes the exit code of a cut run, not its bytes
+    assert run_cli(cut + ["--strict"], capsys)[:2] == (3, out)
+    assert run_cli(argv.split() + ["--strict"], capsys)[0] == 0
+
+
+def test_evolve_eth_refuses_a_bad_size_before_diagonalizing(capsys):
+    # 13 is too wide to diagonalize, but every chain is built first, so the
+    # refusal names the size that no Hamiltonian takes
+    code, out, err = _exit_of(["evolve", "--mode", "eth", "--sizes", "13,20"],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert "got 20" in err
+
+
 def test_evolve_track_csv_flags_truncation(capsys):
     argv = ["evolve", "--mode", "track", "--example", "ghz", "--n", "4",
             "--seed", "1", "--t-grid", "0,1", "--budget", "2"]

@@ -1,6 +1,5 @@
 """Flow integration, empirical tracking, symmetry freezing, eigenstate stats."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from branchkit.dynamics import (
     FlowParams,
     RATE_FUNCTIONS,
     eth_diagnostic,
-    eth_size_sweep,
     integrate_flow,
     magnetization_sector_state,
     mixed_field_ising,
@@ -249,21 +247,10 @@ class TestEth:
         assert stats.max_diag_gap == pytest.approx(expected)
 
     def test_median_gap_shrinks_with_size(self):
-        sweep = eth_size_sweep(
-            [mixed_field_ising(n) for n in (6, 8)],
-            lambda n: ["I" * (n // 2) + "Z" + "I" * (n - n // 2 - 1)],
-            1 / 3)
-        gaps = [r.per_observable[0].median_diag_gap for r in sweep.reports]
+        gaps = [eth_diagnostic(mixed_field_ising(n), [mid], 1 / 3)
+                .per_observable[0].median_diag_gap
+                for n, mid in ((6, "IIIZII"), (8, "IIIIZIII"))]
         assert gaps[1] < gaps[0]
-        assert sweep.diag_decay_rate is not None
-
-    def test_repeated_size_fits_no_rate(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sweep = eth_size_sweep([mixed_field_ising(4) for _ in range(2)],
-                                   lambda n: ["IIZI"], 1 / 3)
-        assert sweep.diag_decay_rate is None
-        assert sweep.offdiag_decay_rate is None
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

@@ -218,7 +218,8 @@ def test_span_survey_matches_depth_first_oracle(case):
     """Linearly dependent states take the span path, and it scores what the
     oracle scores on the states themselves."""
     basis, coef = complexity._span(np.column_stack(case[0]))
-    assert coef is not None and basis.shape[1] < len(case[0])
+    assert coef.shape == (basis.shape[1], len(case[0]))
+    assert basis.shape[1] < len(case[0])
     assert_same_survey(*case)
 
 
@@ -612,7 +613,7 @@ def test_span_surveys_make_few_runs_within_chunk_bytes(monkeypatch):
 
     def sized_values(self, overlaps):
         out = values(self, overlaps)
-        arrays.extend((getattr(overlaps, "g", overlaps).nbytes, out.nbytes))
+        arrays.extend((overlaps.g.nbytes, out.nbytes))
         return out
 
     def sized_read(self, index):
