@@ -14,9 +14,10 @@ byte-identical output.
 `dumps` lets `json.dumps(doc, indent=2, allow_nan=True)` write each document,
 an array as its `tolist()`. It encodes indented output one Python call per
 value, so `_write_tensor` splices in only the non-empty float64 arrays, such
-as a residual tensor, each written in one join with the same bytes. It
-formats each distinct bit pattern of an array once, found by `np.unique` on
-its int64 view, so -0.0 stays apart from 0.0.
+as a residual tensor, with the same bytes. It formats each distinct bit
+pattern once, so -0.0 stays apart from 0.0. Then, innermost axis first, while
+at most half the rows along an axis are distinct, it writes each distinct row
+once and takes it as one leaf; the axes left are written in one join.
 """
 from __future__ import annotations
 
@@ -187,33 +188,57 @@ _QUOTED_TENSOR = json.dumps(_TENSOR)
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of int64 `keys`, and each key's index among
+    them: by sort, as np.unique's hash path is slower on int64."""
+    s = np.sort(keys, axis=None)
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return s, np.searchsorted(s, keys)
+
+
 def _write_tensor(a: np.ndarray, level: int, out: list[str]) -> None:
     """Write a non-empty float64 array."""
-    dims, depth = a.shape, a.ndim
-    ind = ["\n" + "  " * (level + d) for d in range(depth + 1)]
+    ind = ["\n" + "  " * (level + d) for d in range(a.ndim + 1)]
+    # each distinct bit pattern is formatted once: -0.0 stays apart from 0.0
+    distinct, codes = _distinct(a.ravel().view(np.int64).reshape(a.shape))
+    texts = [_NONFINITE.get(t, t)
+             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
+    # while at most half the rows along an axis, innermost first, are
+    # distinct, each distinct row is written once and becomes one leaf
+    for k in range(a.ndim - 1, 0, -1):
+        rows = keys = codes.reshape(-1, a.shape[k])
+        n = len(texts)
+        # halve the columns (an odd middle one twice): keys < n*n <= a.size**2
+        while keys.shape[1] > 1:
+            h = (keys.shape[1] + 1) // 2
+            distinct, keys = _distinct(keys[:, :h] * n + keys[:, -h:])
+            n = len(distinct)
+        if 2 * n > len(rows):
+            break
+        pick = np.empty(n, dtype=np.intp)  # a row of each distinct code
+        pick[keys[:, 0]] = np.arange(len(rows))
+        sep = "," + ind[k + 1]
+        texts = [f"[{ind[k + 1]}{sep.join(map(texts.__getitem__, row))}"
+                 f"{ind[k]}]" for row in rows[pick].tolist()]
+        codes = keys[:, 0].reshape(a.shape[:k])
+    dims, depth = codes.shape, codes.ndim
     out.append("".join("[" + ind[d] for d in range(1, depth + 1)))
     # the slots of the leaves, each followed by its separator; taken before
     # the temporaries below, so that those are freed as one block
     start = len(out)
-    out.extend(itertools.repeat("", 2 * a.size - 1))
-    # each distinct bit pattern is formatted once: -0.0 stays apart from 0.0
-    bits = a.ravel().view(np.int64)
-    distinct = np.unique(bits)
-    texts = [_NONFINITE.get(t, t)
-             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
+    out.extend(itertools.repeat("", 2 * codes.size - 1))
     # seps[r] closes the r innermost lists, writes the comma, opens r again
     seps = ["".join(ind[depth - j] + "]" for j in range(1, r + 1)) + ","
             + ind[depth - r]
             + "".join("[" + ind[d] for d in range(depth - r + 1, depth + 1))
             for r in range(depth)]
     # before leaf i > 0, r counts the trailing axes whose index rolls over
-    index = np.arange(1, a.size)
-    rolls = np.zeros(a.size - 1, dtype=np.intp)
+    index = np.arange(1, codes.size)
+    rolls = np.zeros(codes.size - 1, dtype=np.intp)
     stride = 1
     for size in dims[:0:-1]:
         stride *= size
         rolls += index % stride == 0
-    out[start::2] = map(texts.__getitem__,
-                        np.searchsorted(distinct, bits).tolist())
+    out[start::2] = map(texts.__getitem__, codes.ravel().tolist())
     out[start + 1::2] = map(seps.__getitem__, rolls.tolist())
     out.append("".join(ind[d] + "]" for d in range(depth - 1, -1, -1)))

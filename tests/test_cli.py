@@ -210,15 +210,6 @@ class TestDeterminismAndExitCodes:
 
 
 class TestExtendedCommands:
-    def test_strict_truncation_exit_3(self, capsys):
-        code, out, _ = run_cli(
-            ["estimate", "--kind", "interference", "--example", "ghz",
-             "--n", "3", "--delta", "0.9", "--budget", "3",
-             "--node-budget", "5", "--method", "enumeration", "--strict"],
-            capsys)
-        assert code == 3
-        assert json.loads(out)["truncated"] is True
-
     def test_witness_only_method_names_searches_that_ran(self, capsys):
         # without enumeration only the candidate search runs, and the ghz
         # candidates already witness the query, so no variational search
@@ -511,30 +502,22 @@ def _exit_of(argv, capsys):
     return code, out, json.loads(err)["error"] if code else err
 
 
-def test_evolve_track_strict_exit_3(capsys):
-    argv = ["evolve", "--mode", "track", "--example", "ghz", "--n", "4",
-            "--seed", "1", "--t-grid", "0,1", "--budget", "2",
-            "--node-budget", "5"]
-    code, out, _ = run_cli(argv, capsys)
-    assert code == 0
-    strict_code, strict_out, _ = run_cli(argv + ["--strict"], capsys)
-    assert strict_code == 3
-    assert strict_out == out
-    # every enumeration was cut, so no interference lower bound survives
-    assert [r.split(",")[2] for r in out.splitlines()[1:]] == ["0", "0"]
-
-
-@pytest.mark.parametrize("argv", [
-    "estimate --kind interference --example ghz --n 3 --delta 0.9 "
-    "--budget 3 --method enumeration",
-    "verdict --example ghz --n 4 --seed 1 --threshold 1",
-    "evolve --mode track --example ghz --n 4 --seed 1 --t-grid 0,1 "
-    "--budget 2",
+@pytest.mark.parametrize("argv, shows_the_cut", [
+    ("estimate --kind interference --example ghz --n 3 --delta 0.9 "
+     "--budget 3 --method enumeration",
+     lambda out: json.loads(out)["truncated"] is True),
+    ("verdict --example ghz --n 4 --seed 1 --threshold 1", None),
+    # every enumeration is cut, so no interference lower bound survives
+    ("evolve --mode track --example ghz --n 4 --seed 1 --t-grid 0,1 "
+     "--budget 2",
+     lambda out: [r.split(",")[2] for r in out.splitlines()[1:]] == ["0", "0"]),
 ], ids=["estimate", "verdict", "evolve-track"])
-def test_strict_exits_3_exactly_when_the_run_is_cut(argv, capsys):
+def test_strict_exits_3_exactly_when_the_run_is_cut(argv, shows_the_cut,
+                                                    capsys):
     cut = argv.split() + ["--node-budget", "5"]
     code, out, _ = run_cli(cut, capsys)
     assert code == 0
+    assert shows_the_cut is None or shows_the_cut(out)
     # --strict changes the exit code of a cut run, not its bytes
     assert run_cli(cut + ["--strict"], capsys)[:2] == (3, out)
     assert run_cli(argv.split() + ["--strict"], capsys)[0] == 0

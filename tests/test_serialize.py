@@ -135,6 +135,32 @@ def test_dumps_places_each_float64_array(doc):
     assert ser.dumps(doc) == reference(doc)
 
 
+# innermost rows to build arrays from: the first two differ only in the sign
+# of a zero
+ROWS = np.array([[0.0, 1.5], [-0.0, 1.5], [math.nan, math.inf],
+                 [-math.inf, math.nan], [1e-7, -0.0]])
+
+
+@pytest.mark.parametrize("index, leaves", [
+    # patterns of rows, the first two apart only in the sign of one zero:
+    # in the first column, and in the middle one of an odd count
+    (np.array([[0, 2, 3, 4, 0, 1, 2, 3, 4, 0], [1, 2, 3, 4, 0, 1, 2, 3, 4, 0],
+               [4, 3, 2, 1, 0, 4, 3, 2, 1, 0]])[np.arange(12) % 3], 12),
+    (np.array([[[0, 1], [2, 3], [4, 0], [1, 1], [2, 2]],
+               [[0, 1], [2, 3], [4, 1], [1, 1], [2, 2]]])[np.arange(6) % 2], 6),
+    (np.array([[0, 1, 2], [2, 1, 0], [3, 4, 0], [1, 0, 2]]), 12),
+], ids=["12x10x2", "6x5x2x2", "innermost-only"])
+def test_dumps_folds_the_axes_whose_rows_repeat(index, leaves):
+    a = ROWS[index]
+    out = []
+    ser._write_tensor(a, 2, out)
+    # every axis but the outermost, or only the innermost, was folded: what
+    # is left is written flat, an opening, leaves, separators and a closing
+    assert len(out) == 2 * leaves + 1
+    doc = {"t": [a, a[0]]}
+    assert ser.dumps(doc) == reference(doc)
+
+
 @pytest.mark.parametrize("doc", [
     {"a": PLACEHOLDER},
     {PLACEHOLDER: 1.0, "b": TENSOR},
